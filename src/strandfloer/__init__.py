@@ -9,7 +9,7 @@ The layers, bottom to top:
 - index: Euler measure, diagonal intersections, Maslov bookkeeping.
 - homalg: GF(2) complexes, projective modules, morphism complexes.
 - verify: every invariant as a suite with counterexample reporting.
-- cli: build / verify / export / bench front end.
+- cli: build / verify / export front end.
 """
 
 from .circle import (
@@ -44,7 +44,6 @@ from .homalg import (
     ChainComplex,
     MorComplex,
     RightDGModule,
-    homology_rank,
     mor_complex,
     projective_module,
     verify_module_axioms,
@@ -55,9 +54,7 @@ from .index import (
     Domain,
     counted_product_domains,
     counted_rectangle_domains,
-    euler_measure,
     glue,
-    maslov,
     product_domain,
     rectangle_domain,
     verify_rigidity,
@@ -97,17 +94,14 @@ __all__ = [
     "empty_rectangles",
     "enumerate_floer_generators",
     "enumerate_generators",
-    "euler_measure",
     "floer_differential",
     "floer_product",
     "from_algebra",
     "glue",
-    "homology_rank",
     "idempotent_count",
     "idempotents",
     "intersection_pattern",
     "make_spec",
-    "maslov",
     "matching_from_pairs",
     "mor_complex",
     "overlap_class",

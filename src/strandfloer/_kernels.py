@@ -1,41 +1,22 @@
-"""Array kernels: numba jit fast path, pure-numpy fallback.
+"""Array kernels in plain numpy.
 
-The backend is fixed at import time.  STRANDFLOER_BACKEND=numpy forces the
-fallback, STRANDFLOER_BACKEND=numba demands the jit path (and fails loudly
-when numba is missing); unset or "auto" picks numba when importable.
-
-Every kernel exists in both flavours with identical semantics; cmd_bench
-times the two against each other.  Rows of bit matrices are packed little
-endian into uint64 words, column c living at word c >> 6, bit c & 63.
+Rows of bit matrices are packed little endian into uint64 words, column c
+living at word c >> 6, bit c & 63.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    HAVE_NUMBA = False
-
-_requested = os.environ.get("STRANDFLOER_BACKEND", "auto").strip().lower() or "auto"
-if _requested not in ("auto", "numba", "numpy"):
-    raise ValueError(f"STRANDFLOER_BACKEND must be auto, numba or numpy, got {_requested!r}")
-if _requested == "numba" and not HAVE_NUMBA:
-    raise ImportError("STRANDFLOER_BACKEND=numba but numba cannot be imported")
-
-BACKEND = "numba" if _requested in ("auto", "numba") and HAVE_NUMBA else "numpy"
+# Recorded in the machine metadata of perfbench/probe.py.
+BACKEND = "numpy"
 
 
 # ---------------------------------------------------------------------------
 # GF(2) row reduction on packed rows.
 
 
-def gf2_eliminate_numpy(rows: np.ndarray, ncols: int) -> tuple[int, list[int]]:
+def gf2_eliminate(rows: np.ndarray, ncols: int) -> tuple[int, list[int]]:
     """Reduce ``rows`` (shape (n, words), uint64) to reduced row echelon form
     in place.  Returns (rank, pivot column list).  Column loop stays in
     Python; the row clearing is a vectorized xor.
@@ -63,46 +44,6 @@ def gf2_eliminate_numpy(rows: np.ndarray, ncols: int) -> tuple[int, list[int]]:
     return rank, pivots
 
 
-if HAVE_NUMBA:
-
-    @njit(cache=True)
-    def _gf2_eliminate_jit(rows, ncols):  # pragma: no cover - jit body
-        n, words = rows.shape
-        pivots = np.empty(min(n, ncols), np.int64)
-        rank = 0
-        for col in range(ncols):
-            if rank == n:
-                break
-            word = col >> 6
-            mask = np.uint64(1) << np.uint64(col & 63)
-            sel = -1
-            for r in range(rank, n):
-                if rows[r, word] & mask:
-                    sel = r
-                    break
-            if sel < 0:
-                continue
-            if sel != rank:
-                for t in range(words):
-                    tmp = rows[rank, t]
-                    rows[rank, t] = rows[sel, t]
-                    rows[sel, t] = tmp
-            for r in range(n):
-                if r != rank and (rows[r, word] & mask):
-                    for t in range(words):
-                        rows[r, t] ^= rows[rank, t]
-            pivots[rank] = col
-            rank += 1
-        return rank, pivots
-
-    def gf2_eliminate_numba(rows: np.ndarray, ncols: int) -> tuple[int, list[int]]:
-        rank, pivots = _gf2_eliminate_jit(rows, ncols)
-        return int(rank), [int(p) for p in pivots[:rank]]
-
-else:  # pragma: no cover
-    gf2_eliminate_numba = None
-
-
 # ---------------------------------------------------------------------------
 # Associativity sweep over a product table.
 #
@@ -114,7 +55,7 @@ else:  # pragma: no cover
 # table(table(i,j), l) == table(i, table(j,l)) with -1 meaning zero.
 
 
-def assoc_scan_numpy(tgt, off, items, keys, vals, n):
+def assoc_scan(tgt, off, items, keys, vals, n):
     """Returns (triples_checked, i, j, l) with (-1,-1,-1) when no violation."""
     checked = 0
     n64 = np.int64(n)
@@ -123,7 +64,7 @@ def assoc_scan_numpy(tgt, off, items, keys, vals, n):
         js = items[off[u]:off[u + 1]]
         if js.size == 0:
             continue
-        ps = _lookup_many_numpy(keys, vals, i * n64 + js)
+        ps = _lookup_many(keys, vals, i * n64 + js)
         degs = off[tgt[js] + 1] - off[tgt[js]]
         total = int(degs.sum())
         if total == 0:
@@ -131,15 +72,15 @@ def assoc_scan_numpy(tgt, off, items, keys, vals, n):
         j_rep = np.repeat(js, degs)
         p_rep = np.repeat(ps, degs)
         l_cat = np.concatenate([items[off[tgt[j]]:off[tgt[j] + 1]] for j in js])
-        qs = _lookup_many_numpy(keys, vals, j_rep * n64 + l_cat)
+        qs = _lookup_many(keys, vals, j_rep * n64 + l_cat)
         lhs = np.full(total, -1, np.int64)
         sel = p_rep >= 0
         if sel.any():
-            lhs[sel] = _lookup_many_numpy(keys, vals, p_rep[sel] * n64 + l_cat[sel])
+            lhs[sel] = _lookup_many(keys, vals, p_rep[sel] * n64 + l_cat[sel])
         rhs = np.full(total, -1, np.int64)
         sel = qs >= 0
         if sel.any():
-            rhs[sel] = _lookup_many_numpy(keys, vals, np.int64(i) * n64 + qs[sel])
+            rhs[sel] = _lookup_many(keys, vals, np.int64(i) * n64 + qs[sel])
         bad = np.nonzero(lhs != rhs)[0]
         if bad.size:
             b = int(bad[0])
@@ -148,7 +89,7 @@ def assoc_scan_numpy(tgt, off, items, keys, vals, n):
     return checked, -1, -1, -1
 
 
-def _lookup_many_numpy(keys, vals, queries):
+def _lookup_many(keys, vals, queries):
     pos = np.searchsorted(keys, queries)
     pos_safe = np.minimum(pos, keys.size - 1) if keys.size else pos
     out = np.full(queries.shape, -1, np.int64)
@@ -156,49 +97,6 @@ def _lookup_many_numpy(keys, vals, queries):
         hit = keys[pos_safe] == queries
         out[hit] = vals[pos_safe[hit]]
     return out
-
-
-if HAVE_NUMBA:
-
-    @njit(cache=True)
-    def _lookup_jit(keys, vals, key):  # pragma: no cover - jit body
-        lo = 0
-        hi = keys.size
-        while lo < hi:
-            mid = (lo + hi) >> 1
-            if keys[mid] < key:
-                lo = mid + 1
-            else:
-                hi = mid
-        if lo < keys.size and keys[lo] == key:
-            return vals[lo]
-        return np.int64(-1)
-
-    @njit(cache=True)
-    def _assoc_scan_jit(tgt, off, items, keys, vals, n):  # pragma: no cover
-        checked = 0
-        for i in range(n):
-            u = tgt[i]
-            for jj in range(off[u], off[u + 1]):
-                j = items[jj]
-                p = _lookup_jit(keys, vals, np.int64(i) * n + j)
-                v = tgt[j]
-                for ll in range(off[v], off[v + 1]):
-                    l = items[ll]
-                    checked += 1
-                    q = _lookup_jit(keys, vals, np.int64(j) * n + l)
-                    lhs = _lookup_jit(keys, vals, p * np.int64(n) + l) if p >= 0 else np.int64(-1)
-                    rhs = _lookup_jit(keys, vals, np.int64(i) * n + q) if q >= 0 else np.int64(-1)
-                    if lhs != rhs:
-                        return checked, i, j, l
-        return checked, -1, -1, -1
-
-    def assoc_scan_numba(tgt, off, items, keys, vals, n):
-        checked, i, j, l = _assoc_scan_jit(tgt, off, items, keys, vals, n)
-        return int(checked), int(i), int(j), int(l)
-
-else:  # pragma: no cover
-    assoc_scan_numba = None
 
 
 # ---------------------------------------------------------------------------
@@ -212,7 +110,7 @@ else:  # pragma: no cover
 # c = m = r = flex) and flex = 0 a pinned triangle.
 
 
-def rigidity_scan_numpy(ep, eoff, eitems, tris, k):
+def rigidity_scan(ep, eoff, eitems, tris, k):
     """Scan all glued chains.  ``tris`` has one (k,4) block per entry,
     flattened to shape (entries*k, 4); (eoff, eitems) lists entries by left
     factor; ep[e] is the product generator of entry e.  Flexible rows never
@@ -247,79 +145,3 @@ def rigidity_scan_numpy(ep, eoff, eitems, tris, k):
             if mu4 < 0 or not mu4 > 4 * (2 - 3):
                 violations += 1
     return chains, violations, max_cross
-
-
-if HAVE_NUMBA:
-
-    @njit(cache=True)
-    def _rigidity_scan_jit(ep, eoff, eitems, tris, k):  # pragma: no cover
-        chains = 0
-        violations = 0
-        max_cross = 0
-        n_entries = ep.shape[0]
-        for e1 in range(n_entries):
-            p = ep[e1]
-            for ss in range(eoff[p], eoff[p + 1]):
-                e2 = eitems[ss]
-                cross = 0
-                for a in range(k):
-                    c1 = tris[e1 * k + a, 0]
-                    m1 = tris[e1 * k + a, 1]
-                    r1 = tris[e1 * k + a, 2]
-                    f1 = tris[e1 * k + a, 3]
-                    if f1 != 0:
-                        continue
-                    for b in range(k):
-                        f2 = tris[e2 * k + b, 3]
-                        if f2 != 0:
-                            continue
-                        c2 = tris[e2 * k + b, 0]
-                        m2 = tris[e2 * k + b, 1]
-                        r2 = tris[e2 * k + b, 2]
-                        if (c1 - c2) * (m1 - m2) < 0 and (m1 - m2) * (r1 - r2) < 0:
-                            cross += 1
-                chains += 1
-                if cross > max_cross:
-                    max_cross = cross
-                mu4 = 4 * cross
-                if mu4 < 0 or not mu4 > 4 * (2 - 3):
-                    violations += 1
-        return chains, violations, max_cross
-
-    def rigidity_scan_numba(ep, eoff, eitems, tris, k):
-        out = _rigidity_scan_jit(ep, eoff, eitems, tris, k)
-        return tuple(int(v) for v in out)
-
-else:  # pragma: no cover
-    rigidity_scan_numba = None
-
-
-# ---------------------------------------------------------------------------
-# Dispatch table.
-
-_IMPLS = {
-    "numpy": {
-        "gf2_eliminate": gf2_eliminate_numpy,
-        "assoc_scan": assoc_scan_numpy,
-        "rigidity_scan": rigidity_scan_numpy,
-    },
-}
-if HAVE_NUMBA:
-    _IMPLS["numba"] = {
-        "gf2_eliminate": gf2_eliminate_numba,
-        "assoc_scan": assoc_scan_numba,
-        "rigidity_scan": rigidity_scan_numba,
-    }
-
-gf2_eliminate = _IMPLS[BACKEND]["gf2_eliminate"]
-assoc_scan = _IMPLS[BACKEND]["assoc_scan"]
-rigidity_scan = _IMPLS[BACKEND]["rigidity_scan"]
-
-
-def available_backends() -> list[str]:
-    return sorted(_IMPLS)
-
-
-def implementation(name: str, backend: str):
-    """Fetch a specific backend's kernel, mainly for benchmarking."""
-    return _IMPLS[backend][name]

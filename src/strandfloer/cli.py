@@ -1,10 +1,7 @@
 """Command-line front end: build tables, run verification suites,
-export the quiver, benchmark the kernels.
+export the quiver.
 
-All outputs are deterministic for a fixed (config, seed), with one
-documented exception: the seconds columns of the benchmark CSV are wall
-times.  Every count column is reproducible, and thread count never
-changes any result.
+All outputs are deterministic for a fixed (config, seed).
 
 Exit codes: 0 success, 1 verification failure, 2 invalid input.
 """
@@ -12,28 +9,18 @@ Exit codes: 0 success, 1 verification failure, 2 invalid input.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
-import os
 import sys
-import time
 from dataclasses import dataclass
 
-import numpy as np
-
-from . import _kernels, verify
+from . import verify
 from .circle import (
     PointedMatchedCircle,
-    idempotents,
     matching_from_pairs,
     standard_matching,
     validate_surface,
 )
-from .gf2 import pack_rows
-from .grid import make_spec
-from .index import _Edges
-from .strands import AlgebraTable, enumerate_generators
+from .strands import AlgebraTable
 
 SCHEMA = 1
 
@@ -43,11 +30,9 @@ class RunConfig:
     g: int
     k: int
     variant: str
-    mode: str
     pmc: PointedMatchedCircle
     command: str
     out: str | None
-    threads: int
     seed: int
     suites: list[str] | None = None
     sample: int | None = None
@@ -57,8 +42,8 @@ class ConfigError(Exception):
     pass
 
 
-def _mode_for(variant: str) -> str:
-    return "half" if variant == "half" else "wrapped"
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _parse_matching(text: str, g: int) -> PointedMatchedCircle:
@@ -75,6 +60,8 @@ def _parse_matching(text: str, g: int) -> PointedMatchedCircle:
         raise ConfigError(f"bad matching JSON: {err}") from err
     mode = data.get("mode", "single")
     g = data.get("g", g)
+    if not all(_is_int(v) for v in (g, *(x for p in pairs for x in p))):
+        raise ConfigError("bad matching: g and the pair entries must be integers")
     try:
         return matching_from_pairs(g, pairs, mode)
     except ValueError as err:
@@ -87,10 +74,9 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         raise ConfigError("genus must be at least 1")
     if not 0 <= k <= 2 * g:
         raise ConfigError(f"k must lie in 0..{2 * g}")
-    variant = args.variant
-    mode = args.mode or _mode_for(variant)
-    if mode != _mode_for(variant):
-        raise ConfigError(f"variant {variant} pairs with mode {_mode_for(variant)}")
+    sample = getattr(args, "sample", None)
+    if sample is not None and sample < 1:
+        raise ConfigError("sample must be at least 1")
     if args.matching:
         pmc = _parse_matching(args.matching, g)
         if pmc.g != g:
@@ -103,7 +89,6 @@ def build_config(args: argparse.Namespace) -> RunConfig:
             f"matching does not close up to a genus-{g} one-boundary surface "
             f"(components={inv.boundary_components}, genus={inv.genus})"
         )
-    threads = args.threads or int(os.environ.get("STRANDFLOER_THREADS", "1"))
     suites = None
     if getattr(args, "suites", None) is not None:
         suites = [s for s in args.suites.split(",") if s]
@@ -113,15 +98,13 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     return RunConfig(
         g=g,
         k=k,
-        variant=variant,
-        mode=mode,
+        variant=args.variant,
         pmc=pmc,
         command=args.command,
         out=args.out,
-        threads=max(1, threads),
         seed=args.seed,
         suites=suites,
-        sample=getattr(args, "sample", None),
+        sample=sample,
     )
 
 
@@ -130,7 +113,7 @@ def _meta(cfg: RunConfig) -> dict:
         "g": cfg.g,
         "k": cfg.k,
         "variant": cfg.variant,
-        "mode": cfg.mode,
+        "mode": verify.grid_spec(cfg.g, cfg.variant).mode,
         "matching": {
             "g": cfg.pmc.g,
             "mode": cfg.pmc.mode,
@@ -152,7 +135,7 @@ def cmd_build(cfg: RunConfig) -> int:
     """Serialize the full algebra table.  Field order is fixed: meta,
     idempotents, generators, differential, product, dims; indices are
     the lexicographic generator ranks."""
-    table = AlgebraTable.build(cfg.pmc, cfg.k, cfg.variant, threads=cfg.threads)
+    table = AlgebraTable.build(cfg.pmc, cfg.k, cfg.variant)
     gens = [
         {
             "chords": [list(c) for c in gen.chords],
@@ -189,7 +172,6 @@ def cmd_verify(cfg: RunConfig) -> int:
         suites=cfg.suites,
         sample=cfg.sample,
         seed=cfg.seed,
-        threads=cfg.threads,
     )
     payload = {"schema": SCHEMA, "meta": _meta(cfg)}
     payload.update(report)
@@ -201,7 +183,7 @@ def cmd_export(cfg: RunConfig) -> int:
     """DOT quiver: one node per idempotent, one edge per generator from
     its source to its target; generators hit by the differential of some
     other generator are drawn dotted."""
-    table = AlgebraTable.build(cfg.pmc, cfg.k, cfg.variant, threads=cfg.threads)
+    table = AlgebraTable.build(cfg.pmc, cfg.k, cfg.variant)
     in_image = set()
     for row in table.diff:
         in_image.update(row)
@@ -222,108 +204,24 @@ def cmd_export(cfg: RunConfig) -> int:
     return 0
 
 
-def _bench_build_rows(cfg: RunConfig) -> list[list]:
-    rows = []
-    for g in range(1, cfg.g + 1):
-        pmc = standard_matching(g)
-        counts = []
-        for k in range(1, min(2 * g, max(cfg.k, g)) + 1):
-            t0 = time.perf_counter()
-            idems = idempotents(pmc, k)
-            gens = []
-            for s in idems:
-                gens.extend(enumerate_generators(pmc, k, cfg.variant, source=s))
-            t_enum = time.perf_counter() - t0
-            t0 = time.perf_counter()
-            table = AlgebraTable.build(pmc, k, cfg.variant, threads=cfg.threads)
-            t_build = time.perf_counter() - t0
-            n_diff = sum(len(r) for r in table.diff)
-            rows.append(
-                [
-                    "build",
-                    g,
-                    k,
-                    cfg.variant,
-                    f"generators={len(gens)};diff={n_diff};prod={len(table.prod)}",
-                    len(gens),
-                    f"{t_enum:.6f}",
-                    f"{t_build:.6f}",
-                ]
-            )
-            counts.append(len(gens))
-        for a, b in zip(counts, counts[1:g]):
-            assert a <= b, "generator counts should grow up to the symmetry point"
-    return rows
-
-
-def _bench_kernel_rows(cfg: RunConfig) -> list[list]:
-    """The same workload through every available backend; counts must
-    agree across backends, seconds show the difference."""
-    rows = []
-    table = AlgebraTable.build(standard_matching(2), 2, cfg.variant, threads=cfg.threads)
-    csr = table.as_csr()
-    rng = np.random.default_rng(cfg.seed)
-    dense = rng.integers(0, 2, size=(256, 256), dtype=np.uint8)
-    packed_src = pack_rows([int("".join(map(str, r)), 2) for r in dense], 256)
-    edges = _Edges(make_spec(2, _mode_for(cfg.variant)), 2)
-    ep, tris, adjacency = edges.kernel_arrays()
-    eoff, eitems = adjacency[0]
-    for backend in _kernels.available_backends():
-        impl = _kernels.implementation("gf2_eliminate", backend)
-        work = packed_src.copy()
-        t0 = time.perf_counter()
-        rank, _ = impl(work, 256)
-        dt = time.perf_counter() - t0
-        rows.append(["kernel", 2, 2, cfg.variant, f"gf2_eliminate[{backend}]", rank, f"{dt:.6f}", ""])
-        impl = _kernels.implementation("assoc_scan", backend)
-        t0 = time.perf_counter()
-        checked, i, _, _ = impl(*csr)
-        dt = time.perf_counter() - t0
-        assert i < 0
-        rows.append(["kernel", 2, 2, cfg.variant, f"assoc_scan[{backend}]", int(checked), f"{dt:.6f}", ""])
-        impl = _kernels.implementation("rigidity_scan", backend)
-        t0 = time.perf_counter()
-        chains, violations, _ = impl(ep, eoff, eitems, tris, 2)
-        dt = time.perf_counter() - t0
-        assert violations == 0
-        rows.append(["kernel", 2, 2, cfg.variant, f"rigidity_scan[{backend}]", int(chains), f"{dt:.6f}", ""])
-    return rows
-
-
-def cmd_bench(cfg: RunConfig) -> int:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["kind", "g", "k", "variant", "label", "count", "seconds", "seconds_build"])
-    for row in _bench_build_rows(cfg):
-        writer.writerow(row)
-    for row in _bench_kernel_rows(cfg):
-        writer.writerow(row)
-    _emit(cfg, buf.getvalue())
-    return 0
-
-
 def make_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="strandfloer",
-        description="strands algebras and their grid models: build, verify, export, bench",
+        description="strands algebras and their grid models: build, verify, export",
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, fn in (
         ("build", cmd_build),
         ("verify", cmd_verify),
         ("export", cmd_export),
-        ("bench", cmd_bench),
     ):
         p = sub.add_parser(name)
         p.set_defaults(fn=fn)
         p.add_argument("--genus", "-g", type=int, default=1)
         p.add_argument("--k", type=int, default=1)
         p.add_argument("--variant", choices=("full", "half"), default="full")
-        p.add_argument("--mode", choices=("wrapped", "half"), default=None)
         p.add_argument("--matching", help="inline JSON or a path to a JSON file")
         p.add_argument("--out", help="output path (default stdout)")
-        p.add_argument("--threads", type=int, default=0,
-                       help="worker threads (default: STRANDFLOER_THREADS or 1)")
         p.add_argument("--seed", type=int, default=0)
         if name == "verify":
             p.add_argument("--suites", help="comma-separated subset of: " + ",".join(verify.SUITE_NAMES))

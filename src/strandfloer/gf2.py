@@ -1,7 +1,7 @@
 """Boolean matrices over the two-element field.
 
 Rows are bitsets packed into uint64 words; Gaussian elimination is handed
-to the kernel layer (numba or numpy, see _kernels).  All mutating work
+to the kernel layer (see _kernels).  All mutating work
 happens on copies, so BooleanMatrix values can be shared freely.
 """
 
@@ -174,49 +174,3 @@ class BooleanMatrix:
             basis.append(vec)
         return basis
 
-
-def eliminate_packed(rows: np.ndarray, ncols: int) -> tuple[int, list[int]]:
-    """Thin passthrough to the active kernel for pre-packed matrices."""
-    return _kernels.gf2_eliminate(rows, ncols)
-
-
-class IncrementalBasis:
-    """Grow a row space one vector at a time over GF(2).
-
-    Rows are python-int bitmasks.  ``add`` reduces the incoming row against
-    the current pivots and keeps it when independent; returns True when the
-    row enlarged the space.
-    """
-
-    __slots__ = ("ncols", "pivot_rows", "pivot_cols")
-
-    def __init__(self, ncols: int):
-        self.ncols = ncols
-        self.pivot_rows: list[int] = []
-        self.pivot_cols: list[int] = []
-
-    def reduce(self, row: int) -> int:
-        for col, prow in zip(self.pivot_cols, self.pivot_rows):
-            if (row >> col) & 1:
-                row ^= prow
-        return row
-
-    def add(self, row: int) -> bool:
-        row = self.reduce(row)
-        if row == 0:
-            return False
-        col = row.bit_length() - 1
-        # keep earlier pivots reduced so membership tests stay one pass
-        for i, prow in enumerate(self.pivot_rows):
-            if (prow >> col) & 1:
-                self.pivot_rows[i] = prow ^ row
-        self.pivot_rows.append(row)
-        self.pivot_cols.append(col)
-        return True
-
-    @property
-    def rank(self) -> int:
-        return len(self.pivot_rows)
-
-    def contains(self, row: int) -> bool:
-        return self.reduce(row) == 0

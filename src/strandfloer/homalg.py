@@ -55,10 +55,6 @@ class ChainComplex:
         return self.dim - 2 * self.d.rank()
 
 
-def homology_rank(c: ChainComplex) -> int:
-    return c.homology_rank()
-
-
 def hom_complex(table: AlgebraTable, s, t) -> ChainComplex:
     """The summand hom(s, t) of the algebra with the restricted differential."""
     idx = table.hom_indices(s, t)

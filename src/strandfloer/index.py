@@ -103,14 +103,6 @@ class Domain:
         return Fraction(quarters, 4)
 
 
-def euler_measure(domain: Domain) -> Fraction:
-    return domain.euler_measure
-
-
-def maslov(domain: Domain) -> Fraction:
-    return domain.maslov()
-
-
 def rectangle_domain(spec: GridSpec, rect: Rectangle, k: int) -> Domain:
     return Domain(spec, k, inputs=1, pieces=(Piece("rectangle", 4),))
 

@@ -23,7 +23,6 @@ between positions 2g and 2g+1; the "full" variant keeps everything.
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ThreadPoolExecutor
 from functools import lru_cache
 from typing import Iterable, NamedTuple
 
@@ -405,78 +404,45 @@ class AlgebraTable:
     # -- construction ------------------------------------------------------
 
     @classmethod
-    def build(cls, pmc, k, variant="full", threads=1):
+    def build(cls, pmc, k, variant="full"):
         gens = enumerate_generators(pmc, k, variant)
         table = cls(pmc, k, variant, gens, circle_idempotents(pmc, k))
-        table._build_differential(threads)
-        table._build_products(threads)
+        table._build_differential()
+        table._build_products()
         return table
 
-    def _chunks(self, items, threads):
-        if threads <= 1 or len(items) < 64:
-            return [items]
-        size = (len(items) + threads - 1) // threads
-        return [items[i:i + size] for i in range(0, len(items), size)]
+    def _build_differential(self):
+        self.diff = tuple(
+            tuple(sorted(self.index[t] for t in differential(self.pmc, gen)))
+            for gen in self.gens
+        )
 
-    def _build_differential(self, threads):
-        def work(indices):
-            rows = []
-            for i in indices:
-                terms = differential(self.pmc, self.gens[i])
-                rows.append((i, tuple(sorted(self.index[t] for t in terms))))
-            return rows
-
-        chunks = self._chunks(list(range(len(self.gens))), threads)
-        rows: list[tuple[int, ...]] = [()] * len(self.gens)
-        for batch in self._run(work, chunks, threads):
-            for i, row in batch:
-                rows[i] = row
-        self.diff = tuple(rows)
-
-    def _build_products(self, threads):
+    def _build_products(self):
         pmc = self.pmc
         left_data = [_section_left(pmc, g) for g in self.gens]
         right_data = [_section_right(pmc, g) for g in self.gens]
-
-        def work(pairs):
-            out = []
-            for i, j in pairs:
-                acc: set[UnmatchedDiagram] = set()
-                for strands1, inv1, ends1 in left_data[i]:
-                    for follow, inv2 in right_data[j].get(ends1, ()):
-                        comp = tuple((a, follow[b]) for a, b in strands1)
-                        if _inversions(comp) == inv1 + inv2:
-                            d = UnmatchedDiagram(tuple(sorted(comp)))
-                            if d in acc:
-                                acc.remove(d)
-                            else:
-                                acc.add(d)
-                if not acc:
-                    continue
-                result = recognize(pmc, acc)
-                terms = list(result)
-                if len(terms) > 1:
-                    raise AssertionError("product support exceeded one generator")
-                if terms:
-                    out.append((i, j, self.index[terms[0]]))
-            return out
-
-        pairs = []
+        prod: dict[tuple[int, int], int] = {}
         for u in range(len(self.idem_list)):
             for i in self.by_target[u]:
                 for j in self.by_source[u]:
-                    pairs.append((i, j))
-        prod: dict[tuple[int, int], int] = {}
-        for batch in self._run(work, self._chunks(pairs, threads), threads):
-            for i, j, m in batch:
-                prod[(i, j)] = m
+                    acc: set[UnmatchedDiagram] = set()
+                    for strands1, inv1, ends1 in left_data[i]:
+                        for follow, inv2 in right_data[j].get(ends1, ()):
+                            comp = tuple((a, follow[b]) for a, b in strands1)
+                            if _inversions(comp) == inv1 + inv2:
+                                d = UnmatchedDiagram(tuple(sorted(comp)))
+                                if d in acc:
+                                    acc.remove(d)
+                                else:
+                                    acc.add(d)
+                    if not acc:
+                        continue
+                    terms = list(recognize(pmc, acc))
+                    if len(terms) > 1:
+                        raise AssertionError("product support exceeded one generator")
+                    if terms:
+                        prod[(i, j)] = self.index[terms[0]]
         self.prod = prod
-
-    def _run(self, work, chunks, threads):
-        if threads <= 1 or len(chunks) <= 1:
-            return [work(c) for c in chunks]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(work, chunks))
 
     # -- lookups -----------------------------------------------------------
 

@@ -209,14 +209,15 @@ def suite_closure(table: AlgebraTable, sample: int | None = None, seed: int = 0)
     return _result("closure", checked, failures)
 
 
-def _grid_spec_for(table: AlgebraTable) -> GridSpec:
-    return make_spec(table.pmc.g, "half" if table.variant == "half" else "wrapped")
+def grid_spec(g: int, variant: str) -> GridSpec:
+    """The grid diagram that models the genus-g algebra of a variant."""
+    return make_spec(g, "half" if variant == "half" else "wrapped")
 
 
 def suite_dictionary_diff(table: AlgebraTable) -> dict:
     """Empty-rectangle counts match the strands differential generator by
     generator under the dictionary, both directions of the translation."""
-    spec = _grid_spec_for(table)
+    spec = grid_spec(table.pmc.g, table.variant)
     failures = []
     for i, gen in enumerate(table.gens):
         x = from_algebra(spec, gen)
@@ -231,7 +232,7 @@ def suite_dictionary_diff(table: AlgebraTable) -> dict:
 
 def suite_dictionary_prod(table: AlgebraTable) -> dict:
     """Triangle counts match the concatenation product pair by pair."""
-    spec = _grid_spec_for(table)
+    spec = grid_spec(table.pmc.g, table.variant)
     points = [from_algebra(spec, gen) for gen in table.gens]
     failures = []
     checked = 0
@@ -369,7 +370,6 @@ def run_suites(
     suites=None,
     sample: int | None = None,
     seed: int = 0,
-    threads: int = 1,
 ) -> dict:
     """Build once, run the requested suites, report one dict per suite.
 
@@ -381,9 +381,9 @@ def run_suites(
     unknown = [s for s in chosen if s not in SUITE_NAMES]
     if unknown:
         raise ValueError(f"unknown suites: {unknown}")
-    table = AlgebraTable.build(pmc, k, variant, threads=threads)
+    table = AlgebraTable.build(pmc, k, variant)
     is_standard = pmc == standard_matching(pmc.g, mode=pmc.mode)
-    spec = _grid_spec_for(table)
+    spec = grid_spec(pmc.g, variant)
 
     results = []
     skipped = []

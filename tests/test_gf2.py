@@ -11,7 +11,7 @@ import random
 
 import pytest
 
-from strandfloer.gf2 import BooleanMatrix, IncrementalBasis, pack_rows, unpack_row
+from strandfloer.gf2 import BooleanMatrix, pack_rows, unpack_row
 
 
 def _span_rank(rows: list[int]) -> int:
@@ -146,27 +146,6 @@ def test_transpose_involution():
     for i in range(5):
         for j in range(8):
             assert m.entry(i, j) == t.entry(j, i)
-
-
-def test_incremental_basis():
-    basis = IncrementalBasis(3)
-    assert basis.add(0b101)
-    assert basis.add(0b011)
-    assert not basis.add(0b110)  # dependent: xor of the first two
-    assert basis.rank == 2
-    assert basis.contains(0b110)
-    assert not basis.contains(0b100)
-    assert basis.reduce(0b101) == 0
-
-
-def test_incremental_basis_matches_matrix_rank():
-    rng = random.Random(31)
-    for _ in range(15):
-        rows = _random_rows(rng, 9, 9)
-        basis = IncrementalBasis(9)
-        for r in rows:
-            basis.add(r)
-        assert basis.rank == BooleanMatrix(9, 9, rows).rank()
 
 
 def test_shape_mismatch_rejected():

@@ -15,7 +15,6 @@ from strandfloer.homalg import (
     ChainComplex,
     RightDGModule,
     hom_complex,
-    homology_rank,
     mor_complex,
     projective_module,
     verify_module_axioms,
@@ -55,7 +54,6 @@ def test_homology_rank_small_cases():
     assert zero.homology_rank() == 3
     pair = ChainComplex(("a", "b"), BooleanMatrix(2, 2, [0b10, 0]))
     assert pair.homology_rank() == 0
-    assert homology_rank(pair) == 0
 
 
 def test_hom_complex_dimensions_and_ranks():

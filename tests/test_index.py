@@ -10,11 +10,10 @@ from strandfloer.grid import Rectangle, Triangle, make_spec
 from strandfloer.index import (
     Domain,
     Piece,
+    _Edges,
     counted_product_domains,
     counted_rectangle_domains,
-    euler_measure,
     glue,
-    maslov,
     product_domain,
     rectangle_domain,
     verify_rigidity,
@@ -44,8 +43,6 @@ def test_rectangle_domain_is_flat():
     assert dom.euler_measure == 0
     assert dom.diag_intersections == 0
     assert dom.maslov() == 0
-    assert euler_measure(dom) == dom.euler_measure
-    assert maslov(dom) == dom.maslov()
 
 
 def test_product_domain_quarter_euler_per_triangle():
@@ -125,3 +122,21 @@ def test_rigidity_scan_frozen_counts():
     assert report["violations"] == []
     assert report["checked"] == 26906  # 13453 chains per association order
     assert report["max_intersection"] >= 1  # nonvacuous: crossings do occur
+
+
+def test_rigidity_scan_matches_glued_domains():
+    edges = _Edges(W2, 2)
+    by_left: dict[int, list[int]] = {}
+    by_right: dict[int, list[int]] = {}
+    for e in range(len(edges.prod)):
+        by_left.setdefault(edges.left[e], []).append(e)
+        by_right.setdefault(edges.right[e], []).append(e)
+    checked = max_intersection = 0
+    for e1, out in enumerate(edges.prod):
+        for e2 in by_left.get(out, []) + by_right.get(out, []):
+            whole = glue(edges.domain(e1), edges.domain(e2))
+            checked += 1
+            max_intersection = max(max_intersection, whole.diag_intersections)
+    report = verify_rigidity(W2, 2, lmax=3)
+    assert (report["checked"], report["max_intersection"]) == (checked, max_intersection)
+    assert checked == 26906

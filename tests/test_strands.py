@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import itertools
 
+import numpy as np
 import pytest
 
 from conftest import build_table
+from strandfloer import _kernels
 from strandfloer.circle import idempotents, standard_matching
 from strandfloer.strands import (
-    AlgebraTable,
     ClosureError,
     GF2Sum,
     MatchedGenerator,
@@ -261,10 +262,36 @@ def test_table_index_and_hom_lookups():
     assert tab.multiply(1, 1) is None
 
 
-def test_threaded_build_matches_serial():
-    pmc = standard_matching(2)
-    serial = AlgebraTable.build(pmc, 2, "full", threads=1)
-    threaded = AlgebraTable.build(pmc, 2, "full", threads=4)
-    assert serial.gens == threaded.gens
-    assert serial.diff == threaded.diff
-    assert serial.prod == threaded.prod
+def _assoc_walk(table, prod):
+    """(triples, violations) over every composable triple, by dict lookups."""
+    checked = bad = 0
+    for i in range(len(table.gens)):
+        for j in table.by_source[table.tgt[i]]:
+            ij = prod.get((i, j))
+            for l in table.by_source[table.tgt[j]]:
+                checked += 1
+                jl = prod.get((j, l))
+                left = None if ij is None else prod.get((ij, l))
+                right = None if jl is None else prod.get((i, jl))
+                bad += left != right
+    return checked, bad
+
+
+def test_assoc_scan_matches_python_walk():
+    table = build_table(2, 2, "full")
+    tgt, off, items, keys, vals, n = table.as_csr()
+    triples, bad = _assoc_walk(table, table.prod)
+    assert bad == 0
+    assert _kernels.assoc_scan(tgt, off, items, keys, vals, n) == (triples, -1, -1, -1)
+    # Corrupt e_s * a = a into e_s for some a from s to t != s: then
+    # (e_s a) e_t = e_s e_t = 0 while e_s (a e_t) = e_s.
+    a = next(i for i in range(n) if table.src[i] != table.tgt[i])
+    e = table.idem_gen[table.src[a]]
+    corrupt = vals.copy()
+    corrupt[np.searchsorted(keys, e * n + a)] = e
+    _, i, j, l = _kernels.assoc_scan(tgt, off, items, keys, corrupt, n)
+    assert i >= 0
+    prod = dict(table.prod)
+    prod[(e, a)] = e
+    ij, jl = prod.get((i, j)), prod.get((j, l))
+    assert prod.get((ij, l)) != (None if jl is None else prod.get((i, jl)))
