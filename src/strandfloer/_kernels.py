@@ -1,7 +1,9 @@
-"""Array kernels in plain numpy.
+"""The inner loops: GF(2) elimination, the numpy associativity sweep and
+the composite-domain sweep.
 
-Rows of bit matrices are packed little endian into uint64 words, column c
-living at word c >> 6, bit c & 63.
+Bit-matrix rows are Python ints, bit c being column c.  Only the
+associativity sweep uses numpy, where it vectorises whole product-table
+lookups.
 """
 
 from __future__ import annotations
@@ -13,32 +15,31 @@ BACKEND = "numpy"
 
 
 # ---------------------------------------------------------------------------
-# GF(2) row reduction on packed rows.
+# GF(2) row reduction.
 
 
-def gf2_eliminate(rows: np.ndarray, ncols: int) -> tuple[int, list[int]]:
-    """Reduce ``rows`` (shape (n, words), uint64) to reduced row echelon form
-    in place.  Returns (rank, pivot column list).  Column loop stays in
-    Python; the row clearing is a vectorized xor.
+def gf2_eliminate(rows: list[int], ncols: int) -> tuple[int, list[int]]:
+    """Reduce ``rows`` (bitmask ints) to reduced row echelon form in place:
+    the first rank rows carry the pivots, in ascending column order, and
+    the rest are zero.  Returns (rank, pivot column list).
     """
-    n, _ = rows.shape
+    n = len(rows)
     rank = 0
     pivots: list[int] = []
     for col in range(ncols):
         if rank == n:
             break
-        word, bit = divmod(col, 64)
-        mask = np.uint64(1 << bit)
-        hits = np.nonzero((rows[rank:, word] & mask) != 0)[0]
-        if hits.size == 0:
+        bit = 1 << col
+        for sel in range(rank, n):
+            if rows[sel] & bit:
+                break
+        else:
             continue
-        sel = rank + int(hits[0])
-        if sel != rank:
-            rows[[rank, sel]] = rows[[sel, rank]]
-        has = (rows[:, word] & mask) != 0
-        has[rank] = False
-        if has.any():
-            rows[has] ^= rows[rank]
+        rows[sel], rows[rank] = rows[rank], rows[sel]
+        pivot = rows[rank]
+        for r in range(n):
+            if r != rank and rows[r] & bit:
+                rows[r] ^= pivot
         pivots.append(col)
         rank += 1
     return rank, pivots
@@ -102,41 +103,33 @@ def _lookup_many(keys, vals, queries):
 # ---------------------------------------------------------------------------
 # Composite-domain index sweep.
 #
-# For every glued chain (entry e1 followed by entry e2 with left factor
-# ep[e1]) the kernel counts forbidden triangle pairs across the two product
-# steps and checks the index inequalities: pieces = 2k, quadrupled Maslov
-# index 4*mu = 4*i >= 0 > 4*(2-3).  Triangles are rows (c, m, r, flex)
-# with flex >= 1 marking the both-avatars item of that pair label (then
-# c = m = r = flex) and flex = 0 a pinned triangle.
+# For every glued chain (edge e1 followed by an edge e2 attached at the
+# product generator prod[e1]) the sweep counts forbidden triangle pairs
+# across the two product steps and checks the index inequalities: pieces
+# = 2k, quadrupled Maslov index 4*mu = 4*i >= 0 > 4*(2-3).  Triangles
+# with flex >= 1 are the both-avatars item of that pair label and never
+# make forbidden pairs, so only pinned triangles (flex = 0) are crossed.
 
 
-def rigidity_scan(ep, eoff, eitems, tris, k):
-    """Scan all glued chains.  ``tris`` has one (k,4) block per entry,
-    flattened to shape (entries*k, 4); (eoff, eitems) lists entries by left
-    factor; ep[e] is the product generator of entry e.  Flexible rows never
-    make forbidden pairs, so only pinned rows are crossed.  Returns
+def rigidity_scan(prod, tris, attach):
+    """Scan all glued chains.  ``prod[e]`` is the product generator of
+    edge e, ``tris[e]`` its triangles and ``attach`` maps a generator to
+    the edges taking it as their left (or right) factor.  Returns
     (chains, violations, max_cross).
     """
     chains = 0
     violations = 0
     max_cross = 0
-    n_entries = ep.shape[0]
-    for e1 in range(n_entries):
-        p = ep[e1]
-        seconds = eitems[eoff[p]:eoff[p + 1]]
-        if seconds.size == 0:
-            continue
-        t1 = tris[e1 * k:(e1 + 1) * k]
-        pinned1 = t1[t1[:, 3] == 0]
-        for e2 in seconds:
-            t2 = tris[e2 * k:(e2 + 1) * k]
-            pinned2 = t2[t2[:, 3] == 0]
+    pinned = [[t for t in ts if not t.flex] for ts in tris]
+    for e1, p in enumerate(prod):
+        pinned1 = pinned[e1]
+        for e2 in attach.get(p, ()):
             cross = 0
-            if pinned1.shape[0] and pinned2.shape[0]:
-                dc = pinned1[:, 0:1] - pinned2[:, 0].reshape(1, -1)
-                dm = pinned1[:, 1:2] - pinned2[:, 1].reshape(1, -1)
-                dr = pinned1[:, 2:3] - pinned2[:, 2].reshape(1, -1)
-                cross = int(((dc * dm < 0) & (dm * dr < 0)).sum())
+            for c2, m2, r2, _ in pinned[e2]:
+                for c1, m1, r1, _ in pinned1:
+                    dm = m1 - m2
+                    if (c1 - c2) * dm < 0 and dm * (r1 - r2) < 0:
+                        cross += 1
             chains += 1
             if cross > max_cross:
                 max_cross = cross

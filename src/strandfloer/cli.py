@@ -136,6 +136,8 @@ def cmd_build(cfg: RunConfig) -> int:
     idempotents, generators, differential, product, dims; indices are
     the lexicographic generator ranks."""
     table = AlgebraTable.build(cfg.pmc, cfg.k, cfg.variant)
+    ids = table.idem_id
+    dims = sorted([ids[s], ids[t], d] for (s, t), d in table.dims_table().items())
     gens = [
         {
             "chords": [list(c) for c in gen.chords],
@@ -147,10 +149,6 @@ def cmd_build(cfg: RunConfig) -> int:
     ]
     diff = sorted([i, j] for i, row in enumerate(table.diff) for j in row)
     prod = sorted([i, j, m] for (i, j), m in table.prod.items())
-    dims: dict[tuple[int, int], int] = {}
-    for i in range(len(table.gens)):
-        key = (table.src[i], table.tgt[i])
-        dims[key] = dims.get(key, 0) + 1
     payload = {
         "schema": SCHEMA,
         "meta": _meta(cfg),
@@ -158,7 +156,7 @@ def cmd_build(cfg: RunConfig) -> int:
         "generators": gens,
         "differential": diff,
         "product": prod,
-        "dims": sorted([s, t, d] for (s, t), d in dims.items()),
+        "dims": dims,
     }
     _emit(cfg, json.dumps(payload, indent=2) + "\n")
     return 0

@@ -1,36 +1,14 @@
 """Boolean matrices over the two-element field.
 
-Rows are bitsets packed into uint64 words; Gaussian elimination is handed
-to the kernel layer (see _kernels).  All mutating work
-happens on copies, so BooleanMatrix values can be shared freely.
+Rows are Python-int bitsets, bit j of a row being column j; Gaussian
+elimination runs on them directly in the kernel layer (see _kernels).
+All mutating work happens on copies, so BooleanMatrix values can be
+shared freely.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
 from . import _kernels
-
-
-def pack_rows(rows: list[int], ncols: int) -> np.ndarray:
-    """Pack python-int bitmask rows into a (n, words) uint64 array."""
-    words = max(1, (ncols + 63) >> 6)
-    out = np.zeros((len(rows), words), dtype=np.uint64)
-    mask = (1 << 64) - 1
-    for r, bits in enumerate(rows):
-        w = 0
-        while bits:
-            out[r, w] = bits & mask
-            bits >>= 64
-            w += 1
-    return out
-
-
-def unpack_row(row: np.ndarray) -> int:
-    bits = 0
-    for w in range(row.shape[0] - 1, -1, -1):
-        bits = (bits << 64) | int(row[w])
-    return bits
 
 
 class BooleanMatrix:
@@ -147,8 +125,7 @@ class BooleanMatrix:
 
     def rref(self) -> tuple[int, list[int]]:
         """Rank and pivot columns of the reduced row echelon form."""
-        packed = pack_rows(list(self.rows), self.ncols)
-        rank, pivots = _kernels.gf2_eliminate(packed, self.ncols)
+        rank, pivots = _kernels.gf2_eliminate(list(self.rows), self.ncols)
         self._rank = rank
         return rank, pivots
 
@@ -157,14 +134,14 @@ class BooleanMatrix:
 
         Vectors are bitmasks over the columns.  The basis is the standard
         one read off the reduced echelon form: one vector per free column,
-        deterministic in column order.
+        deterministic in column order.  Its pivot bits lie below its free
+        column, which is therefore its highest set bit.
         """
-        packed = pack_rows(list(self.rows), self.ncols)
-        rank, pivots = _kernels.gf2_eliminate(packed, self.ncols)
+        reduced = list(self.rows)
+        rank, pivots = _kernels.gf2_eliminate(reduced, self.ncols)
         self._rank = rank
         pivot_set = set(pivots)
         free_cols = [c for c in range(self.ncols) if c not in pivot_set]
-        reduced = [unpack_row(packed[r]) for r in range(rank)]
         basis = []
         for fc in free_cols:
             vec = 1 << fc
@@ -173,4 +150,3 @@ class BooleanMatrix:
                     vec |= 1 << pc
             basis.append(vec)
         return basis
-

@@ -273,12 +273,8 @@ class _LinearSystem:
             for r in row:
                 mask |= 1 << root_col[r]
             masks.append(mask)
-        residual = BooleanMatrix(len(masks), len(reps), masks)
-        _, pivots = residual.rref()
-        pivot_set = set(pivots)
-        free_cols = [c for c in range(len(reps)) if c not in pivot_set]
-        basis = residual.nullspace()
-        assert len(basis) == len(free_cols)
+        basis = BooleanMatrix(len(masks), len(reps), masks).nullspace()
+        free_cols = [v.bit_length() - 1 for v in basis]
         return _Solution(members, reps, basis, free_cols)
 
 

@@ -20,8 +20,6 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-import numpy as np
-
 from . import _kernels
 from .grid import (
     FloerGenerator,
@@ -140,14 +138,13 @@ def counted_rectangle_domains(spec: GridSpec, k: int):
 class _Edges:
     """Every counted product of a diagram, as a gluing graph.
 
-    An edge is a composable pair (x, y) whose triangle tuple exists and
-    has no forbidden overlap; its product generator is where later
-    factors attach.
+    An edge is a composable pair (x, y) whose product is nonzero: the
+    triangle tuple exists and has no forbidden overlap.  Its product
+    generator is where later factors attach.
     """
 
     def __init__(self, spec: GridSpec, k: int):
         self.spec = spec
-        self.k = k
         self.gens = all_floer_generators(spec, k)
         index = {x: i for i, x in enumerate(self.gens)}
         by_source: dict[tuple[int, ...], list[int]] = {}
@@ -159,40 +156,18 @@ class _Edges:
         self.tris: list[list[Triangle]] = []
         for i, x in enumerate(self.gens):
             for j in by_source.get(target_labels(spec, x), ()):
-                tris = product_triangles(spec, x, self.gens[j])
-                if tris is None:
+                y = self.gens[j]
+                out = floer_product(spec, x, y)
+                if not out:
                     continue
-                if any(
-                    overlap_class(spec, t1, t2) == "forbidden"
-                    for t1, t2 in itertools.combinations(tris, 2)
-                ):
-                    continue
-                (out,) = floer_product(spec, x, self.gens[j])
+                (z,) = out
                 self.left.append(i)
                 self.right.append(j)
-                self.prod.append(index[out])
-                self.tris.append(tris)
+                self.prod.append(index[z])
+                self.tris.append(product_triangles(spec, x, y))
 
     def domain(self, e: int) -> Domain:
         return product_domain(self.spec, self.tris[e])
-
-    def kernel_arrays(self):
-        n_edges = len(self.prod)
-        ep = np.asarray(self.prod, dtype=np.int64)
-        tris = np.zeros((n_edges * self.k, 4), dtype=np.int64)
-        for e, ts in enumerate(self.tris):
-            for a, t in enumerate(ts):
-                tris[e * self.k + a] = (t.c, t.m, t.r, t.flex)
-        adjacency = []
-        for factors in (self.left, self.right):
-            order = sorted(range(n_edges), key=lambda e: factors[e])
-            eitems = np.asarray(order, dtype=np.int64)
-            eoff = np.zeros(len(self.gens) + 1, dtype=np.int64)
-            for e in range(n_edges):
-                eoff[factors[e] + 1] += 1
-            np.cumsum(eoff, out=eoff)
-            adjacency.append((eoff, eitems))
-        return ep, tris, adjacency
 
 
 def counted_product_domains(spec: GridSpec, k: int):
@@ -207,25 +182,24 @@ def verify_rigidity(spec: GridSpec, k: int, lmax: int = 3) -> dict:
 
     The outgoing end of the running composite attaches to either input
     slot of the next product, so both association orders are scanned.
-    Chains of length three go through the array kernel; longer chains
-    (rarely requested) walk the gluing graph directly.
+    Chains of length three go through ``_kernels.rigidity_scan``; longer
+    chains (rarely requested) walk the gluing graph directly.
     """
     if lmax < 3:
         raise ValueError("composite chains need at least three ends")
     edges = _Edges(spec, k)
     report = {"checked": 0, "violations": [], "max_intersection": 0}
-    ep, tris, adjacency = edges.kernel_arrays()
-    for eoff, eitems in adjacency:
-        chains, violations, max_cross = _kernels.rigidity_scan(ep, eoff, eitems, tris, k)
-        report["checked"] += chains
-        report["max_intersection"] = max(report["max_intersection"], max_cross)
-        if violations:
-            report["violations"].append({"length": 3, "count": violations})
     by_left: dict[int, list[int]] = {}
     by_right: dict[int, list[int]] = {}
     for e in range(len(edges.prod)):
         by_left.setdefault(edges.left[e], []).append(e)
         by_right.setdefault(edges.right[e], []).append(e)
+    for attach in (by_left, by_right):
+        chains, violations, max_cross = _kernels.rigidity_scan(edges.prod, edges.tris, attach)
+        report["checked"] += chains
+        report["max_intersection"] = max(report["max_intersection"], max_cross)
+        if violations:
+            report["violations"].append({"length": 3, "count": violations})
     for length in range(4, lmax + 1):
         stack = [(edges.prod[e], edges.domain(e)) for e in range(len(edges.prod))]
         for _ in range(length - 3):

@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -150,3 +154,20 @@ def test_build_config_rejects_directly():
     args = make_parser().parse_args(["build", "-g", "1", "--k", "9"])
     with pytest.raises(ConfigError):
         build_config(args)
+
+
+def test_trace_harness_reaches_the_wrapped_kernels(tmp_path):
+    # perfbench/traced.py replaces names where their callers look them up;
+    # a renamed or bypassed name would silently drop out of the trace.
+    repo = Path(__file__).resolve().parents[1]
+    trace_path = tmp_path / "trace.json"
+    env = dict(os.environ, PYTHONPATH=str(repo / "src"))
+    proc = subprocess.run(
+        [sys.executable, "perfbench/traced.py", str(trace_path), "--", "verify", "-g", "1", "--k", "1"],
+        cwd=repo, env=env, capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    calls = json.loads(trace_path.read_text(encoding="utf-8"))["calls"]
+    for name in ("kernels.gf2_eliminate", "kernels.rigidity_scan",
+                 "kernels.assoc_scan", "grid.floer_product"):
+        assert calls.get(name, 0) > 0, name

@@ -1,4 +1,4 @@
-"""Packed boolean matrices: rank, rref, nullspace, multiplication.
+"""Boolean matrices: rank, rref, nullspace, multiplication.
 
 The independent rank oracle enumerates the whole row span (all XOR
 combinations of rows) and takes log2 of its size; feasible up to a
@@ -11,7 +11,8 @@ import random
 
 import pytest
 
-from strandfloer.gf2 import BooleanMatrix, pack_rows, unpack_row
+from strandfloer import _kernels
+from strandfloer.gf2 import BooleanMatrix
 
 
 def _span_rank(rows: list[int]) -> int:
@@ -27,11 +28,20 @@ def _random_rows(rng: random.Random, nrows: int, ncols: int) -> list[int]:
     return [rng.getrandbits(ncols) for _ in range(nrows)]
 
 
-def test_pack_unpack_roundtrip():
-    rows = [0b1011, 0b0100, 0, (1 << 130) | 1]
-    packed = pack_rows(rows, 131)
-    assert packed.shape == (4, 3)
-    assert [unpack_row(packed[i]) for i in range(4)] == rows
+def test_eliminate_reduces_int_rows_in_place():
+    rng = random.Random(5)
+    for _ in range(60):
+        nrows = rng.randrange(1, 11)
+        ncols = rng.randrange(1, 14)
+        rows = _random_rows(rng, nrows, ncols)
+        reduced = list(rows)
+        rank, pivots = _kernels.gf2_eliminate(reduced, ncols)
+        assert rank == len(pivots)
+        for r, p in enumerate(pivots):
+            assert (reduced[r] & -reduced[r]).bit_length() - 1 == p
+            assert [i for i, row in enumerate(reduced) if (row >> p) & 1] == [r]
+        assert reduced[rank:] == [0] * (nrows - rank)
+        assert _span_rank(reduced) == _span_rank(rows) == _span_rank(rows + reduced)
 
 
 def test_identity_and_zero():
@@ -99,6 +109,7 @@ def test_nullspace_contract():
             for i, fc in enumerate(free):
                 assert (v >> fc) & 1 == (1 if i == j else 0)
             assert v & ~(pivot_mask | (1 << free[j])) == 0
+            assert v.bit_length() - 1 == free[j]
 
 
 def test_matmul_against_direct_sum():

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from strandfloer import _kernels
 from strandfloer.grid import Rectangle, Triangle, make_spec
 from strandfloer.index import (
     Domain,
@@ -137,6 +138,9 @@ def test_rigidity_scan_matches_glued_domains():
             whole = glue(edges.domain(e1), edges.domain(e2))
             checked += 1
             max_intersection = max(max_intersection, whole.diag_intersections)
+            # The scan over this one chain alone crosses exactly its pairs.
+            alone = _kernels.rigidity_scan([0, -1], [edges.tris[e1], edges.tris[e2]], {0: [1]})
+            assert alone == (1, 0, whole.diag_intersections)
     report = verify_rigidity(W2, 2, lmax=3)
     assert (report["checked"], report["max_intersection"]) == (checked, max_intersection)
     assert checked == 26906
