@@ -9,9 +9,12 @@ Exit codes: 0 success, 1 verification failure, 2 invalid input.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import itertools
 import json
 import sys
 from dataclasses import dataclass
+from typing import Iterable
 
 from . import verify
 from .circle import (
@@ -123,12 +126,20 @@ def _meta(cfg: RunConfig) -> dict:
     }
 
 
-def _emit(cfg: RunConfig, text: str):
-    if cfg.out:
-        with open(cfg.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+def _emit(cfg: RunConfig, chunks: Iterable[str]):
+    """Write the chunks in batches, so that a large payload is never held
+    as one string."""
+    dest = open(cfg.out, "w", encoding="utf-8") if cfg.out else contextlib.nullcontext(sys.stdout)
+    with dest as fh:
+        it = iter(chunks)
+        while batch := list(itertools.islice(it, 1 << 16)):
+            fh.write("".join(batch))
+
+
+def _json_chunks(payload) -> Iterable[str]:
+    """The text of json.dumps(payload, indent=2) + "\n", piece by piece."""
+    yield from json.JSONEncoder(indent=2).iterencode(payload)
+    yield "\n"
 
 
 def cmd_build(cfg: RunConfig) -> int:
@@ -158,7 +169,7 @@ def cmd_build(cfg: RunConfig) -> int:
         "product": prod,
         "dims": dims,
     }
-    _emit(cfg, json.dumps(payload, indent=2) + "\n")
+    _emit(cfg, _json_chunks(payload))
     return 0
 
 
@@ -173,7 +184,7 @@ def cmd_verify(cfg: RunConfig) -> int:
     )
     payload = {"schema": SCHEMA, "meta": _meta(cfg)}
     payload.update(report)
-    _emit(cfg, json.dumps(payload, indent=2) + "\n")
+    _emit(cfg, _json_chunks(payload))
     return 0 if report["ok"] else 1
 
 
@@ -198,7 +209,7 @@ def cmd_export(cfg: RunConfig) -> int:
             f'  s{table.src[i]} -> s{table.tgt[i]} [label="{label}"{style}];'
         )
     lines.append("}")
-    _emit(cfg, "\n".join(lines) + "\n")
+    _emit(cfg, ["\n".join(lines) + "\n"])
     return 0
 
 

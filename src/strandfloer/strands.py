@@ -8,13 +8,33 @@ endpoints and the dotted items; all source labels are distinct and all
 target labels are distinct.
 
 A dotted pair is not a single strand: it stands for the sum of the two
-horizontal strands at its positions.  Every algebra operation therefore
-expands a generator into its 2^(#dotted) sections (plain diagrams), acts
-on those by crossing resolution or concatenation under the double-crossing
-rule, and reassembles complete section families back into generators.  The
-reassembly is all-or-nothing; a partial family raises ClosureError, which
-never happens downstream of the algebra operations themselves (a tested
-property, and the content of the closure claims for both variants).
+horizontal strands at its positions.  The operations ``differential`` and
+``product`` therefore expand a generator into its 2^(#dotted) sections
+(plain diagrams), act on those by crossing resolution or concatenation
+under the double-crossing rule, and reassemble complete section families
+back into generators.  The reassembly is all-or-nothing; a partial family
+raises ClosureError, which never happens downstream of the algebra
+operations themselves (a tested property, and the content of the closure
+claims for both variants).
+
+The product table works on matched generators instead: a product of two
+generators is one generator or zero (Lipshitz-Ozsvath-Thurston,
+arXiv:0810.0687, section 3).  Let a end and b start on the idempotent u.
+A section of a and a section of b compose exactly when they put every
+label of u at the same middle position y: a chord on either side fixes
+y, and a label dotted on both sides leaves y free between the two
+positions of its pair.  The composite diagram is the same generator for
+every such y: a label with a chord on both sides joins them into one
+chord, a label with a chord on one side keeps it, and a label dotted on
+both sides stays dotted.  Within one diagram all starts are distinct
+positions and so are all ends, so for two labels with strands x -> y ->
+z and x' -> y' -> z' the signs of (x - x')(y - y') and (y - y')(z - z')
+multiply to the sign of (x - x')(z - z'): the pair crosses in the
+composite exactly when it crosses in one factor.  Inversions therefore
+add, and the section pair survives, exactly when no label pair crosses
+in both factors.  The product is the composite when that holds for every
+consistent y, zero when it fails for every one, and a ClosureError
+otherwise.
 
 The "half" variant keeps only generators with no chord crossing the split
 between positions 2g and 2g+1; the "full" variant keeps everything.
@@ -33,7 +53,8 @@ VARIANTS = ("full", "half")
 
 
 class ClosureError(Exception):
-    """A section family came back incomplete during reassembly."""
+    """A section family came back incomplete during reassembly, or a
+    product left the generator set."""
 
 
 class MatchedGenerator(NamedTuple):
@@ -355,21 +376,79 @@ def product(pmc: PointedMatchedCircle, g1: MatchedGenerator, g2: MatchedGenerato
 # Indexed tables.
 
 
-def _section_left(pmc, gen):
-    """Per section: (strands, inversions, sorted end positions)."""
-    out = []
-    for s in section_expand(pmc, gen):
-        out.append((s.strands, _inversions(s.strands), tuple(sorted(b for _, b in s.strands))))
-    return out
+def _generator_code(pmc: PointedMatchedCircle, gen: MatchedGenerator) -> int:
+    """Bit (a - 1) * n + b - 1 for each chord (a, b) and bit n * n + p - 1
+    for each dotted label p, where n = 4g."""
+    n = pmc.n_points
+    code = 0
+    for a, b in gen.chords:
+        code |= 1 << ((a - 1) * n + b - 1)
+    for p in gen.dotted:
+        code |= 1 << (n * n + p - 1)
+    return code
 
 
-def _section_right(pmc, gen):
-    """Per start tuple: list of (start->end map, inversions)."""
-    grouped: dict[tuple[int, ...], list[tuple[dict, int]]] = {}
-    for s in section_expand(pmc, gen):
-        starts = tuple(a for a, _ in s.strands)
-        grouped.setdefault(starts, []).append((dict(s.strands), _inversions(s.strands)))
-    return grouped
+def _packed_crossings(pmc: PointedMatchedCircle, u: Idempotent, middle, outer) -> tuple[int, int]:
+    """Crossing masks of one factor's sections over the middle idempotent u.
+
+    The strand of label u[t] runs between its middle position y[t] (where
+    it meets the other factor) and its outer position outer[t].  A chord
+    fixes middle[t]; a dotted label has middle[t] = outer[t] = 0 and is a
+    horizontal strand at either position of its pair.  Middle choices y
+    are numbered as in itertools.product over the pair positions; choice
+    number c owns the C(k, 2) bits from c * C(k, 2), one per label pair
+    t1 < t2, set when the two strands cross.  Returns (packed masks,
+    bitmask of the choices consistent with the fixed middles).
+    """
+    k = len(u)
+    width = k * (k - 1) // 2
+    packed = consistent = 0
+    for c, ys in enumerate(itertools.product(*(pmc.positions_of(p) for p in u))):
+        if any(m and m != y for m, y in zip(middle, ys)):
+            continue
+        consistent |= 1 << c
+        ends = [o or y for o, y in zip(outer, ys)]
+        bit = c * width
+        for t1 in range(k):
+            for t2 in range(t1 + 1, k):
+                if (ends[t1] - ends[t2]) * (ys[t1] - ys[t2]) < 0:
+                    packed |= 1 << bit
+                bit += 1
+    return packed, consistent
+
+
+def _factor(pmc: PointedMatchedCircle, gen: MatchedGenerator, u: Idempotent, left: bool):
+    """What the product builder needs of gen as a left factor (u its
+    target) or a right factor (u its source).
+
+    Returns (signature, packed, consistent, own, outer): per label of u
+    the chord's middle position or 0 when dotted, the packed crossing
+    masks with their consistent choices, and per label the code bit of
+    the chord on it and its outer position (both 0 when dotted).
+    """
+    labels = _label_array(pmc)
+    n = pmc.n_points
+    on_label = {labels[(b if left else a) - 1]: (a, b) for a, b in gen.chords}
+    middle, outer, own = [], [], []
+    for p in u:
+        a, b = on_label.get(p, (0, 0))
+        middle.append(b if left else a)
+        outer.append(a if left else b)
+        own.append(1 << ((a - 1) * n + b - 1) if a else 0)
+    packed, consistent = _packed_crossings(pmc, u, middle, outer)
+    return tuple(middle), packed, consistent, own, outer
+
+
+def _crossed_everywhere(crossed: int, consistent: int, width: int) -> bool:
+    """Whether every consistent middle choice has a label pair crossing in
+    both factors: its block of the AND of the packed masks is nonzero."""
+    block = (1 << width) - 1
+    while consistent:
+        c = consistent.bit_length() - 1
+        if not (crossed >> (c * width)) & block:
+            return False
+        consistent ^= 1 << c
+    return True
 
 
 class AlgebraTable:
@@ -379,6 +458,19 @@ class AlgebraTable:
     order; the differential is a tuple of sorted index tuples and the
     product a dict of nonzero (i, j) -> index entries over composable
     pairs.  Tables are immutable once built.
+
+    The product is computed by the matched rule in the module docstring.
+    For each middle idempotent u, right factors are grouped by their
+    chord starts on the labels of u, and a left factor visits only the
+    groups whose chord starts equal its chord ends wherever both have a
+    chord.  A pair's sections compose for every consistent y, and since
+    a label pair crosses in the composite exactly when it crosses in one
+    factor, the pair survives at y exactly when its two crossing masks
+    at y share no bit.  Each factor packs its masks for all y into one
+    int, so one AND tests every y of a pair; the composite is found by
+    its integer code (one bit per chord, one per dotted label).  A pair
+    that survives at some y and not at others, or whose composite is not
+    a generator of the table, raises ClosureError.
     """
 
     def __init__(self, pmc, k, variant, gens, idem_list):
@@ -419,29 +511,63 @@ class AlgebraTable:
 
     def _build_products(self):
         pmc = self.pmc
-        left_data = [_section_left(pmc, g) for g in self.gens]
-        right_data = [_section_right(pmc, g) for g in self.gens]
+        n = pmc.n_points
+        codes = [_generator_code(pmc, g) for g in self.gens]
+        by_code = {code: m for m, code in enumerate(codes)}
         prod: dict[tuple[int, int], int] = {}
-        for u in range(len(self.idem_list)):
-            for i in self.by_target[u]:
-                for j in self.by_source[u]:
-                    acc: set[UnmatchedDiagram] = set()
-                    for strands1, inv1, ends1 in left_data[i]:
-                        for follow, inv2 in right_data[j].get(ends1, ()):
-                            comp = tuple((a, follow[b]) for a, b in strands1)
-                            if _inversions(comp) == inv1 + inv2:
-                                d = UnmatchedDiagram(tuple(sorted(comp)))
-                                if d in acc:
-                                    acc.remove(d)
-                                else:
-                                    acc.add(d)
-                    if not acc:
+        for u_id, u in enumerate(self.idem_list):
+            k = len(u)
+            width = k * (k - 1) // 2
+            dots = [1 << (n * n + p - 1) for p in u]
+            lefts: dict[tuple[int, ...], list] = {}
+            for i in self.by_target[u_id]:
+                sig, packed, consistent, own, outer = _factor(pmc, self.gens[i], u, left=True)
+                lefts.setdefault(sig, []).append((i, packed, consistent, codes[i], own, outer))
+            rights: dict[tuple[int, ...], list] = {}
+            for j in self.by_source[u_id]:
+                sig, packed, consistent, own, outer = _factor(pmc, self.gens[j], u, left=False)
+                rights.setdefault(sig, []).append((j, packed, consistent, codes[j], own, outer))
+            for ends, lgroup in lefts.items():
+                # Right factors whose chord starts meet the left's chord ends
+                # label by label; a dotted label on either side meets anything.
+                choices = [(0, y) if y else (0, *pmc.positions_of(p)) for y, p in zip(ends, u)]
+                for starts in itertools.product(*choices):
+                    rgroup = rights.get(starts)
+                    if rgroup is None:
                         continue
-                    terms = list(recognize(pmc, acc))
-                    if len(terms) > 1:
-                        raise AssertionError("product support exceeded one generator")
-                    if terms:
-                        prod[(i, j)] = self.index[terms[0]]
+                    # Labels with a chord on both sides join into one chord;
+                    # every other label keeps the chord or dotted label it
+                    # has on either side, so the composite code is the sum
+                    # of the two codes, less those chords and the dotted
+                    # bits counted once too often.
+                    cc = [t for t in range(k) if ends[t] and starts[t]]
+                    dup = sum(dots[t] for t in range(k) if not (ends[t] and starts[t]))
+                    rows = [
+                        (j, m2, c2, code - sum(own[t] for t in cc), [outer[t] - 1 for t in cc])
+                        for j, m2, c2, code, own, outer in rgroup
+                    ]
+                    for i, m1, c1, code, own, outer in lgroup:
+                        base = code - sum(own[t] for t in cc) - dup
+                        # Joined chord (x, z) has code bit (x - 1) * n + z - 1.
+                        heads = [1 << ((outer[t] - 1) * n) for t in cc]
+                        for j, m2, c2, rcode, tails in rows:
+                            crossed = m1 & m2
+                            if crossed:
+                                if not _crossed_everywhere(crossed, c1 & c2, width):
+                                    raise ClosureError(
+                                        f"{self.gens[i]} * {self.gens[j]} vanishes on some"
+                                        " sections of its family and not on others"
+                                    )
+                                continue
+                            comp = base + rcode
+                            for head, tail in zip(heads, tails):
+                                comp += head << tail
+                            m = by_code.get(comp)
+                            if m is None:
+                                raise ClosureError(
+                                    f"{self.gens[i]} * {self.gens[j]} is not in the table"
+                                )
+                            prod[(i, j)] = m
         self.prod = prod
 
     # -- lookups -----------------------------------------------------------

@@ -4,9 +4,12 @@ a checked count plus a list of serializable counterexamples.
 Each suite_* function takes prebuilt objects so callers can share one
 algebra table across suites; run_suites is the driver the command line
 uses.  A suite result is a dict {name, checked, failures} and passes
-when failures is empty.  Suites that need the grid dictionary only make
-sense for the standard matching; with a custom matching the driver
-reports them as skipped instead of silently passing.
+when failures is empty.  A suite checks everything even after it has
+failed; a failing result also carries failed, the total number of
+failures, of which failures keeps at most MAX_EXAMPLES.  Suites that
+need the grid dictionary only make sense for the standard matching; with
+a custom matching the driver reports them as skipped instead of silently
+passing.
 """
 
 from __future__ import annotations
@@ -52,8 +55,30 @@ GRID_SUITES = frozenset(
 )
 
 
-def _result(name: str, checked: int, failures: list) -> dict:
-    return {"name": name, "checked": checked, "failures": failures}
+MAX_EXAMPLES = 5
+
+
+def _result(name: str, checked: int, failures: list, failed: int | None = None) -> dict:
+    result = {"name": name, "checked": checked, "failures": failures}
+    if failures:
+        result["failed"] = len(failures) if failed is None else failed
+    return result
+
+
+class _Failures:
+    """Counts every failure of a suite and keeps the first MAX_EXAMPLES."""
+
+    def __init__(self):
+        self.examples: list = []
+        self.total = 0
+
+    def add(self, example: dict) -> None:
+        self.total += 1
+        if len(self.examples) < MAX_EXAMPLES:
+            self.examples.append(example)
+
+    def result(self, name: str, checked: int) -> dict:
+        return _result(name, checked, self.examples, self.total)
 
 
 def _gen_json(gen: MatchedGenerator) -> dict:
@@ -74,21 +99,21 @@ def suite_regression() -> dict:
 
 
 def suite_d2(table: AlgebraTable) -> dict:
-    failures = []
+    failures = _Failures()
     for i in range(len(table.gens)):
         acc: set[int] = set()
         for j in table.diff[i]:
             acc.symmetric_difference_update(table.diff[j])
         if acc:
-            failures.append({"generator": _gen_json(table.gens[i])})
-    return _result("d2", len(table.gens), failures)
+            failures.add({"generator": _gen_json(table.gens[i])})
+    return failures.result("d2", len(table.gens))
 
 
 def suite_leibniz(table: AlgebraTable, sample: int | None = None, seed: int = 0) -> dict:
     """d(ab) = (da)b + a(db) over composable pairs, exhaustively or on a
     seeded sample."""
     pairs = _composable_pairs(table, sample, seed)
-    failures = []
+    failures = _Failures()
     checked = 0
     for i, j in pairs:
         checked += 1
@@ -105,12 +130,8 @@ def suite_leibniz(table: AlgebraTable, sample: int | None = None, seed: int = 0)
             if p is not None:
                 acc.symmetric_difference_update((p,))
         if acc:
-            failures.append(
-                {"left": _gen_json(table.gens[i]), "right": _gen_json(table.gens[j])}
-            )
-            if len(failures) >= 5:
-                break
-    return _result("leibniz", checked, failures)
+            failures.add({"left": _gen_json(table.gens[i]), "right": _gen_json(table.gens[j])})
+    return failures.result("leibniz", checked)
 
 
 def _composable_pairs(table: AlgebraTable, sample: int | None, seed: int):
@@ -146,7 +167,7 @@ def suite_assoc(table: AlgebraTable, sample: int | None = None, seed: int = 0) -
         return _result("assoc", int(checked), failures)
     rng = random.Random(seed)
     n = len(table.gens)
-    failures = []
+    failures = _Failures()
     for _ in range(sample):
         i = rng.randrange(n)
         pool = table.by_source[table.tgt[i]]
@@ -158,16 +179,14 @@ def suite_assoc(table: AlgebraTable, sample: int | None = None, seed: int = 0) -
         left = None if ij is None else table.prod.get((ij, l))
         right = None if jl is None else table.prod.get((i, jl))
         if left != right:
-            failures.append(
+            failures.add(
                 {
                     "a": _gen_json(table.gens[i]),
                     "b": _gen_json(table.gens[j]),
                     "c": _gen_json(table.gens[l]),
                 }
             )
-            if len(failures) >= 5:
-                break
-    return _result("assoc", sample, failures)
+    return failures.result("assoc", sample)
 
 
 def suite_closure(table: AlgebraTable, sample: int | None = None, seed: int = 0) -> dict:
@@ -175,23 +194,23 @@ def suite_closure(table: AlgebraTable, sample: int | None = None, seed: int = 0)
     must reassemble whole matched generators (no ClosureError) and agree
     with the stored row."""
     pmc = table.pmc
-    failures = []
+    failures = _Failures()
     checked = 0
     for i, gen in enumerate(table.gens):
         checked += 1
         try:
             got = sorted(table.index[t] for t in differential(pmc, gen))
         except ClosureError as err:
-            failures.append({"generator": _gen_json(gen), "error": str(err)})
+            failures.add({"generator": _gen_json(gen), "error": str(err)})
             continue
         if got != sorted(table.diff[i]):
-            failures.append({"generator": _gen_json(gen)})
+            failures.add({"generator": _gen_json(gen)})
     for i, j in _composable_pairs(table, sample, seed):
         checked += 1
         try:
             got = [table.index[t] for t in product(pmc, table.gens[i], table.gens[j])]
         except ClosureError as err:
-            failures.append(
+            failures.add(
                 {
                     "left": _gen_json(table.gens[i]),
                     "right": _gen_json(table.gens[j]),
@@ -201,12 +220,8 @@ def suite_closure(table: AlgebraTable, sample: int | None = None, seed: int = 0)
             continue
         want = table.prod.get((i, j))
         if got != ([] if want is None else [want]):
-            failures.append(
-                {"left": _gen_json(table.gens[i]), "right": _gen_json(table.gens[j])}
-            )
-        if len(failures) >= 5:
-            break
-    return _result("closure", checked, failures)
+            failures.add({"left": _gen_json(table.gens[i]), "right": _gen_json(table.gens[j])})
+    return failures.result("closure", checked)
 
 
 def grid_spec(g: int, variant: str) -> GridSpec:
@@ -218,23 +233,21 @@ def suite_dictionary_diff(table: AlgebraTable) -> dict:
     """Empty-rectangle counts match the strands differential generator by
     generator under the dictionary, both directions of the translation."""
     spec = grid_spec(table.pmc.g, table.variant)
-    failures = []
+    failures = _Failures()
     for i, gen in enumerate(table.gens):
         x = from_algebra(spec, gen)
         assert to_algebra(spec, x) == gen
         got = sorted(table.index[to_algebra(spec, y)] for y in floer_differential(spec, x))
         if got != sorted(table.diff[i]):
-            failures.append({"generator": _gen_json(gen)})
-            if len(failures) >= 5:
-                break
-    return _result("dictionary-diff", len(table.gens), failures)
+            failures.add({"generator": _gen_json(gen)})
+    return failures.result("dictionary-diff", len(table.gens))
 
 
 def suite_dictionary_prod(table: AlgebraTable) -> dict:
     """Triangle counts match the concatenation product pair by pair."""
     spec = grid_spec(table.pmc.g, table.variant)
     points = [from_algebra(spec, gen) for gen in table.gens]
-    failures = []
+    failures = _Failures()
     checked = 0
     for u in range(len(table.idem_list)):
         for i in table.by_target[u]:
@@ -246,26 +259,21 @@ def suite_dictionary_prod(table: AlgebraTable) -> dict:
                 ]
                 want = table.prod.get((i, j))
                 if got != ([] if want is None else [want]):
-                    failures.append(
-                        {
-                            "left": _gen_json(table.gens[i]),
-                            "right": _gen_json(table.gens[j]),
-                        }
+                    failures.add(
+                        {"left": _gen_json(table.gens[i]), "right": _gen_json(table.gens[j])}
                     )
-                    if len(failures) >= 5:
-                        return _result("dictionary-prod", checked, failures)
-    return _result("dictionary-prod", checked, failures)
+    return failures.result("dictionary-prod", checked)
 
 
 def suite_euler(spec: GridSpec, k: int) -> dict:
     """Counted rectangles carry e = 0, i = 0; counted product tuples
     carry i = 0, e = k/4 and index zero."""
-    failures = []
+    failures = _Failures()
     checked = 0
     for dom in index.counted_rectangle_domains(spec, k):
         checked += 1
         if dom.euler_measure != 0 or dom.diag_intersections != 0:
-            failures.append({"kind": "rectangle", "e": str(dom.euler_measure)})
+            failures.add({"kind": "rectangle", "e": str(dom.euler_measure)})
     for dom in index.counted_product_domains(spec, k):
         checked += 1
         if (
@@ -273,7 +281,7 @@ def suite_euler(spec: GridSpec, k: int) -> dict:
             or dom.diag_intersections != 0
             or dom.maslov() != 0
         ):
-            failures.append(
+            failures.add(
                 {
                     "kind": "product",
                     "e": str(dom.euler_measure),
@@ -281,9 +289,7 @@ def suite_euler(spec: GridSpec, k: int) -> dict:
                     "mu": str(dom.maslov()),
                 }
             )
-        if len(failures) >= 5:
-            break
-    return _result("euler", checked, failures)
+    return failures.result("euler", checked)
 
 
 def suite_rigidity(spec: GridSpec, k: int, lmax: int = 3) -> dict:
@@ -294,17 +300,15 @@ def suite_rigidity(spec: GridSpec, k: int, lmax: int = 3) -> dict:
 
 
 def suite_yoneda(table: AlgebraTable) -> dict:
-    failures = []
+    failures = _Failures()
     checked = 0
     for s in table.idem_list:
         for t in table.idem_list:
             checked += 1
             mor_rank, hom_rank = homalg.yoneda_ranks(table, s, t)
             if mor_rank != hom_rank:
-                failures.append(
-                    {"s": list(s), "t": list(t), "mor": mor_rank, "hom": hom_rank}
-                )
-    return _result("yoneda", checked, failures)
+                failures.add({"s": list(s), "t": list(t), "mor": mor_rank, "hom": hom_rank})
+    return failures.result("yoneda", checked)
 
 
 # ---------------------------------------------------------------------------

@@ -49,6 +49,19 @@ def test_build_output_is_byte_deterministic(tmp_path):
     assert first == second
 
 
+def test_build_streams_the_same_bytes_to_file_and_stdout(tmp_path, capsys):
+    # g=2 k=3 encodes to more chunks than one write batch holds.
+    out = tmp_path / "out.json"
+    assert main(["build", "-g", "2", "--k", "3", "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert main(["build", "-g", "2", "--k", "3"]) == 0
+    streamed = capsys.readouterr().out.encode("utf-8")
+    written = out.read_bytes()
+    assert streamed == written
+    text = written.decode("utf-8")
+    assert text == json.dumps(json.loads(text), indent=2) + "\n"
+
+
 def test_build_half_variant(tmp_path):
     code, text = _run(tmp_path, "build", "-g", "1", "--k", "1", "--variant", "half")
     assert code == 0

@@ -15,9 +15,15 @@ import numpy as np
 import pytest
 
 from conftest import build_table
-from strandfloer import _kernels
-from strandfloer.circle import idempotents, standard_matching
+from strandfloer import _kernels, strands
+from strandfloer.circle import (
+    idempotents,
+    matching_from_pairs,
+    standard_matching,
+    validate_surface,
+)
 from strandfloer.strands import (
+    AlgebraTable,
     ClosureError,
     GF2Sum,
     MatchedGenerator,
@@ -295,3 +301,54 @@ def test_assoc_scan_matches_python_walk():
     prod[(e, a)] = e
     ij, jl = prod.get((i, j)), prod.get((j, l))
     assert prod.get((ij, l)) != (None if jl is None else prod.get((i, jl)))
+
+
+# -- the matched product builder against the section route --------------------
+
+ORACLE_CASES = {
+    "standard-g1": (standard_matching(1), range(0, 3)),
+    "standard-g2": (standard_matching(2), range(0, 5)),
+    "custom-g2": (matching_from_pairs(2, ((1, 7), (2, 8), (3, 5), (4, 6))), range(0, 5)),
+    "custom-g3": (
+        matching_from_pairs(3, ((1, 11), (2, 9), (3, 10), (4, 7), (5, 12), (6, 8))),
+        range(0, 3),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+def test_product_table_matches_section_oracle_on_every_pair(case):
+    pmc, ks = ORACLE_CASES[case]
+    assert validate_surface(pmc).valid
+    for k in ks:
+        for variant in ("full", "half"):
+            tab = AlgebraTable.build(pmc, k, variant)
+            for u in range(len(tab.idem_list)):
+                for i in tab.by_target[u]:
+                    for j in tab.by_source[u]:
+                        got = [tab.index[t] for t in product(pmc, tab.gens[i], tab.gens[j])]
+                        want = tab.prod.get((i, j))
+                        assert got == ([] if want is None else [want]), (k, variant, i, j)
+
+
+def test_product_builder_raises_instead_of_dropping(monkeypatch):
+    pmc = standard_matching(1)
+    # A composite missing from the generator list: (1,2)*(2,3) = (1,3).
+    gens = [g for g in enumerate_generators(pmc, 1) if g.chords != ((1, 3),)]
+    tab = AlgebraTable(pmc, 1, "full", gens, idempotents(pmc, 1))
+    with pytest.raises(ClosureError, match="not in the table"):
+        tab._build_products()
+
+    # One section of every factor reports a crossing that is not there, so
+    # the product of an idempotent with itself keeps only three of its four
+    # sections: a partial family.
+    real = strands._packed_crossings
+
+    def one_section_crossed(pmc, u, middle, outer):
+        packed, consistent = real(pmc, u, middle, outer)
+        width = len(u) * (len(u) - 1) // 2
+        return packed | (consistent & 1) * ((1 << width) - 1), consistent
+
+    monkeypatch.setattr(strands, "_packed_crossings", one_section_crossed)
+    with pytest.raises(ClosureError, match="some sections"):
+        AlgebraTable.build(pmc, 2, "full")

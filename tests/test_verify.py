@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import copy
+
 import pytest
 
 from conftest import build_table
+from strandfloer import verify
 from strandfloer.circle import matching_from_pairs, standard_matching
 from strandfloer.verify import (
     GRID_SUITES,
@@ -15,6 +18,7 @@ from strandfloer.verify import (
     check_patterns,
     run_suites,
     suite_assoc,
+    suite_dictionary_prod,
     suite_leibniz,
     suite_regression,
 )
@@ -115,3 +119,41 @@ def test_pattern_check():
         report = check_patterns(g)
         assert report["failures"] == []
         assert report["checked"] == 2 * (2 * g) ** 2
+
+
+def _leibniz_failures(table) -> int:
+    """Composable pairs where d(ab) != (da)b + a(db), by walking them all."""
+    bad = 0
+    for u in range(len(table.idem_list)):
+        for i in table.by_target[u]:
+            for j in table.by_source[u]:
+                terms = []
+                m = table.prod.get((i, j))
+                if m is not None:
+                    terms += table.diff[m]
+                terms += [table.prod[(x, j)] for x in table.diff[i] if (x, j) in table.prod]
+                terms += [table.prod[(i, y)] for y in table.diff[j] if (i, y) in table.prod]
+                bad += any(terms.count(t) % 2 for t in terms)
+    return bad
+
+
+def test_leibniz_counts_every_failure_of_a_flipped_product():
+    tab = copy.copy(build_table(2, 2, "full"))
+    tab.prod = dict(tab.prod)
+    hit = {x for row in tab.diff for x in row}
+    del tab.prod[min(ij for ij in tab.prod if ij[0] in hit and ij[1] in hit)]
+    pairs = sum(len(t) * len(s) for t, s in zip(tab.by_target, tab.by_source))
+    report = suite_leibniz(tab)
+    assert report["checked"] == pairs
+    assert report["failed"] == _leibniz_failures(tab) > 1
+    assert len(report["failures"]) == report["failed"]
+
+
+def test_failing_suite_keeps_five_examples_and_counts_all(monkeypatch):
+    # With the grid product always zero, every nonzero algebra product fails.
+    tab = build_table(1, 1, "full")
+    monkeypatch.setattr(verify, "floer_product", lambda spec, x, y: [])
+    report = suite_dictionary_prod(tab)
+    assert report["checked"] == sum(len(t) * len(s) for t, s in zip(tab.by_target, tab.by_source))
+    assert report["failed"] == len(tab.prod) > 5
+    assert len(report["failures"]) == 5
