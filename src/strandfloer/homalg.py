@@ -1,11 +1,20 @@
 """Chain complexes over GF(2), strict right dg-modules over a strands
 algebra table, morphism complexes and homology ranks.
 
+A module stores its right actions sparsely: for each algebra generator,
+only the nonzero rows, as basis index -> bitmask of the image.  At g=3
+k=2 full the 15 projectives e_s A hold the table's 32,253 nonzero
+products between them, so one dense matrix per acting generator would
+be almost all zero rows.
+
 The morphism space Mor(M, N) is computed the long way around: module
 maps are unknown matrices, every algebra generator contributes the
 linearity constraints f(m(x,a)) = m(f(x),a), and the solution space is
-the kernel of that homogeneous system.  The solver is generic sparse
-GF(2) reduction: weight-one rows zero a variable, weight-two rows
+the kernel of that homogeneous system.  For a generator a, the row of
+the entry (x, y') reads M's action row x.a directly and N's action
+through its transpose y' -> {y : y.a contains y'}, so each row is
+written once as a short sequence of unknown ids.  The solver is generic
+sparse GF(2) reduction: weight-one rows zero a variable, weight-two rows
 identify two variables, and whatever remains goes through packed
 elimination.  Nothing here assumes the modules are projective; the
 yoneda_check comparison against e_t A e_s is meaningful precisely
@@ -75,23 +84,23 @@ class RightDGModule:
 
     The basis is adapted to the idempotent decomposition: basis element
     x is fixed by exactly one idempotent action, recorded in blocks[x].
-    actions maps an algebra generator index to the matrix of its right
-    action (row convention: row x is the image of x); generators acting
-    by zero may be omitted.
+    actions maps an algebra generator index to the nonzero rows of its
+    right action, {x: bitmask of x.a}; generators and rows acting by
+    zero are omitted.
     """
 
     table: AlgebraTable
     complex: ChainComplex
     blocks: tuple[int, ...]
-    actions: dict[int, BooleanMatrix]
+    actions: dict[int, dict[int, int]]
 
     @property
     def dim(self) -> int:
         return self.complex.dim
 
     def action_row(self, x: int, a: int) -> int:
-        mat = self.actions.get(a)
-        return mat.rows[x] if mat is not None else 0
+        rows = self.actions.get(a)
+        return rows.get(x, 0) if rows is not None else 0
 
 
 def projective_module(table: AlgebraTable, s) -> RightDGModule:
@@ -111,17 +120,12 @@ def projective_module(table: AlgebraTable, s) -> RightDGModule:
     labels = tuple(table.gens[gi] for gi in basis)
     cx = ChainComplex(labels, BooleanMatrix(n, n, d_rows))
 
-    raw: dict[int, list[int]] = {}
+    actions: dict[int, dict[int, int]] = {}
     for p, gi in enumerate(basis):
         for a in table.by_source[table.tgt[gi]]:
             prod = table.prod.get((gi, a))
-            if prod is None:
-                continue
-            rows = raw.get(a)
-            if rows is None:
-                rows = raw[a] = [0] * n
-            rows[p] |= 1 << pos[prod]
-    actions = {a: BooleanMatrix(n, n, rows) for a, rows in raw.items()}
+            if prod is not None:
+                actions.setdefault(a, {})[p] = 1 << pos[prod]
     return RightDGModule(table, cx, tuple(table.tgt[gi] for gi in basis), actions)
 
 
@@ -139,10 +143,9 @@ def verify_module_axioms(mod: RightDGModule) -> list[str]:
 
     total = [0] * n
     for r, gi in enumerate(table.idem_gen):
-        mat = mod.actions.get(gi)
         for x in range(n):
             expect = (1 << x) if mod.blocks[x] == r else 0
-            got = mat.rows[x] if mat is not None else 0
+            got = mod.action_row(x, gi)
             if got != expect:
                 failures.append(f"idempotent {r} acts wrongly on basis {x}")
             total[x] ^= got
@@ -153,13 +156,13 @@ def verify_module_axioms(mod: RightDGModule) -> list[str]:
     block_mask = {}
     for y in range(n):
         block_mask[mod.blocks[y]] = block_mask.get(mod.blocks[y], 0) | (1 << y)
-    for a, mat in mod.actions.items():
+    for a, rows in mod.actions.items():
         sa, ta = table.src[a], table.tgt[a]
-        for x in range(n):
-            if mod.blocks[x] != sa and mat.rows[x]:
+        for x, row in rows.items():
+            if mod.blocks[x] != sa and row:
                 failures.append(f"generator {a} acts outside its source block")
                 break
-            if mat.rows[x] & ~block_mask.get(ta, 0):
+            if row & ~block_mask.get(ta, 0):
                 failures.append(f"generator {a} lands outside its target block")
                 break
 
@@ -223,20 +226,34 @@ class _LinearSystem:
         return frozenset(out)
 
     def add(self, ids) -> bool:
-        """Feed one row in; True when it changed a variable's fate."""
+        """Feed one row, a sequence of variable ids, in; True when it
+        changed a variable's fate.
+
+        Rows of one or two ids settle through find alone; a heavier row
+        is normalized and, unless it shrinks to weight one or two, kept
+        for elimination."""
+        if len(ids) == 1:
+            r = self.find(ids[0])
+            if self.zero[r]:
+                return False
+            self.zero[r] = 1
+            return True
+        if len(ids) == 2:
+            a, b = self.find(ids[0]), self.find(ids[1])
+            if a == b or (self.zero[a] and self.zero[b]):
+                return False
+            if self.zero[a]:
+                self.zero[b] = 1
+            elif self.zero[b]:
+                self.zero[a] = 1
+            else:
+                self.parent[b] = a
+            return True
         row = self._normalize(ids)
         if not row:
             return False
-        if len(row) == 1:
-            (r,) = row
-            self.zero[r] = 1
-            return True
-        if len(row) == 2:
-            a, b = row
-            self.parent[b] = a
-            if self.zero[a] or self.zero[b]:
-                self.zero[a] = 1
-            return True
+        if len(row) <= 2:
+            return self.add(tuple(row))
         if row not in self._seen:
             self._seen.add(row)
             self.rows.append(row)
@@ -303,57 +320,96 @@ class MorComplex:
         return self.complex.homology_rank()
 
 
+def _unknown_layout(M: RightDGModule, N: RightDGModule):
+    """Ids of the in-block unknowns of a map M -> N.
+
+    Entry (x, y), for M.blocks[x] == N.blocks[y], is unknown
+    base[x] + npos[y], where npos[y] is the position of y in its block
+    list n_blocks[N.blocks[y]]: ids run over x, then over y.
+    """
+    n_blocks: dict[int, list[int]] = {}
+    npos = []
+    for y, b in enumerate(N.blocks):
+        blk = n_blocks.setdefault(b, [])
+        npos.append(len(blk))
+        blk.append(y)
+    base = []
+    total = 0
+    for b in M.blocks:
+        base.append(total)
+        total += len(n_blocks.get(b, ()))
+    return base, npos, n_blocks
+
+
+def _linearity_rows(M: RightDGModule, N: RightDGModule):
+    """Yield the A-linearity constraints on maps f: M -> N as sequences
+    of unknown ids, one per (generator a, x, y') with a term:
+
+        sum of f(x2, y') over x2 in x.a  +  sum of f(x, y) over y.a containing y'
+
+    Idempotent generators are left out; their rows are the block
+    structure of the unknowns.  A row may repeat an id, which then
+    cancels."""
+    base, npos, n_blocks = _unknown_layout(M, N)
+    m_blocks: dict[int, list[int]] = {}
+    for x, b in enumerate(M.blocks):
+        m_blocks.setdefault(b, []).append(x)
+    empty: dict = {}
+    for a in sorted((M.actions.keys() | N.actions.keys()) - set(M.table.idem_gen)):
+        m_rows = M.actions.get(a, empty)
+        # N's action transposed and grouped by the block of y: y' -> [npos[y]].
+        into: dict[int, dict[int, list[int]]] = {}
+        for y, row in N.actions.get(a, empty).items():
+            by_yp = into.setdefault(N.blocks[y], {})
+            for yp in _bits(row):
+                by_yp.setdefault(yp, []).append(npos[y])
+        # Keys (x, y') with a term on M's side: y' in a block that x.a meets.
+        for x, row_x in m_rows.items():
+            ox = base[x]
+            ys_of = into.get(M.blocks[x], empty)
+            offsets: dict[int, list[int]] = {}
+            for x2 in _bits(row_x):
+                offsets.setdefault(M.blocks[x2], []).append(base[x2])
+            for b, offs in offsets.items():
+                blk = n_blocks.get(b, ())
+                # Row of (x, y'), M's side: f(x2, y') is base[x2] + npos[y'].
+                for yp, row in zip(blk, zip(*[range(o, o + len(blk)) for o in offs])):
+                    ys = ys_of.get(yp)
+                    if ys is not None:
+                        row += tuple([ox + j for j in ys])
+                    yield row
+            for yp, ys in ys_of.items():
+                if N.blocks[yp] not in offsets:
+                    yield [ox + j for j in ys]
+        # Keys with terms on N's side only.
+        for b, ys_of in into.items():
+            tails = list(ys_of.values())
+            for x in m_blocks.get(b, ()):
+                if x not in m_rows:
+                    ox = base[x]
+                    for ys in tails:
+                        yield [ox + j for j in ys]
+
+
 def mor_complex(M: RightDGModule, N: RightDGModule) -> MorComplex:
     """Solve the A-linearity constraints and carry D(f) = d f + f d.
 
     One constraint row is written for every (generator, source basis,
-    target basis) triple with a nonzero term.  The differential of each
-    solution is re-expressed in the solution basis and the expansion is
-    required to reproduce it exactly: the honest check that D preserves
-    the space.
+    target basis) triple with a term (see _linearity_rows).  The
+    differential of each solution is re-expressed in the solution basis
+    and the expansion is required to reproduce it exactly: the honest
+    check that D preserves the space.
     """
     if M.table is not N.table:
         raise ValueError("modules live over different algebras")
-    table = M.table
-    nm, nn = M.dim, N.dim
-
-    uid: dict[tuple[int, int], int] = {}
-    uid_xy: list[tuple[int, int]] = []
-    for x in range(nm):
-        for y in range(nn):
-            if M.blocks[x] == N.blocks[y]:
-                uid[(x, y)] = len(uid_xy)
-                uid_xy.append((x, y))
-    m_blocks: dict[int, list[int]] = {}
-    for x in range(nm):
-        m_blocks.setdefault(M.blocks[x], []).append(x)
-    n_blocks: dict[int, list[int]] = {}
-    for y in range(nn):
-        n_blocks.setdefault(N.blocks[y], []).append(y)
+    nm = M.dim
+    _, _, n_blocks = _unknown_layout(M, N)
+    uid_xy = [(x, y) for x, b in enumerate(M.blocks) for y in n_blocks.get(b, ())]
 
     system = _LinearSystem(len(uid_xy))
-    idem_gens = set(table.idem_gen)
-    for a in sorted((set(M.actions) | set(N.actions)) - idem_gens):
-        rows: dict[tuple[int, int], set[int]] = {}
-        mat_m = M.actions.get(a)
-        if mat_m is not None:
-            for x in range(nm):
-                for x2 in _bits(mat_m.rows[x]):
-                    for yp in n_blocks.get(M.blocks[x2], ()):
-                        rows.setdefault((x, yp), set()).symmetric_difference_update(
-                            (uid[(x2, yp)],)
-                        )
-        mat_n = N.actions.get(a)
-        if mat_n is not None:
-            for y in range(nn):
-                for yp in _bits(mat_n.rows[y]):
-                    for x in m_blocks.get(N.blocks[y], ()):
-                        rows.setdefault((x, yp), set()).symmetric_difference_update(
-                            (uid[(x, y)],)
-                        )
-        for row in rows.values():
-            system.add(row)
-
+    add = system.add
+    for row in _linearity_rows(M, N):
+        add(row)
     sol = system.solve()
 
     maps: list[list[int]] = []

@@ -170,24 +170,31 @@ class _Edges:
         return product_domain(self.spec, self.tris[e])
 
 
-def counted_product_domains(spec: GridSpec, k: int):
-    edges = _Edges(spec, k)
+def counted_product_domains(spec: GridSpec, k: int, edges: _Edges | None = None):
+    """One Domain per counted product; edges is the gluing graph of
+    (spec, k) when the caller has already built it."""
+    if edges is None:
+        edges = _Edges(spec, k)
     for e in range(len(edges.prod)):
         yield edges.domain(e)
 
 
-def verify_rigidity(spec: GridSpec, k: int, lmax: int = 3) -> dict:
+def verify_rigidity(
+    spec: GridSpec, k: int, lmax: int = 3, edges: _Edges | None = None
+) -> dict:
     """Check e = (l-1)k/4 and mu >= 0 > 2 - l on every glued chain of
     counted product domains with 3 <= l <= lmax ends.
 
     The outgoing end of the running composite attaches to either input
     slot of the next product, so both association orders are scanned.
     Chains of length three go through ``_kernels.rigidity_scan``; longer
-    chains (rarely requested) walk the gluing graph directly.
+    chains (rarely requested) walk the gluing graph directly.  edges is
+    the gluing graph of (spec, k) when the caller has already built it.
     """
     if lmax < 3:
         raise ValueError("composite chains need at least three ends")
-    edges = _Edges(spec, k)
+    if edges is None:
+        edges = _Edges(spec, k)
     report = {"checked": 0, "violations": [], "max_intersection": 0}
     by_left: dict[int, list[int]] = {}
     by_right: dict[int, list[int]] = {}

@@ -265,16 +265,16 @@ def suite_dictionary_prod(table: AlgebraTable) -> dict:
     return failures.result("dictionary-prod", checked)
 
 
-def suite_euler(spec: GridSpec, k: int) -> dict:
+def suite_euler(spec: GridSpec, k: int, edges: index._Edges) -> dict:
     """Counted rectangles carry e = 0, i = 0; counted product tuples
-    carry i = 0, e = k/4 and index zero."""
+    (the edges of the gluing graph) carry i = 0, e = k/4 and index zero."""
     failures = _Failures()
     checked = 0
     for dom in index.counted_rectangle_domains(spec, k):
         checked += 1
         if dom.euler_measure != 0 or dom.diag_intersections != 0:
             failures.add({"kind": "rectangle", "e": str(dom.euler_measure)})
-    for dom in index.counted_product_domains(spec, k):
+    for dom in index.counted_product_domains(spec, k, edges):
         checked += 1
         if (
             dom.euler_measure != Fraction(k, 4)
@@ -292,20 +292,29 @@ def suite_euler(spec: GridSpec, k: int) -> dict:
     return failures.result("euler", checked)
 
 
-def suite_rigidity(spec: GridSpec, k: int, lmax: int = 3) -> dict:
-    report = index.verify_rigidity(spec, k, lmax)
+def suite_rigidity(spec: GridSpec, k: int, edges: index._Edges, lmax: int = 3) -> dict:
+    report = index.verify_rigidity(spec, k, lmax, edges)
     result = _result("rigidity", report["checked"], report["violations"])
     result["max_intersection"] = report["max_intersection"]
     return result
 
 
 def suite_yoneda(table: AlgebraTable) -> dict:
+    """H*Mor(e_s A, e_t A) = H*(e_t A e_s) for every ordered pair of
+    idempotents, with one projective module built per idempotent.  A
+    morphism complex that cannot be formed counts as a failure."""
+    modules = [homalg.projective_module(table, s) for s in table.idem_list]
     failures = _Failures()
     checked = 0
-    for s in table.idem_list:
-        for t in table.idem_list:
+    for s, M in zip(table.idem_list, modules):
+        for t, N in zip(table.idem_list, modules):
             checked += 1
-            mor_rank, hom_rank = homalg.yoneda_ranks(table, s, t)
+            try:
+                mor_rank = homalg.mor_complex(M, N).homology_rank()
+            except ValueError as err:
+                failures.add({"s": list(s), "t": list(t), "error": str(err)})
+                continue
+            hom_rank = homalg.hom_complex(table, t, s).homology_rank()
             if mor_rank != hom_rank:
                 failures.add({"s": list(s), "t": list(t), "mor": mor_rank, "hom": hom_rank})
     return failures.result("yoneda", checked)
@@ -376,6 +385,8 @@ def run_suites(
     seed: int = 0,
 ) -> dict:
     """Build once, run the requested suites, report one dict per suite.
+    The algebra table is built once for all suites, and the grid's gluing
+    graph once for euler and rigidity.
 
     The overall report is {"suites": [...], "ok": bool, "skipped": [...]}.
     Grid-dependent suites require the standard matching and are skipped
@@ -391,6 +402,7 @@ def run_suites(
 
     results = []
     skipped = []
+    edges = None  # the gluing graph, built once for euler and rigidity
     for name in chosen:
         if name in GRID_SUITES and not is_standard:
             skipped.append({"name": name, "reason": "custom matching has no grid model"})
@@ -413,9 +425,11 @@ def run_suites(
         elif name == "dictionary-prod":
             results.append(suite_dictionary_prod(table))
         elif name == "euler":
-            results.append(suite_euler(spec, k))
+            edges = edges or index._Edges(spec, k)
+            results.append(suite_euler(spec, k, edges))
         elif name == "rigidity":
-            results.append(suite_rigidity(spec, k))
+            edges = edges or index._Edges(spec, k)
+            results.append(suite_rigidity(spec, k, edges))
         elif name == "yoneda":
             results.append(suite_yoneda(table))
     ok = all(not r["failures"] for r in results)

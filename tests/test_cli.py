@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from strandfloer.circle import idempotents, standard_matching
 from strandfloer.cli import ConfigError, build_config, main, make_parser
 
 NONSTANDARD_G2 = '{"g": 2, "pairs": [[1, 3], [2, 4], [5, 7], [6, 8]]}'
@@ -184,3 +185,8 @@ def test_trace_harness_reaches_the_wrapped_kernels(tmp_path):
     for name in ("kernels.gf2_eliminate", "kernels.rigidity_scan",
                  "kernels.assoc_scan", "grid.floer_product"):
         assert calls.get(name, 0) > 0, name
+    # yoneda builds one projective module per idempotent and reuses it
+    # for every ordered pair.
+    n_idem = len(idempotents(standard_matching(1), 1))
+    assert calls["homalg.projective_module"] == n_idem
+    assert calls["homalg.mor_complex"] == n_idem**2

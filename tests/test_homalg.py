@@ -7,13 +7,18 @@ homology ranks must be additive there.
 
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 
 from conftest import build_table
+from strandfloer.circle import matching_from_pairs
 from strandfloer.gf2 import BooleanMatrix
 from strandfloer.homalg import (
     ChainComplex,
     RightDGModule,
+    _linearity_rows,
+    _LinearSystem,
     hom_complex,
     mor_complex,
     projective_module,
@@ -21,6 +26,7 @@ from strandfloer.homalg import (
     yoneda_check,
     yoneda_ranks,
 )
+from strandfloer.strands import AlgebraTable
 
 
 def _direct_sum(m1: RightDGModule, m2: RightDGModule) -> RightDGModule:
@@ -30,12 +36,11 @@ def _direct_sum(m1: RightDGModule, m2: RightDGModule) -> RightDGModule:
     rows = list(m1.complex.d.rows) + [r << n1 for r in m2.complex.d.rows]
     cx = ChainComplex(labels, BooleanMatrix(n1 + n2, n1 + n2, rows))
     actions = {}
-    for a in set(m1.actions) | set(m2.actions):
-        top = m1.actions[a].rows if a in m1.actions else (0,) * n1
-        bot = m2.actions[a].rows if a in m2.actions else (0,) * n2
-        actions[a] = BooleanMatrix(
-            n1 + n2, n1 + n2, list(top) + [r << n1 for r in bot]
-        )
+    for a in m1.actions.keys() | m2.actions.keys():
+        rows = dict(m1.actions.get(a, {}))
+        for x, row in m2.actions.get(a, {}).items():
+            rows[x + n1] = row << n1
+        actions[a] = rows
     return RightDGModule(m1.table, cx, m1.blocks + m2.blocks, actions)
 
 
@@ -84,7 +89,7 @@ def test_projective_module_shape():
     assert mod.dim == 5  # hom({1},{1}) + hom({1},{2})
     assert set(mod.blocks) == {tab.idem_id[(1,)], tab.idem_id[(2,)]}
     idem_index = tab.idem_gen[tab.idem_id[(1,)]]
-    assert mod.actions[idem_index].rows[0] in (1, 2, 4, 8, 16)
+    assert mod.actions[idem_index][0] in (1, 2, 4, 8, 16)
 
 
 def test_axiom_checker_catches_corruption():
@@ -172,3 +177,139 @@ def test_yoneda_holds_with_nontrivial_differential():
     for s in tab.idem_list:
         for t in tab.idem_list:
             assert yoneda_check(tab, s, t)
+
+
+# -- the linearity rows against the dict-of-sets construction -----------------
+
+
+def _bits(mask: int) -> list[int]:
+    return [j for j, bit in enumerate(reversed(bin(mask))) if bit == "1"]
+
+
+def _oracle_rows(M: RightDGModule, N: RightDGModule) -> list[frozenset[int]]:
+    """One symmetric-difference set per (generator, x, y') key, with the
+    unknowns numbered by a dict over the in-block entries (x, y)."""
+    uid = {}
+    for x in range(M.dim):
+        for y in range(N.dim):
+            if M.blocks[x] == N.blocks[y]:
+                uid[(x, y)] = len(uid)
+    m_blocks: dict[int, list[int]] = {}
+    for x in range(M.dim):
+        m_blocks.setdefault(M.blocks[x], []).append(x)
+    n_blocks: dict[int, list[int]] = {}
+    for y in range(N.dim):
+        n_blocks.setdefault(N.blocks[y], []).append(y)
+    out = []
+    for a in sorted((set(M.actions) | set(N.actions)) - set(M.table.idem_gen)):
+        rows: dict[tuple[int, int], set[int]] = {}
+        for x, row in M.actions.get(a, {}).items():
+            for x2 in _bits(row):
+                for yp in n_blocks.get(M.blocks[x2], ()):
+                    rows.setdefault((x, yp), set()).symmetric_difference_update((uid[(x2, yp)],))
+        for y, row in N.actions.get(a, {}).items():
+            for yp in _bits(row):
+                for x in m_blocks.get(N.blocks[y], ()):
+                    rows.setdefault((x, yp), set()).symmetric_difference_update((uid[(x, y)],))
+        out += [frozenset(r) for r in rows.values()]
+    return out
+
+
+def _solution(rows, n: int):
+    system = _LinearSystem(n)
+    for row in rows:
+        system.add(tuple(row))
+    sol = system.solve()
+    return sol.members, sol.reps, sol.basis, sol.free_cols
+
+
+def _assert_rows_match_oracle(M: RightDGModule, N: RightDGModule) -> None:
+    want = _oracle_rows(M, N)
+    got = []
+    for row in _linearity_rows(M, N):
+        ids = frozenset(row)
+        if len(ids) < len(row):
+            ids = frozenset(u for u in row if row.count(u) % 2)
+        got.append(ids)
+    assert Counter(r for r in got if r) == Counter(r for r in want if r)
+    n = sum(1 for x in range(M.dim) for y in range(N.dim) if M.blocks[x] == N.blocks[y])
+    assert _solution(got, n) == _solution(want, n)
+
+
+def _rebased(mod: RightDGModule, x0: int, x1: int) -> RightDGModule:
+    """The same module in the basis with x0 replaced by x0 + x1, two basis
+    elements of one block: action rows then carry several bits."""
+    assert mod.blocks[x0] == mod.blocks[x1] and x0 != x1
+
+    def coords(v: int) -> int:  # its own inverse
+        return v ^ (1 << x1) if (v >> x0) & 1 else v
+
+    def rebase(row_of) -> dict[int, int]:
+        rows = {}
+        for x in range(mod.dim):
+            image = row_of(x) ^ (row_of(x1) if x == x0 else 0)
+            if coords(image):
+                rows[x] = coords(image)
+        return rows
+
+    d = rebase(lambda x: mod.complex.d.rows[x])
+    cx = ChainComplex(
+        mod.complex.labels, BooleanMatrix(mod.dim, mod.dim, [d.get(x, 0) for x in range(mod.dim)])
+    )
+    actions = {a: rebase(lambda x, a=a: mod.action_row(x, a)) for a in mod.actions}
+    return RightDGModule(mod.table, cx, mod.blocks, actions)
+
+
+def _restricted(mod: RightDGModule, gens: set[int]) -> RightDGModule:
+    """mod with the actions of generators outside gens dropped: exactly
+    the linearity rows of gens remain."""
+    actions = {a: rows for a, rows in mod.actions.items() if a in gens}
+    return RightDGModule(mod.table, mod.complex, mod.blocks, actions)
+
+
+@pytest.mark.parametrize("variant", ["full", "half"])
+def test_linearity_rows_match_oracle_on_projectives(variant):
+    tables = [build_table(g, k, variant) for g in (1, 2) for k in range(0, 2 * g + 1)]
+    custom = matching_from_pairs(2, ((1, 7), (2, 8), (3, 5), (4, 6)))
+    tables += [AlgebraTable.build(custom, k, variant) for k in range(0, 5)]
+    for tab in tables:
+        # At k >= 3 a g=2 table has 1.2M-3.3M rows over all pairs, minutes
+        # for the oracle's set arithmetic; every 16th generator is seconds.
+        keep = set(range(0, len(tab.gens), 1 if tab.k <= 2 else 16))
+        mods = [_restricted(projective_module(tab, s), keep) for s in tab.idem_list]
+        for M in mods:
+            for N in mods:
+                _assert_rows_match_oracle(M, N)
+
+
+def test_linearity_rows_match_oracle_on_sums_and_hand_built_modules():
+    tab = build_table(2, 2, "full")
+    P = projective_module(tab, (1, 2))
+    Q = projective_module(tab, (2, 3))
+    S = _direct_sum(P, Q)
+    _assert_rows_match_oracle(S, P)
+    _assert_rows_match_oracle(Q, S)
+    _assert_rows_match_oracle(S, S)
+
+    block = max(set(P.blocks), key=P.blocks.count)
+    x0, x1 = [x for x in range(P.dim) if P.blocks[x] == block][:2]
+    R = _rebased(P, x0, x1)
+    assert verify_module_axioms(R) == []
+    assert any(row & (row - 1) for rows in R.actions.values() for row in rows.values())
+    for M, N in ((R, P), (P, R), (R, R), (R, Q), (Q, R)):
+        _assert_rows_match_oracle(M, N)
+    single = mor_complex(P, P)
+    for M, N in ((R, P), (P, R), (R, R)):
+        mc = mor_complex(M, N)
+        assert (mc.dim, mc.homology_rank()) == (single.dim, single.homology_rank())
+
+    # One action row given a bit outside its target block: no longer a
+    # module (a corrupt table builds such projectives), and the rows must
+    # still agree.
+    a, rows = next((a, rows) for a, rows in P.actions.items() if a not in tab.idem_gen)
+    x = next(iter(rows))
+    other = next(y for y in range(P.dim) if P.blocks[y] != tab.tgt[a])
+    W = RightDGModule(tab, P.complex, P.blocks, {**P.actions, a: {**rows, x: rows[x] | 1 << other}})
+    assert verify_module_axioms(W)
+    for M, N in ((P, W), (W, P), (W, W)):
+        _assert_rows_match_oracle(M, N)

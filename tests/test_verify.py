@@ -7,7 +7,7 @@ import copy
 import pytest
 
 from conftest import build_table
-from strandfloer import verify
+from strandfloer import index, verify
 from strandfloer.circle import matching_from_pairs, standard_matching
 from strandfloer.verify import (
     GRID_SUITES,
@@ -21,6 +21,7 @@ from strandfloer.verify import (
     suite_dictionary_prod,
     suite_leibniz,
     suite_regression,
+    suite_yoneda,
 )
 
 NONSTANDARD_G2 = ((1, 3), (2, 4), (5, 7), (6, 8))
@@ -157,3 +158,33 @@ def test_failing_suite_keeps_five_examples_and_counts_all(monkeypatch):
     assert report["checked"] == sum(len(t) * len(s) for t, s in zip(tab.by_target, tab.by_source))
     assert report["failed"] == len(tab.prod) > 5
     assert len(report["failures"]) == 5
+
+
+@pytest.mark.parametrize("g, k, failed", [(1, 1, 1), (2, 1, 4), (2, 2, 5)])
+def test_yoneda_counts_the_pairs_a_dropped_product_breaks(g, k, failed):
+    tab = copy.copy(build_table(g, k, "full"))
+    tab.prod = dict(tab.prod)
+    idem = set(tab.idem_gen)
+    del tab.prod[min(ij for ij in tab.prod if not idem & set(ij))]
+    report = suite_yoneda(tab)
+    assert report["checked"] == len(tab.idem_list) ** 2
+    assert report["failed"] == failed
+    if (g, k) == (2, 2):
+        # Some morphism complex cannot be formed: a failure, not a crash.
+        errors = [f["error"] for f in report["failures"] if "error" in f]
+        assert errors and set(errors) == {"differential leaves the morphism space"}
+
+
+def test_run_suites_builds_the_gluing_graph_once(monkeypatch):
+    built = []
+    real = index._Edges
+
+    def counted(spec, k):
+        built.append(k)
+        return real(spec, k)
+
+    monkeypatch.setattr(index, "_Edges", counted)
+    report = run_suites(standard_matching(1), 1, "full", suites=["euler", "rigidity"])
+    assert report["ok"]
+    assert all(r["checked"] > 0 for r in report["suites"])
+    assert built == [1]
