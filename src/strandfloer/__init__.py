@@ -47,7 +47,6 @@ from .homalg import (
     mor_complex,
     projective_module,
     verify_module_axioms,
-    yoneda_check,
     yoneda_ranks,
 )
 from .index import (
@@ -118,7 +117,6 @@ __all__ = [
     "validate_surface",
     "verify_module_axioms",
     "verify_rigidity",
-    "yoneda_check",
     "yoneda_ranks",
     "__version__",
 ]

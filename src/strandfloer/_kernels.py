@@ -1,17 +1,14 @@
-"""The inner loops: GF(2) elimination, the numpy associativity sweep and
-the composite-domain sweep.
+"""The inner loops: GF(2) elimination, the associativity walk and the
+composite-domain sweep, all in plain Python.
 
-Bit-matrix rows are Python ints, bit c being column c.  Only the
-associativity sweep uses numpy, where it vectorises whole product-table
-lookups.
+Bit-matrix rows are Python ints, bit c being column c; the product table
+stays the dict it is built as.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
 # Recorded in the machine metadata of perfbench/probe.py.
-BACKEND = "numpy"
+BACKEND = "python"
 
 
 # ---------------------------------------------------------------------------
@@ -46,58 +43,52 @@ def gf2_eliminate(rows: list[int], ncols: int) -> tuple[int, list[int]]:
 
 
 # ---------------------------------------------------------------------------
-# Associativity sweep over a product table.
+# Associativity walk over a product table.
 #
-# Generators are integers 0..n-1.  tgt[i] is the target idempotent id of
-# generator i; (off, items) is a CSR listing of generators by source
-# idempotent id; (keys, vals) encode the nonzero products, keys sorted,
-# key = i*n + j, val = index of the product generator.  The sweep walks all
-# composable triples (i, j, l) and demands
-# table(table(i,j), l) == table(i, table(j,l)) with -1 meaning zero.
+# prod maps composable pairs (i, j) to the index of their nonzero product;
+# rows[i] lists (j, prod[i, j]) and cols[j] lists (i, prod[i, j]).  A
+# composable triple (i, j, l) whose two sides (ij)l and i(jl) are both
+# zero holds trivially, so the walk reaches only the triples with a
+# nonzero side: (ij)l is nonzero only for l in the row of ij, and i(jl)
+# only for i in the column of jl.
 
 
-def assoc_scan(tgt, off, items, keys, vals, n):
-    """Returns (triples_checked, i, j, l) with (-1,-1,-1) when no violation."""
-    checked = 0
-    n64 = np.int64(n)
-    for i in range(n):
-        u = tgt[i]
-        js = items[off[u]:off[u + 1]]
-        if js.size == 0:
+def assoc_scan(prod, rows, cols, src, tgt):
+    """Walk the composable triples with a nonzero side.  ``src`` and
+    ``tgt`` give each generator's idempotent ids, so that a triple is
+    composable when tgt[i] == src[j] and tgt[j] == src[l].  Returns
+    (visits, failing triples in (i, j, l) order), where visits counts the
+    row and column entries read.
+    """
+    visits = 0
+    bad = []
+    for (i, j), p in prod.items():
+        row = rows.get(p)
+        if row is None or tgt[i] != src[j]:
             continue
-        ps = _lookup_many(keys, vals, i * n64 + js)
-        degs = off[tgt[js] + 1] - off[tgt[js]]
-        total = int(degs.sum())
-        if total == 0:
+        visits += len(row)
+        t = tgt[j]
+        for l, left in row:
+            if src[l] != t:
+                continue
+            q = prod.get((j, l))
+            if q is None or prod.get((i, q)) != left:
+                bad.append((i, j, l))
+    # Triples whose left side is nonzero were settled above.
+    for (j, l), q in prod.items():
+        col = cols.get(q)
+        if col is None or tgt[j] != src[l]:
             continue
-        j_rep = np.repeat(js, degs)
-        p_rep = np.repeat(ps, degs)
-        l_cat = np.concatenate([items[off[tgt[j]]:off[tgt[j] + 1]] for j in js])
-        qs = _lookup_many(keys, vals, j_rep * n64 + l_cat)
-        lhs = np.full(total, -1, np.int64)
-        sel = p_rep >= 0
-        if sel.any():
-            lhs[sel] = _lookup_many(keys, vals, p_rep[sel] * n64 + l_cat[sel])
-        rhs = np.full(total, -1, np.int64)
-        sel = qs >= 0
-        if sel.any():
-            rhs[sel] = _lookup_many(keys, vals, np.int64(i) * n64 + qs[sel])
-        bad = np.nonzero(lhs != rhs)[0]
-        if bad.size:
-            b = int(bad[0])
-            return checked + b + 1, i, int(j_rep[b]), int(l_cat[b])
-        checked += total
-    return checked, -1, -1, -1
-
-
-def _lookup_many(keys, vals, queries):
-    pos = np.searchsorted(keys, queries)
-    pos_safe = np.minimum(pos, keys.size - 1) if keys.size else pos
-    out = np.full(queries.shape, -1, np.int64)
-    if keys.size:
-        hit = keys[pos_safe] == queries
-        out[hit] = vals[pos_safe[hit]]
-    return out
+        visits += len(col)
+        s = src[j]
+        for i, _ in col:
+            if tgt[i] != s:
+                continue
+            p = prod.get((i, j))
+            if p is None or (p, l) not in prod:
+                bad.append((i, j, l))
+    bad.sort()
+    return visits, bad
 
 
 # ---------------------------------------------------------------------------

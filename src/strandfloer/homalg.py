@@ -454,8 +454,3 @@ def yoneda_ranks(table: AlgebraTable, s, t) -> tuple[int, int]:
     """H* rank of Mor(e_s A, e_t A) next to H* rank of e_t A e_s."""
     mc = mor_complex(projective_module(table, s), projective_module(table, t))
     return mc.homology_rank(), hom_complex(table, t, s).homology_rank()
-
-
-def yoneda_check(table: AlgebraTable, s, t) -> bool:
-    a, b = yoneda_ranks(table, s, t)
-    return a == b

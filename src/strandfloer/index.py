@@ -179,20 +179,14 @@ def counted_product_domains(spec: GridSpec, k: int, edges: _Edges | None = None)
         yield edges.domain(e)
 
 
-def verify_rigidity(
-    spec: GridSpec, k: int, lmax: int = 3, edges: _Edges | None = None
-) -> dict:
-    """Check e = (l-1)k/4 and mu >= 0 > 2 - l on every glued chain of
-    counted product domains with 3 <= l <= lmax ends.
+def verify_rigidity(spec: GridSpec, k: int, edges: _Edges | None = None) -> dict:
+    """Check e = 2k/4 and mu >= 0 > -1 on every glued chain of three
+    counted product domains, through ``_kernels.rigidity_scan``.
 
-    The outgoing end of the running composite attaches to either input
-    slot of the next product, so both association orders are scanned.
-    Chains of length three go through ``_kernels.rigidity_scan``; longer
-    chains (rarely requested) walk the gluing graph directly.  edges is
-    the gluing graph of (spec, k) when the caller has already built it.
+    The outgoing end of the first product attaches to either input slot
+    of the second, so both association orders are scanned.  edges is the
+    gluing graph of (spec, k) when the caller has already built it.
     """
-    if lmax < 3:
-        raise ValueError("composite chains need at least three ends")
     if edges is None:
         edges = _Edges(spec, k)
     report = {"checked": 0, "violations": [], "max_intersection": 0}
@@ -207,25 +201,4 @@ def verify_rigidity(
         report["max_intersection"] = max(report["max_intersection"], max_cross)
         if violations:
             report["violations"].append({"length": 3, "count": violations})
-    for length in range(4, lmax + 1):
-        stack = [(edges.prod[e], edges.domain(e)) for e in range(len(edges.prod))]
-        for _ in range(length - 3):
-            stack = [
-                (edges.prod[e], glue(dom, edges.domain(e)))
-                for out, dom in stack
-                for e in by_left.get(out, []) + by_right.get(out, [])
-            ]
-        for out, dom in stack:
-            for e in by_left.get(out, []) + by_right.get(out, []):
-                whole = glue(dom, edges.domain(e))
-                report["checked"] += 1
-                mu = whole.maslov()
-                report["max_intersection"] = max(
-                    report["max_intersection"], whole.diag_intersections
-                )
-                bad_euler = whole.euler_measure != Fraction((length - 1) * k, 4)
-                if bad_euler or mu < 0 or not mu > 2 - length:
-                    report["violations"].append(
-                        {"length": length, "mu": str(mu), "euler": str(whole.euler_measure)}
-                    )
     return report

@@ -491,7 +491,6 @@ class AlgebraTable:
         self.idem_gen: list[int] = [self.index[idempotent(s)] for s in idem_list]
         self.diff: tuple[tuple[int, ...], ...] = ()
         self.prod: dict[tuple[int, int], int] = {}
-        self._csr_cache = None
 
     # -- construction ------------------------------------------------------
 
@@ -595,20 +594,15 @@ class AlgebraTable:
         return self.prod.get((i, j))
 
     def as_csr(self):
-        """Arrays for the kernel layer: (tgt, off, items, keys, vals, n)."""
-        if self._csr_cache is None:
-            import numpy as np
-
-            n = len(self.gens)
-            tgt = np.asarray(self.tgt, dtype=np.int64)
-            counts = [len(lst) for lst in self.by_source]
-            off = np.zeros(len(counts) + 1, dtype=np.int64)
-            off[1:] = np.cumsum(counts)
-            items = np.asarray(
-                [i for lst in self.by_source for i in lst], dtype=np.int64
-            )
-            keyed = sorted((i * n + j, m) for (i, j), m in self.prod.items())
-            keys = np.asarray([kv[0] for kv in keyed], dtype=np.int64)
-            vals = np.asarray([kv[1] for kv in keyed], dtype=np.int64)
-            self._csr_cache = (tgt, off, items, keys, vals, n)
-        return self._csr_cache
+        """The row and column views of the product, (rows, cols): rows[i]
+        lists (j, m) and cols[j] lists (i, m) for every product
+        (i, j) -> m.  Built afresh on each call, with no cache, so they
+        always match ``prod``.  (The name is older than the views;
+        perfbench/traced.py looks it up.)
+        """
+        rows: dict[int, list[tuple[int, int]]] = {}
+        cols: dict[int, list[tuple[int, int]]] = {}
+        for (i, j), m in self.prod.items():
+            rows.setdefault(i, []).append((j, m))
+            cols.setdefault(j, []).append((i, m))
+        return rows, cols

@@ -149,25 +149,32 @@ def _composable_pairs(table: AlgebraTable, sample: int | None, seed: int):
         yield i, pool[rng.randrange(len(pool))]
 
 
+def _triple_json(table: AlgebraTable, i: int, j: int, l: int) -> dict:
+    return {
+        "a": _gen_json(table.gens[i]),
+        "b": _gen_json(table.gens[j]),
+        "c": _gen_json(table.gens[l]),
+    }
+
+
 def suite_assoc(table: AlgebraTable, sample: int | None = None, seed: int = 0) -> dict:
-    """(ab)c = a(bc).  Exhaustive runs go through the array kernel; the
-    sampled path draws composable triples from a seeded generator."""
+    """(ab)c = a(bc).  Exhaustive runs check every composable triple, but
+    visit only those with a nonzero side (``_kernels.assoc_scan``); the
+    rest hold trivially and are counted.  The sampled path draws
+    composable triples from a seeded generator."""
+    failures = _Failures()
     if sample is None:
-        tgt, off, items, keys, vals, n = table.as_csr()
-        checked, i, j, l = _kernels.assoc_scan(tgt, off, items, keys, vals, n)
-        failures = []
-        if i >= 0:
-            failures.append(
-                {
-                    "a": _gen_json(table.gens[i]),
-                    "b": _gen_json(table.gens[j]),
-                    "c": _gen_json(table.gens[l]),
-                }
-            )
-        return _result("assoc", int(checked), failures)
+        rows, cols = table.as_csr()
+        _, bad = _kernels.assoc_scan(table.prod, rows, cols, table.src, table.tgt)
+        for i, j, l in bad:
+            failures.add(_triple_json(table, i, j, l))
+        checked = sum(
+            len(table.by_target[table.src[j]]) * len(table.by_source[table.tgt[j]])
+            for j in range(len(table.gens))
+        )
+        return failures.result("assoc", checked)
     rng = random.Random(seed)
     n = len(table.gens)
-    failures = _Failures()
     for _ in range(sample):
         i = rng.randrange(n)
         pool = table.by_source[table.tgt[i]]
@@ -179,13 +186,7 @@ def suite_assoc(table: AlgebraTable, sample: int | None = None, seed: int = 0) -
         left = None if ij is None else table.prod.get((ij, l))
         right = None if jl is None else table.prod.get((i, jl))
         if left != right:
-            failures.add(
-                {
-                    "a": _gen_json(table.gens[i]),
-                    "b": _gen_json(table.gens[j]),
-                    "c": _gen_json(table.gens[l]),
-                }
-            )
+            failures.add(_triple_json(table, i, j, l))
     return failures.result("assoc", sample)
 
 
@@ -292,8 +293,8 @@ def suite_euler(spec: GridSpec, k: int, edges: index._Edges) -> dict:
     return failures.result("euler", checked)
 
 
-def suite_rigidity(spec: GridSpec, k: int, edges: index._Edges, lmax: int = 3) -> dict:
-    report = index.verify_rigidity(spec, k, lmax, edges)
+def suite_rigidity(spec: GridSpec, k: int, edges: index._Edges) -> dict:
+    report = index.verify_rigidity(spec, k, edges)
     result = _result("rigidity", report["checked"], report["violations"])
     result["max_intersection"] = report["max_intersection"]
     return result

@@ -3,6 +3,8 @@
 Algebra tables are pure functions of (g, k, variant), so tests share one
 cache across the whole session; the biggest table (g=3, k=3, full) takes
 several seconds to build and is needed by more than one module.
+``assoc_walk`` is the dense associativity oracle shared by the kernel
+and suite tests.
 
 Acceptance tests wrap their body in the ``criterion`` context manager,
 which records a pass/fail line (with wall time) whether or not the body
@@ -26,6 +28,27 @@ def build_table(g: int, k: int, variant: str = "full") -> AlgebraTable:
     if key not in _TABLES:
         _TABLES[key] = AlgebraTable.build(standard_matching(g), k, variant)
     return _TABLES[key]
+
+
+def assoc_walk(table: AlgebraTable) -> tuple[int, list[tuple[int, int, int]], int]:
+    """The dense associativity oracle: every composable triple (i, j, l)
+    by dict lookups.  Returns (triples, failing triples in order, nonzero
+    sides), where nonzero sides counts (ij)l and i(jl) separately."""
+    prod = table.prod
+    checked = sides = 0
+    bad = []
+    for i in range(len(table.gens)):
+        for j in table.by_source[table.tgt[i]]:
+            ij = prod.get((i, j))
+            for l in table.by_source[table.tgt[j]]:
+                checked += 1
+                jl = prod.get((j, l))
+                left = None if ij is None else prod.get((ij, l))
+                right = None if jl is None else prod.get((i, jl))
+                sides += (left is not None) + (right is not None)
+                if left != right:
+                    bad.append((i, j, l))
+    return checked, bad, sides
 
 
 @contextmanager

@@ -177,7 +177,7 @@ def test_criterion_07_index_suite():
                         assert dom.diag_intersections == 0
                         assert dom.euler_measure == Fraction(k, 4)
                         assert dom.maslov() == 0
-                    report = verify_rigidity(spec, k, lmax=3)
+                    report = verify_rigidity(spec, k)
                     assert report["violations"] == []
                     saw_chains += report["checked"]
                     saw_crossings = max(saw_crossings, report["max_intersection"])

@@ -183,10 +183,21 @@ def test_trace_harness_reaches_the_wrapped_kernels(tmp_path):
     assert proc.returncode == 0, proc.stderr
     calls = json.loads(trace_path.read_text(encoding="utf-8"))["calls"]
     for name in ("kernels.gf2_eliminate", "kernels.rigidity_scan",
-                 "kernels.assoc_scan", "grid.floer_product"):
+                 "kernels.assoc_scan", "strands.as_csr", "grid.floer_product"):
         assert calls.get(name, 0) > 0, name
     # yoneda builds one projective module per idempotent and reuses it
     # for every ordered pair.
     n_idem = len(idempotents(standard_matching(1), 1))
     assert calls["homalg.projective_module"] == n_idem
     assert calls["homalg.mor_complex"] == n_idem**2
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    # The package has no runtime dependencies; a stray numpy import would
+    # add its load time to every command.
+    repo = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(repo / "src"))
+    code = "import sys, strandfloer.cli; print('numpy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

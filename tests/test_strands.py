@@ -9,12 +9,12 @@ out here rather than taken from the library.
 
 from __future__ import annotations
 
+import copy
 import itertools
 
-import numpy as np
 import pytest
 
-from conftest import build_table
+from conftest import assoc_walk, build_table
 from strandfloer import _kernels, strands
 from strandfloer.circle import (
     idempotents,
@@ -40,6 +40,7 @@ from strandfloer.strands import (
     source_idempotent,
     target_idempotent,
 )
+from strandfloer.verify import suite_assoc
 
 
 def _pattern(i: int, j: int, variant: str) -> int:
@@ -268,39 +269,54 @@ def test_table_index_and_hom_lookups():
     assert tab.multiply(1, 1) is None
 
 
-def _assoc_walk(table, prod):
-    """(triples, violations) over every composable triple, by dict lookups."""
-    checked = bad = 0
-    for i in range(len(table.gens)):
-        for j in table.by_source[table.tgt[i]]:
-            ij = prod.get((i, j))
-            for l in table.by_source[table.tgt[j]]:
-                checked += 1
-                jl = prod.get((j, l))
-                left = None if ij is None else prod.get((ij, l))
-                right = None if jl is None else prod.get((i, jl))
-                bad += left != right
-    return checked, bad
+ASSOC_CASES = [
+    (standard_matching(g), k, variant)
+    for g in (1, 2)
+    for k in (1, 2)
+    for variant in ("full", "half")
+] + [(matching_from_pairs(2, ((1, 7), (2, 8), (3, 5), (4, 6))), 2, "full")]
+
+
+def _assoc_mutants(table):
+    """The clean product, a flipped entry on either side of an
+    idempotent, and one deleted product."""
+    yield "clean", table.prod
+    a = next((i for i in range(len(table.gens)) if table.src[i] != table.tgt[i]), None)
+    if a is not None:
+        # e_s a = a becomes e_s: then (e_s a) e_t = e_s e_t = 0 while
+        # e_s (a e_t) = e_s.  Its source stays s, its target does not.
+        e = table.idem_gen[table.src[a]]
+        yield "flipped-left", {**table.prod, (e, a): e}
+        # a e_t = a becomes e_t, which moves the source instead.
+        e = table.idem_gen[table.tgt[a]]
+        yield "flipped-right", {**table.prod, (a, e): e}
+    idem = set(table.idem_gen)
+    plain = [ij for ij in table.prod if not idem & set(ij)]
+    if plain:
+        prod = dict(table.prod)
+        del prod[min(plain)]
+        yield "deleted", prod
 
 
 def test_assoc_scan_matches_python_walk():
-    table = build_table(2, 2, "full")
-    tgt, off, items, keys, vals, n = table.as_csr()
-    triples, bad = _assoc_walk(table, table.prod)
-    assert bad == 0
-    assert _kernels.assoc_scan(tgt, off, items, keys, vals, n) == (triples, -1, -1, -1)
-    # Corrupt e_s * a = a into e_s for some a from s to t != s: then
-    # (e_s a) e_t = e_s e_t = 0 while e_s (a e_t) = e_s.
-    a = next(i for i in range(n) if table.src[i] != table.tgt[i])
-    e = table.idem_gen[table.src[a]]
-    corrupt = vals.copy()
-    corrupt[np.searchsorted(keys, e * n + a)] = e
-    _, i, j, l = _kernels.assoc_scan(tgt, off, items, keys, corrupt, n)
-    assert i >= 0
-    prod = dict(table.prod)
-    prod[(e, a)] = e
-    ij, jl = prod.get((i, j)), prod.get((j, l))
-    assert prod.get((ij, l)) != (None if jl is None else prod.get((i, jl)))
+    failing = {}
+    for pmc, k, variant in ASSOC_CASES:
+        table = copy.copy(AlgebraTable.build(pmc, k, variant))
+        for name, prod in _assoc_mutants(table):
+            table.prod = prod
+            checked, bad, sides = assoc_walk(table)
+            rows, cols = table.as_csr()
+            visits, got = _kernels.assoc_scan(prod, rows, cols, table.src, table.tgt)
+            assert got == bad, (pmc.g, k, variant, name)
+            if name == "clean":
+                # Each nonzero side is reached once, by the row or the column pass.
+                assert visits == sides
+            report = suite_assoc(table)
+            assert report["checked"] == checked
+            assert report.get("failed", 0) == len(bad)
+            failing[name] = failing.get(name, 0) + len(bad)
+    assert failing.pop("clean") == 0
+    assert all(failing.values()), failing
 
 
 # -- the matched product builder against the section route --------------------

@@ -6,7 +6,7 @@ import copy
 
 import pytest
 
-from conftest import build_table
+from conftest import assoc_walk, build_table
 from strandfloer import index, verify
 from strandfloer.circle import matching_from_pairs, standard_matching
 from strandfloer.verify import (
@@ -148,6 +148,23 @@ def test_leibniz_counts_every_failure_of_a_flipped_product():
     assert report["checked"] == pairs
     assert report["failed"] == _leibniz_failures(tab) > 1
     assert len(report["failures"]) == report["failed"]
+
+
+def test_assoc_counts_every_failure_of_a_flipped_product():
+    tab = copy.copy(build_table(2, 2, "full"))
+    a = next(i for i in range(len(tab.gens)) if tab.src[i] != tab.tgt[i])
+    e = tab.idem_gen[tab.src[a]]
+    tab.prod = {**tab.prod, (e, a): e}
+    checked, bad, _ = assoc_walk(tab)
+    report = suite_assoc(tab)
+    assert report["checked"] == checked == 449338
+    assert report["failed"] == len(bad) == 48
+    # The first examples in (i, j, l) order.
+    assert report["failures"] == [
+        {"a": verify._gen_json(tab.gens[i]), "b": verify._gen_json(tab.gens[j]),
+         "c": verify._gen_json(tab.gens[l])}
+        for i, j, l in bad[: verify.MAX_EXAMPLES]
+    ]
 
 
 def test_failing_suite_keeps_five_examples_and_counts_all(monkeypatch):
