@@ -34,7 +34,6 @@ class RunConfig:
     k: int
     variant: str
     pmc: PointedMatchedCircle
-    command: str
     out: str | None
     seed: int
     suites: list[str] | None = None
@@ -103,7 +102,6 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         k=k,
         variant=args.variant,
         pmc=pmc,
-        command=args.command,
         out=args.out,
         seed=args.seed,
         suites=suites,

@@ -32,46 +32,6 @@ class BooleanMatrix:
         self.rows = tuple(rows)
         self._rank: int | None = None
 
-    @classmethod
-    def zero(cls, nrows: int, ncols: int) -> "BooleanMatrix":
-        return cls(nrows, ncols, [0] * nrows)
-
-    @classmethod
-    def identity(cls, n: int) -> "BooleanMatrix":
-        return cls(n, n, [1 << i for i in range(n)])
-
-    @classmethod
-    def from_entries(cls, nrows: int, ncols: int, entries) -> "BooleanMatrix":
-        rows = [0] * nrows
-        for i, j in entries:
-            rows[i] ^= 1 << j
-        return cls(nrows, ncols, rows)
-
-    def entry(self, i: int, j: int) -> int:
-        return (self.rows[i] >> j) & 1
-
-    def row_support(self, i: int) -> list[int]:
-        bits = self.rows[i]
-        out = []
-        j = 0
-        while bits:
-            if bits & 1:
-                out.append(j)
-            bits >>= 1
-            j += 1
-        return out
-
-    def transpose(self) -> "BooleanMatrix":
-        cols = [0] * self.ncols
-        for i, bits in enumerate(self.rows):
-            j = 0
-            while bits:
-                if bits & 1:
-                    cols[j] |= 1 << i
-                bits >>= 1
-                j += 1
-        return BooleanMatrix(self.ncols, self.nrows, cols)
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, BooleanMatrix)
@@ -98,25 +58,6 @@ class BooleanMatrix:
                 j += 1
             out.append(acc)
         return BooleanMatrix(self.nrows, other.ncols, out)
-
-    def __add__(self, other: "BooleanMatrix") -> "BooleanMatrix":
-        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
-            raise ValueError("shape mismatch")
-        return BooleanMatrix(self.nrows, self.ncols, [a ^ b for a, b in zip(self.rows, other.rows)])
-
-    def is_zero(self) -> bool:
-        return not any(self.rows)
-
-    def apply(self, vector: int) -> int:
-        """Image of a row vector (bitmask over nrows) under the matrix."""
-        acc = 0
-        i = 0
-        while vector:
-            if vector & 1:
-                acc ^= self.rows[i]
-            vector >>= 1
-            i += 1
-        return acc
 
     def rank(self) -> int:
         if self._rank is None:

@@ -17,8 +17,8 @@ written once as a short sequence of unknown ids.  The solver is generic
 sparse GF(2) reduction: weight-one rows zero a variable, weight-two rows
 identify two variables, and whatever remains goes through packed
 elimination.  Nothing here assumes the modules are projective; the
-yoneda_check comparison against e_t A e_s is meaningful precisely
-because the two sides are computed by unrelated routes.
+yoneda comparison against e_t A e_s is meaningful precisely because the
+two sides are computed by unrelated routes.
 
 Unknowns are allocated for the in-block matrix entries only (row and
 column carrying the same idempotent block): the action rows of the

@@ -136,7 +136,9 @@ def counted_rectangle_domains(spec: GridSpec, k: int):
 
 
 class _Edges:
-    """Every counted product of a diagram, as a gluing graph.
+    """Every counted product of a diagram, as a gluing graph.  It is the
+    one grid product table of a verify run: dictionary-prod, euler and
+    rigidity all read it.
 
     An edge is a composable pair (x, y) whose product is nonzero: the
     triangle tuple exists and has no forbidden overlap.  Its product
@@ -170,25 +172,19 @@ class _Edges:
         return product_domain(self.spec, self.tris[e])
 
 
-def counted_product_domains(spec: GridSpec, k: int, edges: _Edges | None = None):
-    """One Domain per counted product; edges is the gluing graph of
-    (spec, k) when the caller has already built it."""
-    if edges is None:
-        edges = _Edges(spec, k)
+def counted_product_domains(edges: _Edges):
+    """One Domain per counted product: per edge of the gluing graph."""
     for e in range(len(edges.prod)):
         yield edges.domain(e)
 
 
-def verify_rigidity(spec: GridSpec, k: int, edges: _Edges | None = None) -> dict:
+def verify_rigidity(edges: _Edges) -> dict:
     """Check e = 2k/4 and mu >= 0 > -1 on every glued chain of three
     counted product domains, through ``_kernels.rigidity_scan``.
 
     The outgoing end of the first product attaches to either input slot
-    of the second, so both association orders are scanned.  edges is the
-    gluing graph of (spec, k) when the caller has already built it.
+    of the second, so both association orders are scanned.
     """
-    if edges is None:
-        edges = _Edges(spec, k)
     report = {"checked": 0, "violations": [], "max_intersection": 0}
     by_left: dict[int, list[int]] = {}
     by_right: dict[int, list[int]] = {}

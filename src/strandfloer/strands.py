@@ -174,10 +174,8 @@ def enumerate_generators(
     pmc: PointedMatchedCircle,
     k: int,
     variant: str = "full",
-    source: Idempotent | None = None,
-    target: Idempotent | None = None,
 ) -> list[MatchedGenerator]:
-    """All k-item generators, optionally restricted to hom(source, target).
+    """All k-item generators.
 
     Enumerates chord subsets with pairwise-distinct start and end labels,
     then fills the remaining slots with dotted labels untouched by any
@@ -187,39 +185,22 @@ def enumerate_generators(
         raise ValueError(f"variant must be one of {VARIANTS}")
     if not 0 <= k <= 2 * pmc.g:
         raise ValueError(f"k must lie in 0..{2 * pmc.g}, got {k}")
-    if source is not None and len(set(source)) != k:
-        raise ValueError("source must be a k-subset of pair labels")
-    if target is not None and len(set(target)) != k:
-        raise ValueError("target must be a k-subset of pair labels")
     labels = _label_array(pmc)
     n = pmc.n_points
-    src_filter = frozenset(source) if source is not None else None
-    tgt_filter = frozenset(target) if target is not None else None
 
     chords = []
     for a in range(1, n + 1):
         for b in range(a + 1, n + 1):
             if variant == "half" and pmc.crosses_split(a, b):
                 continue
-            la, lb = labels[a - 1], labels[b - 1]
-            if src_filter is not None and la not in src_filter:
-                continue
-            if tgt_filter is not None and lb not in tgt_filter:
-                continue
-            chords.append((a, b, la, lb))
+            chords.append((a, b, labels[a - 1], labels[b - 1]))
 
     out: list[MatchedGenerator] = []
     chosen: list[tuple[int, int]] = []
 
     def fill_dotted(src_mask: int, tgt_mask: int) -> None:
         used = src_mask | tgt_mask
-        free = [
-            p
-            for p in range(1, 2 * pmc.g + 1)
-            if not (used >> p) & 1
-            and (src_filter is None or p in src_filter)
-            and (tgt_filter is None or p in tgt_filter)
-        ]
+        free = [p for p in range(1, 2 * pmc.g + 1) if not (used >> p) & 1]
         need = k - len(chosen)
         chord_part = tuple(chosen)
         for dotted in itertools.combinations(free, need):

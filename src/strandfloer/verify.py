@@ -21,9 +21,10 @@ from fractions import Fraction
 from . import _kernels, homalg, index
 from .circle import PointedMatchedCircle, standard_matching
 from .grid import (
+    FloerGenerator,
     GridSpec,
     floer_differential,
-    floer_product,
+    floer_product,  # unused here; perfbench/traced.py wraps verify.floer_product by name
     from_algebra,
     intersection_pattern,
     make_spec,
@@ -230,39 +231,70 @@ def grid_spec(g: int, variant: str) -> GridSpec:
     return make_spec(g, "half" if variant == "half" else "wrapped")
 
 
+def _placed(table: AlgebraTable, spec: GridSpec, x: FloerGenerator) -> int | None:
+    """The table index of grid generator x under the dictionary, or None
+    when the dictionary cannot place it in the table."""
+    try:
+        return table.index.get(to_algebra(spec, x))
+    except ValueError:
+        return None
+
+
+def _points_json(x: FloerGenerator) -> list:
+    return [list(p) for p in x]
+
+
 def suite_dictionary_diff(table: AlgebraTable) -> dict:
     """Empty-rectangle counts match the strands differential generator by
-    generator under the dictionary, both directions of the translation."""
+    generator under the dictionary, both directions of the translation.
+    A generator or differential term the dictionary cannot place back in
+    the table is a failure."""
     spec = grid_spec(table.pmc.g, table.variant)
     failures = _Failures()
     for i, gen in enumerate(table.gens):
         x = from_algebra(spec, gen)
-        assert to_algebra(spec, x) == gen
-        got = sorted(table.index[to_algebra(spec, y)] for y in floer_differential(spec, x))
-        if got != sorted(table.diff[i]):
+        got = [_placed(table, spec, y) for y in floer_differential(spec, x)]
+        if _placed(table, spec, x) != i or None in got or sorted(got) != sorted(table.diff[i]):
             failures.add({"generator": _gen_json(gen)})
     return failures.result("dictionary-diff", len(table.gens))
 
 
-def suite_dictionary_prod(table: AlgebraTable) -> dict:
-    """Triangle counts match the concatenation product pair by pair."""
-    spec = grid_spec(table.pmc.g, table.variant)
-    points = [from_algebra(spec, gen) for gen in table.gens]
+def suite_dictionary_prod(table: AlgebraTable, edges: index._Edges) -> dict:
+    """Triangle counts match the concatenation product pair by pair.
+
+    The grid products are the edges of the gluing graph, each grid
+    generator translated to the algebra once.  Every composable algebra
+    pair is checked, zero products included; a grid generator the
+    dictionary cannot place, and an edge that no composable pair
+    reaches, are failures too.
+    """
+    spec = edges.spec
     failures = _Failures()
+    alg = [_placed(table, spec, x) for x in edges.gens]
+    for x, i in zip(edges.gens, alg):
+        if i is None:
+            failures.add({"grid": _points_json(x)})
+    grid_of = {i: x for x, i in enumerate(alg)}
+    unseen = {(x, y): e for e, (x, y) in enumerate(zip(edges.left, edges.right))}
     checked = 0
     for u in range(len(table.idem_list)):
         for i in table.by_target[u]:
             for j in table.by_source[u]:
                 checked += 1
-                got = [
-                    table.index[to_algebra(spec, z)]
-                    for z in floer_product(spec, points[i], points[j])
-                ]
+                e = unseen.pop((grid_of.get(i), grid_of.get(j)), None)
+                got = [] if e is None else [alg[edges.prod[e]]]
                 want = table.prod.get((i, j))
                 if got != ([] if want is None else [want]):
                     failures.add(
                         {"left": _gen_json(table.gens[i]), "right": _gen_json(table.gens[j])}
                     )
+    for e in unseen.values():
+        failures.add(
+            {
+                "grid_left": _points_json(edges.gens[edges.left[e]]),
+                "grid_right": _points_json(edges.gens[edges.right[e]]),
+            }
+        )
     return failures.result("dictionary-prod", checked)
 
 
@@ -275,7 +307,7 @@ def suite_euler(spec: GridSpec, k: int, edges: index._Edges) -> dict:
         checked += 1
         if dom.euler_measure != 0 or dom.diag_intersections != 0:
             failures.add({"kind": "rectangle", "e": str(dom.euler_measure)})
-    for dom in index.counted_product_domains(spec, k, edges):
+    for dom in index.counted_product_domains(edges):
         checked += 1
         if (
             dom.euler_measure != Fraction(k, 4)
@@ -293,8 +325,8 @@ def suite_euler(spec: GridSpec, k: int, edges: index._Edges) -> dict:
     return failures.result("euler", checked)
 
 
-def suite_rigidity(spec: GridSpec, k: int, edges: index._Edges) -> dict:
-    report = index.verify_rigidity(spec, k, edges)
+def suite_rigidity(edges: index._Edges) -> dict:
+    report = index.verify_rigidity(edges)
     result = _result("rigidity", report["checked"], report["violations"])
     result["max_intersection"] = report["max_intersection"]
     return result
@@ -387,7 +419,7 @@ def run_suites(
 ) -> dict:
     """Build once, run the requested suites, report one dict per suite.
     The algebra table is built once for all suites, and the grid's gluing
-    graph once for euler and rigidity.
+    graph once for dictionary-prod, euler and rigidity.
 
     The overall report is {"suites": [...], "ok": bool, "skipped": [...]}.
     Grid-dependent suites require the standard matching and are skipped
@@ -403,7 +435,7 @@ def run_suites(
 
     results = []
     skipped = []
-    edges = None  # the gluing graph, built once for euler and rigidity
+    edges = None  # the gluing graph, built once for dictionary-prod, euler and rigidity
     for name in chosen:
         if name in GRID_SUITES and not is_standard:
             skipped.append({"name": name, "reason": "custom matching has no grid model"})
@@ -424,13 +456,14 @@ def run_suites(
         elif name == "dictionary-diff":
             results.append(suite_dictionary_diff(table))
         elif name == "dictionary-prod":
-            results.append(suite_dictionary_prod(table))
+            edges = edges or index._Edges(spec, k)
+            results.append(suite_dictionary_prod(table, edges))
         elif name == "euler":
             edges = edges or index._Edges(spec, k)
             results.append(suite_euler(spec, k, edges))
         elif name == "rigidity":
             edges = edges or index._Edges(spec, k)
-            results.append(suite_rigidity(spec, k, edges))
+            results.append(suite_rigidity(edges))
         elif name == "yoneda":
             results.append(suite_yoneda(table))
     ok = all(not r["failures"] for r in results)

@@ -34,6 +34,7 @@ from strandfloer.grid import (
 )
 from strandfloer.homalg import yoneda_ranks
 from strandfloer.index import (
+    _Edges,
     counted_product_domains,
     counted_rectangle_domains,
     verify_rigidity,
@@ -173,11 +174,12 @@ def test_criterion_07_index_suite():
                     for dom in counted_rectangle_domains(spec, k):
                         assert dom.euler_measure == 0
                         assert dom.diag_intersections == 0
-                    for dom in counted_product_domains(spec, k):
+                    edges = _Edges(spec, k)
+                    for dom in counted_product_domains(edges):
                         assert dom.diag_intersections == 0
                         assert dom.euler_measure == Fraction(k, 4)
                         assert dom.maslov() == 0
-                    report = verify_rigidity(spec, k)
+                    report = verify_rigidity(edges)
                     assert report["violations"] == []
                     saw_chains += report["checked"]
                     saw_crossings = max(saw_crossings, report["max_intersection"])

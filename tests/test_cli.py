@@ -10,8 +10,10 @@ from pathlib import Path
 
 import pytest
 
+from strandfloer import verify
 from strandfloer.circle import idempotents, standard_matching
 from strandfloer.cli import ConfigError, build_config, main, make_parser
+from strandfloer.grid import all_floer_generators, make_spec, source_labels, target_labels
 
 NONSTANDARD_G2 = '{"g": 2, "pairs": [[1, 3], [2, 4], [5, 7], [6, 8]]}'
 
@@ -153,6 +155,25 @@ def test_invalid_inputs_exit_two(tmp_path, capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("wrong", [(1, 3), (2, 1)])
+def test_verify_counts_translation_faults(tmp_path, monkeypatch, wrong):
+    # One grid point translated wrongly: onto a cell that takes its
+    # generator outside the table, or onto a cell the dictionary rejects.
+    real = verify.to_algebra
+
+    def faulty(spec, x):
+        return real(spec, tuple(sorted(wrong if p == (1, 2) else p for p in x)))
+
+    monkeypatch.setattr(verify, "to_algebra", faulty)
+    code, text = _run(
+        tmp_path, "verify", "-g", "1", "--k", "2", "--suites", "dictionary-diff,dictionary-prod"
+    )
+    assert code == 1
+    suites = json.loads(text)["suites"]
+    assert [s["name"] for s in suites] == ["dictionary-diff", "dictionary-prod"]
+    assert all(s["failed"] >= 1 for s in suites)
+
+
 def test_unwritable_output_exits_two(tmp_path):
     target = tmp_path / "missing" / "out.json"
     assert main(["build", "-g", "1", "--out", str(target)]) == 2
@@ -185,6 +206,14 @@ def test_trace_harness_reaches_the_wrapped_kernels(tmp_path):
     for name in ("kernels.gf2_eliminate", "kernels.rigidity_scan",
                  "kernels.assoc_scan", "strands.as_csr", "grid.floer_product"):
         assert calls.get(name, 0) > 0, name
+    # The gluing graph is the one place verify counts triangles: once per
+    # label-composable grid pair.
+    spec = make_spec(1, "wrapped")
+    gens = all_floer_generators(spec, 1)
+    composable = sum(
+        target_labels(spec, x) == source_labels(spec, y) for x in gens for y in gens
+    )
+    assert calls["grid.floer_product"] == composable
     # yoneda builds one projective module per idempotent and reuses it
     # for every ordered pair.
     n_idem = len(idempotents(standard_matching(1), 1))

@@ -54,7 +54,7 @@ def test_chain_complex_rejects_bad_differentials():
 
 
 def test_homology_rank_small_cases():
-    zero = ChainComplex(("a", "b", "c"), BooleanMatrix.zero(3, 3))
+    zero = ChainComplex(("a", "b", "c"), BooleanMatrix(3, 3, [0, 0, 0]))
     assert zero.homology_rank() == 3
     pair = ChainComplex(("a", "b"), BooleanMatrix(2, 2, [0b10, 0]))
     assert pair.homology_rank() == 0

@@ -102,7 +102,7 @@ def test_counted_rectangles_are_flat():
 
 
 def test_counted_products_have_index_zero():
-    doms = list(counted_product_domains(W1, 1))
+    doms = list(counted_product_domains(_Edges(W1, 1)))
     assert len(doms) == 18  # one per nonzero product of the g=1, k=1 algebra
     for dom in doms:
         assert dom.euler_measure == Fraction(1, 4)
@@ -111,13 +111,13 @@ def test_counted_products_have_index_zero():
 
 
 def test_rigidity_scan_small():
-    report = verify_rigidity(W1, 1)
+    report = verify_rigidity(_Edges(W1, 1))
     assert report["violations"] == []
     assert report["checked"] > 0
 
 
 def test_rigidity_scan_frozen_counts():
-    report = verify_rigidity(W2, 2)
+    report = verify_rigidity(_Edges(W2, 2))
     assert report["violations"] == []
     assert report["checked"] == 26906  # 13453 chains per association order
     assert report["max_intersection"] >= 1  # nonvacuous: crossings do occur
@@ -139,6 +139,6 @@ def test_rigidity_scan_matches_glued_domains():
             # The scan over this one chain alone crosses exactly its pairs.
             alone = _kernels.rigidity_scan([0, -1], [edges.tris[e1], edges.tris[e2]], {0: [1]})
             assert alone == (1, 0, whole.diag_intersections)
-    report = verify_rigidity(W2, 2)
+    report = verify_rigidity(edges)
     assert (report["checked"], report["max_intersection"]) == (checked, max_intersection)
     assert checked == 26906

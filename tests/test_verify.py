@@ -7,7 +7,7 @@ import copy
 import pytest
 
 from conftest import assoc_walk, build_table
-from strandfloer import index, verify
+from strandfloer import grid, index, verify
 from strandfloer.circle import matching_from_pairs, standard_matching
 from strandfloer.verify import (
     GRID_SUITES,
@@ -170,11 +170,51 @@ def test_assoc_counts_every_failure_of_a_flipped_product():
 def test_failing_suite_keeps_five_examples_and_counts_all(monkeypatch):
     # With the grid product always zero, every nonzero algebra product fails.
     tab = build_table(1, 1, "full")
-    monkeypatch.setattr(verify, "floer_product", lambda spec, x, y: [])
-    report = suite_dictionary_prod(tab)
+    monkeypatch.setattr(index, "floer_product", lambda spec, x, y: [])
+    report = suite_dictionary_prod(tab, index._Edges(verify.grid_spec(1, "full"), 1))
     assert report["checked"] == sum(len(t) * len(s) for t, s in zip(tab.by_target, tab.by_source))
     assert report["failed"] == len(tab.prod) > 5
     assert len(report["failures"]) == 5
+
+
+def _drop_edge(tab, edges):
+    edges.left, edges.right, edges.prod = edges.left[1:], edges.right[1:], edges.prod[1:]
+    return tab, edges
+
+
+def _flip_product(tab, edges):
+    tab = copy.copy(tab)
+    a = next(i for i in range(len(tab.gens)) if tab.src[i] != tab.tgt[i])
+    e = tab.idem_gen[tab.src[a]]
+    tab.prod = {**tab.prod, (e, a): e}
+    return tab, edges
+
+
+def _add_edge_the_algebra_does_not_compose(tab, edges):
+    # The edge (x, x), where x's target labels differ from its source
+    # labels: no composable algebra pair reaches it.
+    spec = edges.spec
+    x = next(
+        x for x, gen in enumerate(edges.gens)
+        if grid.source_labels(spec, gen) != grid.target_labels(spec, gen)
+    )
+    edges.left, edges.right, edges.prod = edges.left + [x], edges.right + [x], edges.prod + [x]
+    return tab, edges
+
+
+@pytest.mark.parametrize(
+    "mutant", [_drop_edge, _flip_product, _add_edge_the_algebra_does_not_compose]
+)
+def test_dictionary_prod_counts_each_seeded_defect_once(mutant):
+    tab = build_table(2, 2, "full")
+    pairs = sum(len(t) * len(s) for t, s in zip(tab.by_target, tab.by_source))
+    edges = index._Edges(verify.grid_spec(2, "full"), 2)
+    assert suite_dictionary_prod(tab, edges) == {
+        "name": "dictionary-prod", "checked": pairs, "failures": []
+    }
+    report = suite_dictionary_prod(*mutant(tab, copy.copy(edges)))
+    assert report["checked"] == pairs
+    assert report["failed"] == 1
 
 
 @pytest.mark.parametrize("g, k, failed", [(1, 1, 1), (2, 1, 4), (2, 2, 5)])
@@ -201,7 +241,9 @@ def test_run_suites_builds_the_gluing_graph_once(monkeypatch):
         return real(spec, k)
 
     monkeypatch.setattr(index, "_Edges", counted)
-    report = run_suites(standard_matching(1), 1, "full", suites=["euler", "rigidity"])
+    report = run_suites(
+        standard_matching(1), 1, "full", suites=["dictionary-prod", "euler", "rigidity"]
+    )
     assert report["ok"]
     assert all(r["checked"] > 0 for r in report["suites"])
     assert built == [1]
