@@ -335,7 +335,15 @@ def suite_rigidity(edges: index._Edges) -> dict:
 def suite_yoneda(table: AlgebraTable) -> dict:
     """H*Mor(e_s A, e_t A) = H*(e_t A e_s) for every ordered pair of
     idempotents, with one projective module built per idempotent.  A
-    morphism complex that cannot be formed counts as a failure."""
+    morphism complex that cannot be formed counts as a failure.
+
+    Each Mor is solved from the linearity rows of a generating set: the
+    indecomposable generators, plus every decomposable c = a.b whose
+    identity x.c = (x.a).b fails on some basis x of either module.  That
+    identity is checked per module, so on a corrupt table a projective
+    that is not associative writes the rows it needs and the solution is
+    the one every generator's rows give.  The table-level associativity
+    check is still `assoc`."""
     modules = [homalg.projective_module(table, s) for s in table.idem_list]
     failures = _Failures()
     checked = 0

@@ -7,18 +7,23 @@ homology ranks must be additive there.
 
 from __future__ import annotations
 
+import copy
+import functools
 from collections import Counter
 
 import pytest
 
 from conftest import build_table
+from strandfloer import homalg
 from strandfloer.circle import matching_from_pairs
 from strandfloer.gf2 import BooleanMatrix
 from strandfloer.homalg import (
     ChainComplex,
     RightDGModule,
+    _factorizations,
     _linearity_rows,
     _LinearSystem,
+    _unknown_layout,
     hom_complex,
     mor_complex,
     projective_module,
@@ -225,7 +230,7 @@ def _solution(rows, n: int):
 def _assert_rows_match_oracle(M: RightDGModule, N: RightDGModule) -> None:
     want = _oracle_rows(M, N)
     got = []
-    for row in _linearity_rows(M, N):
+    for row in _linearity_rows(M, N, _unknown_layout(M, N), every_generator=True):
         ids = frozenset(row)
         if len(ids) < len(row):
             ids = frozenset(u for u in row if row.count(u) % 2)
@@ -233,6 +238,30 @@ def _assert_rows_match_oracle(M: RightDGModule, N: RightDGModule) -> None:
     assert Counter(r for r in got if r) == Counter(r for r in want if r)
     n = sum(1 for x in range(M.dim) for y in range(N.dim) if M.blocks[x] == N.blocks[y])
     assert _solution(got, n) == _solution(want, n)
+
+
+def _mor_outcome(M: RightDGModule, N: RightDGModule, every_generator=False):
+    """mor_complex's (dimension, homology rank), or its ValueError text,
+    from the rows of M.explicit | N.explicit or from every generator's."""
+    with pytest.MonkeyPatch.context() as mp:
+        if every_generator:
+            mp.setattr(
+                homalg,
+                "_linearity_rows",
+                functools.partial(_linearity_rows, every_generator=True),
+            )
+        try:
+            mc = mor_complex(M, N)
+        except ValueError as err:
+            return str(err)
+    return mc.dim, mc.homology_rank()
+
+
+def _assert_mor_matches_oracle(M: RightDGModule, N: RightDGModule):
+    """The reduced row set solves to what every generator's rows give."""
+    want = _mor_outcome(M, N, every_generator=True)
+    assert _mor_outcome(M, N) == want
+    return want
 
 
 def _rebased(mod: RightDGModule, x0: int, x1: int) -> RightDGModule:
@@ -271,14 +300,21 @@ def test_linearity_rows_match_oracle_on_projectives(variant):
     tables = [build_table(g, k, variant) for g in (1, 2) for k in range(0, 2 * g + 1)]
     custom = matching_from_pairs(2, ((1, 7), (2, 8), (3, 5), (4, 6)))
     tables += [AlgebraTable.build(custom, k, variant) for k in range(0, 5)]
+    custom3 = matching_from_pairs(3, ((1, 11), (2, 9), (3, 10), (4, 7), (5, 12), (6, 8)))
+    tables += [AlgebraTable.build(custom3, k, variant) for k in range(0, 3)]
     for tab in tables:
-        # At k >= 3 a g=2 table has 1.2M-3.3M rows over all pairs, minutes
-        # for the oracle's set arithmetic; every 16th generator is seconds.
-        keep = set(range(0, len(tab.gens), 1 if tab.k <= 2 else 16))
-        mods = [_restricted(projective_module(tab, s), keep) for s in tab.idem_list]
+        clean = [projective_module(tab, s) for s in tab.idem_list]
+        # At k >= 3 a g=2 table (and at k=2 a g=3 one) has 1.2M-6.6M rows
+        # over all pairs, minutes for the oracle's set arithmetic; every
+        # 16th generator is seconds.
+        keep = set(range(0, len(tab.gens), 1 if tab.k <= 2 and tab.pmc.g <= 2 else 16))
+        mods = [_restricted(P, keep) for P in clean]
         for M in mods:
             for N in mods:
                 _assert_rows_match_oracle(M, N)
+        for M in clean:
+            for N in clean:
+                _assert_mor_matches_oracle(M, N)
 
 
 def test_linearity_rows_match_oracle_on_sums_and_hand_built_modules():
@@ -312,3 +348,89 @@ def test_linearity_rows_match_oracle_on_sums_and_hand_built_modules():
     assert verify_module_axioms(W)
     for M, N in ((P, W), (W, P), (W, W)):
         _assert_rows_match_oracle(M, N)
+
+    # Without most actions the factorization identities fail, so many
+    # decomposable generators join the explicit sets.
+    thin = _restricted(P, set(range(0, len(tab.gens), 3)))
+    assert len(thin.explicit) > len(P.explicit)
+    pairs = ((S, P), (Q, S), (S, S), (R, P), (P, R), (W, P), (P, W))
+    for M, N in pairs + ((thin, Q), (Q, thin), (thin, thin)):
+        _assert_mor_matches_oracle(M, N)
+
+
+# -- the generating set --------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "g, k, variant, size", [(2, 2, "full", 20), (3, 2, "full", 54), (3, 3, "half", 90)]
+)
+def test_explicit_set_of_a_clean_projective_is_the_indecomposables(g, k, variant, size):
+    tab = build_table(g, k, variant)
+    idem = set(tab.idem_gen)
+    length = [sum(end - start for start, end in gen.chords) for gen in tab.gens]
+    factor = _factorizations(tab)
+    for c, (a, b) in factor.items():
+        assert tab.prod[(a, b)] == c and not idem & {a, b}
+        assert max(length[a], length[b]) < length[c]
+    # Chord lengths add, so on a clean table every product of two
+    # non-idempotents is a usable factorization.
+    assert factor.keys() == {c for ab, c in tab.prod.items() if not idem & set(ab)}
+    indecomposable = set(range(len(tab.gens))) - idem - factor.keys()
+    assert len(indecomposable) == size
+    for s in tab.idem_list:
+        assert projective_module(tab, s).explicit == indecomposable
+
+
+def test_factorizations_skip_a_factor_no_shorter_than_its_product():
+    tab = copy.copy(build_table(2, 2, "full"))
+    idem = set(tab.idem_gen)
+    ways = Counter(c for ab, c in tab.prod.items() if not idem & set(ab))
+    c = min(c for c, n in ways.items() if n > 1)
+    first = _factorizations(tab)[c]
+    # Replacing prod gives a fresh pass.  The corrupt entry c.c = c, put
+    # first, would make c its own justification; the dropped one was the
+    # chosen factorization.
+    tab.prod = {(c, c): c, **{ab: m for ab, m in tab.prod.items() if ab != first}}
+    a, b = _factorizations(tab)[c]
+    assert tab.prod[(a, b)] == c and c not in (a, b)
+
+
+def test_reduced_rows_match_oracle_when_a_sole_factorization_is_dropped():
+    tab = copy.copy(build_table(2, 2, "full"))
+    idem = set(tab.idem_gen)
+    ways = Counter(c for ab, c in tab.prod.items() if not idem & set(ab))
+    c = min(c for c, n in ways.items() if n == 1)
+    tab.prod = {ab: m for ab, m in tab.prod.items() if m != c or idem & set(ab)}
+    assert c not in _factorizations(tab)
+    mods = [projective_module(tab, s) for s in tab.idem_list]
+    assert all(c in M.explicit for M in mods)
+    clean = [projective_module(build_table(2, 2, "full"), s) for s in tab.idem_list]
+    changed = 0
+    for M, M0 in zip(mods, clean):
+        for N, N0 in zip(mods, clean):
+            changed += _assert_mor_matches_oracle(M, N) != _mor_outcome(M0, N0)
+    assert changed  # the dropped product is visible to the solver
+
+
+def test_reduced_rows_match_oracle_when_a_module_breaks_one_factorization():
+    tab = build_table(2, 2, "full")
+    factor = _factorizations(tab)
+    mods = [projective_module(tab, s) for s in tab.idem_list]
+    P = mods[0]
+    # Drop one row x.c of a decomposable c that is no chosen factor:
+    # x.c = (x.a).b fails at x, on this module only, and no other
+    # identity reads c's action.
+    factors = {f for ab in factor.values() for f in ab}
+    c = min(c for c in factor if c in P.actions and c not in factors)
+    x = min(P.actions[c])
+    rows = {y: row for y, row in P.actions[c].items() if y != x}
+    M = RightDGModule(tab, P.complex, P.blocks, {**P.actions, c: rows})
+    assert c not in P.explicit and M.explicit == P.explicit | {c}
+    changed = 0
+    for N in mods:
+        for pair, clean in (((M, N), (P, N)), ((N, M), (N, P))):
+            got = _assert_mor_matches_oracle(*pair)
+            changed += got != _mor_outcome(*clean)
+    # The broken identity is visible to the solver: without c's rows, M
+    # would solve like P.
+    assert changed
