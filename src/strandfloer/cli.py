@@ -10,11 +10,10 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import itertools
 import json
 import sys
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Callable, Iterable, Iterator, Sequence
 
 from . import verify
 from .circle import (
@@ -23,7 +22,7 @@ from .circle import (
     standard_matching,
     validate_surface,
 )
-from .strands import AlgebraTable
+from .strands import AlgebraTable, SizeError
 
 SCHEMA = 1
 
@@ -125,49 +124,87 @@ def _meta(cfg: RunConfig) -> dict:
 
 
 def _emit(cfg: RunConfig, chunks: Iterable[str]):
-    """Write the chunks in batches, so that a large payload is never held
+    """Write the chunks one by one, so that a large output is never held
     as one string."""
     dest = open(cfg.out, "w", encoding="utf-8") if cfg.out else contextlib.nullcontext(sys.stdout)
     with dest as fh:
-        it = iter(chunks)
-        while batch := list(itertools.islice(it, 1 << 16)):
-            fh.write("".join(batch))
+        for chunk in chunks:
+            fh.write(chunk)
 
 
-def _json_chunks(payload) -> Iterable[str]:
-    """The text of json.dumps(payload, indent=2) + "\n", piece by piece."""
-    yield from json.JSONEncoder(indent=2).iterencode(payload)
-    yield "\n"
+# Items per chunk of a streamed list: about 1.5 MB of text for products.
+_BATCH = 1 << 15
+
+
+def _items(key: str, items: Sequence, fmt: Callable[..., str]) -> Iterator[str]:
+    """The member '  "key": [...]' of the top-level object, laid out as
+    json.dumps(..., indent=2) lays it out, with fmt(item) the text of each
+    item; the items are joined a batch at a time."""
+    if not items:
+        yield f'  "{key}": []'
+        return
+    yield f'  "{key}": [\n'
+    for lo in range(0, len(items), _BATCH):
+        yield (",\n" if lo else "") + ",\n".join([fmt(x) for x in items[lo : lo + _BATCH]])
+    yield "\n  ]"
+
+
+def _json_list(values, indent: str) -> str:
+    """The indent=2 layout of a list whose items are already text: ints,
+    or inner lists laid out for the next depth.  Items sit at the given
+    indent, the closing bracket two spaces left of it."""
+    if not values:
+        return "[]"
+    return "[\n" + ",\n".join(f"{indent}{v}" for v in values) + f"\n{indent[:-2]}]"
+
+
+def _build_text(cfg: RunConfig, table: AlgebraTable) -> Iterator[str]:
+    """The text of json.dumps(payload, indent=2) + "\n" for the build
+    payload, a section at a time, straight from the table."""
+    head = {
+        "schema": SCHEMA,
+        "meta": _meta(cfg),
+        "idempotents": [list(s) for s in table.idem_list],
+    }
+    yield json.dumps(head, indent=2)[:-2] + ",\n"
+
+    def generator(i: int) -> str:
+        gen = table.gens[i]
+        chords = [_json_list(c, "          ") for c in gen.chords]
+        return (
+            f'    {{\n      "chords": {_json_list(chords, "        ")},\n'
+            f'      "dotted": {_json_list(gen.dotted, "        ")},\n'
+            f'      "source": {table.src[i]},\n      "target": {table.tgt[i]}\n    }}'
+        )
+
+    yield from _items("generators", range(len(table.gens)), generator)
+    yield ",\n"
+    # A generator index as an item of a row: formatted once, not per row.
+    num = [f"      {i}" for i in range(len(table.gens))]
+    diff = [(i, j) for i, row in enumerate(table.diff) for j in sorted(row)]
+    yield from _items("differential", diff, lambda e: f"    [\n{num[e[0]]},\n{num[e[1]]}\n    ]")
+    yield ",\n"
+    prod = table.prod
+    yield from _items(
+        "product",
+        sorted(prod),
+        lambda e: f"    [\n{num[e[0]]},\n{num[e[1]]},\n{num[prod[e]]}\n    ]",
+    )
+    yield ",\n"
+    ids = table.idem_id
+    dims = sorted((ids[s], ids[t], d) for (s, t), d in table.dims_table().items())
+    yield from _items("dims", dims, lambda e: "    " + _json_list(e, "      "))
+    yield "\n}\n"
 
 
 def cmd_build(cfg: RunConfig) -> int:
     """Serialize the full algebra table.  Field order is fixed: meta,
     idempotents, generators, differential, product, dims; indices are
-    the lexicographic generator ranks."""
+    the lexicographic generator ranks.  The text is byte for byte that
+    of json.dumps(payload, indent=2) + "\n", streamed section by section
+    without building the payload."""
     table = AlgebraTable.build(cfg.pmc, cfg.k, cfg.variant)
-    ids = table.idem_id
-    dims = sorted([ids[s], ids[t], d] for (s, t), d in table.dims_table().items())
-    gens = [
-        {
-            "chords": [list(c) for c in gen.chords],
-            "dotted": list(gen.dotted),
-            "source": table.src[i],
-            "target": table.tgt[i],
-        }
-        for i, gen in enumerate(table.gens)
-    ]
-    diff = sorted([i, j] for i, row in enumerate(table.diff) for j in row)
-    prod = sorted([i, j, m] for (i, j), m in table.prod.items())
-    payload = {
-        "schema": SCHEMA,
-        "meta": _meta(cfg),
-        "idempotents": [list(s) for s in table.idem_list],
-        "generators": gens,
-        "differential": diff,
-        "product": prod,
-        "dims": dims,
-    }
-    _emit(cfg, _json_chunks(payload))
+    _emit(cfg, _build_text(cfg, table))
     return 0
 
 
@@ -182,7 +219,7 @@ def cmd_verify(cfg: RunConfig) -> int:
     )
     payload = {"schema": SCHEMA, "meta": _meta(cfg)}
     payload.update(report)
-    _emit(cfg, _json_chunks(payload))
+    _emit(cfg, [json.dumps(payload, indent=2) + "\n"])
     return 0 if report["ok"] else 1
 
 
@@ -246,7 +283,7 @@ def main(argv=None) -> int:
         return 2
     try:
         return args.fn(cfg)
-    except OSError as err:
+    except (OSError, SizeError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

@@ -322,7 +322,13 @@ def floer_product(spec: GridSpec, x: FloerGenerator, y: FloerGenerator) -> GF2Su
     The count is zero or a single generator: the pairing by labels is
     unique, so at most one tuple of triangles exists.
     """
-    tris = product_triangles(spec, x, y)
+    return count_triangles(spec, product_triangles(spec, x, y))
+
+
+def count_triangles(spec: GridSpec, tris: list[Triangle] | None) -> GF2Sum:
+    """The product counted by a triangle tuple from ``product_triangles``:
+    zero when there is none or two of its triangles overlap forbiddenly,
+    else the generator at the triangles' outgoing corners."""
     if tris is None:
         return GF2Sum.zero()
     for t1, t2 in itertools.combinations(tris, 2):

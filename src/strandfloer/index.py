@@ -27,7 +27,8 @@ from .grid import (
     Rectangle,
     Triangle,
     all_floer_generators,
-    floer_product,
+    count_triangles,
+    floer_product,  # unused here; perfbench/traced.py wraps index.floer_product by name
     overlap_class,
     product_triangles,
     source_labels,
@@ -158,15 +159,15 @@ class _Edges:
         self.tris: list[list[Triangle]] = []
         for i, x in enumerate(self.gens):
             for j in by_source.get(target_labels(spec, x), ()):
-                y = self.gens[j]
-                out = floer_product(spec, x, y)
+                tris = product_triangles(spec, x, self.gens[j])
+                out = count_triangles(spec, tris)
                 if not out:
                     continue
                 (z,) = out
                 self.left.append(i)
                 self.right.append(j)
                 self.prod.append(index[z])
-                self.tris.append(product_triangles(spec, x, y))
+                self.tris.append(tris)
 
     def domain(self, e: int) -> Domain:
         return product_domain(self.spec, self.tris[e])

@@ -10,9 +10,10 @@ from pathlib import Path
 
 import pytest
 
-from strandfloer import verify
+from strandfloer import strands, verify
 from strandfloer.circle import idempotents, standard_matching
-from strandfloer.cli import ConfigError, build_config, main, make_parser
+from strandfloer.cli import ConfigError, _meta, build_config, main, make_parser
+from strandfloer.strands import AlgebraTable
 from strandfloer.grid import all_floer_generators, make_spec, source_labels, target_labels
 
 NONSTANDARD_G2 = '{"g": 2, "pairs": [[1, 3], [2, 4], [5, 7], [6, 8]]}'
@@ -53,7 +54,7 @@ def test_build_output_is_byte_deterministic(tmp_path):
 
 
 def test_build_streams_the_same_bytes_to_file_and_stdout(tmp_path, capsys):
-    # g=2 k=3 encodes to more chunks than one write batch holds.
+    # g=2 k=3 is written in many chunks.
     out = tmp_path / "out.json"
     assert main(["build", "-g", "2", "--k", "3", "--out", str(out)]) == 0
     capsys.readouterr()
@@ -63,6 +64,61 @@ def test_build_streams_the_same_bytes_to_file_and_stdout(tmp_path, capsys):
     assert streamed == written
     text = written.decode("utf-8")
     assert text == json.dumps(json.loads(text), indent=2) + "\n"
+
+
+def _payload(argv):
+    """The build payload as dicts and sorted lists, for json.dumps."""
+    cfg = build_config(make_parser().parse_args(["build", *argv]))
+    table = AlgebraTable.build(cfg.pmc, cfg.k, cfg.variant)
+    ids = table.idem_id
+    return {
+        "schema": 1,
+        "meta": _meta(cfg),
+        "idempotents": [list(s) for s in table.idem_list],
+        "generators": [
+            {
+                "chords": [list(c) for c in gen.chords],
+                "dotted": list(gen.dotted),
+                "source": table.src[i],
+                "target": table.tgt[i],
+            }
+            for i, gen in enumerate(table.gens)
+        ],
+        "differential": sorted([i, j] for i, row in enumerate(table.diff) for j in row),
+        "product": sorted([i, j, m] for (i, j), m in table.prod.items()),
+        "dims": sorted([ids[s], ids[t], d] for (s, t), d in table.dims_table().items()),
+    }
+
+
+@pytest.mark.parametrize("argv", [
+    ["-g", "1", "--k", "0"],  # no chords, no dotted labels, no differential
+    ["-g", "1", "--k", "1", "--variant", "half"],
+    ["-g", "2", "--k", "2"],
+    ["-g", "2", "--k", "3", "--variant", "half"],
+    ["-g", "2", "--k", "2", "--matching", NONSTANDARD_G2],
+])
+def test_build_writes_the_bytes_of_json_dumps(capsys, argv):
+    assert main(["build", *argv]) == 0
+    out, err = capsys.readouterr()
+    assert out == json.dumps(_payload(argv), indent=2) + "\n"
+    assert err == ""
+
+
+def test_oversized_build_exits_two_before_building(monkeypatch, capsys):
+    table = AlgebraTable.build(standard_matching(2), 2)
+    pairs = sum(len(t) * len(s) for t, s in zip(table.by_target, table.by_source))
+
+    def unreachable(self):
+        raise AssertionError("the size check comes first")
+
+    monkeypatch.setattr(strands, "memory_budget", lambda: 1000)
+    monkeypatch.setattr(AlgebraTable, "_build_differential", unreachable)
+    assert main(["build", "-g", "2", "--k", "2"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error: g=2 k=2 full: ")
+    assert f"{len(table.gens):,} generators" in err
+    assert f"{pairs:,} composable pairs" in err
 
 
 def test_build_half_variant(tmp_path):
@@ -204,16 +260,16 @@ def test_trace_harness_reaches_the_wrapped_kernels(tmp_path):
     assert proc.returncode == 0, proc.stderr
     calls = json.loads(trace_path.read_text(encoding="utf-8"))["calls"]
     for name in ("kernels.gf2_eliminate", "kernels.rigidity_scan",
-                 "kernels.assoc_scan", "strands.as_csr", "grid.floer_product"):
+                 "kernels.assoc_scan", "strands.as_csr", "grid.product_triangles"):
         assert calls.get(name, 0) > 0, name
-    # The gluing graph is the one place verify counts triangles: once per
+    # The gluing graph is the one place verify pairs triangles: once per
     # label-composable grid pair.
     spec = make_spec(1, "wrapped")
     gens = all_floer_generators(spec, 1)
     composable = sum(
         target_labels(spec, x) == source_labels(spec, y) for x in gens for y in gens
     )
-    assert calls["grid.floer_product"] == composable
+    assert calls["grid.product_triangles"] == composable
     # yoneda builds one projective module per idempotent and reuses it
     # for every ordered pair.
     n_idem = len(idempotents(standard_matching(1), 1))

@@ -170,7 +170,7 @@ def test_assoc_counts_every_failure_of_a_flipped_product():
 def test_failing_suite_keeps_five_examples_and_counts_all(monkeypatch):
     # With the grid product always zero, every nonzero algebra product fails.
     tab = build_table(1, 1, "full")
-    monkeypatch.setattr(index, "floer_product", lambda spec, x, y: [])
+    monkeypatch.setattr(index, "count_triangles", lambda spec, tris: [])
     report = suite_dictionary_prod(tab, index._Edges(verify.grid_spec(1, "full"), 1))
     assert report["checked"] == sum(len(t) * len(s) for t, s in zip(tab.by_target, tab.by_source))
     assert report["failed"] == len(tab.prod) > 5
