@@ -304,7 +304,8 @@ def product_triangles(
         x_branch = a == b
         y_branch = a2 == b2
         if x_branch and y_branch:
-            tris.append(Triangle(spec.label(a), spec.label(a), spec.label(a), flex=spec.label(a)))
+            # a == b, so the branch point's label is the row label.
+            tris.append(Triangle(m_label, m_label, m_label, flex=m_label))
         elif x_branch:
             tris.append(Triangle(a2, a2, b2))
         elif y_branch:

@@ -15,7 +15,9 @@ under the double-crossing rule, and reassemble complete section families
 back into generators.  The reassembly is all-or-nothing; a partial family
 raises ClosureError, which never happens downstream of the algebra
 operations themselves (a tested property, and the content of the closure
-claims for both variants).
+claims for both variants).  ``product`` is ``compose`` of two
+``sections`` records, the per-generator half of the route, so a caller
+that multiplies many pairs expands each generator once.
 
 The product table works on matched generators instead: a product of two
 generators is one generator or zero (Lipshitz-Ozsvath-Thurston,
@@ -140,10 +142,6 @@ def _label_array(pmc: PointedMatchedCircle) -> tuple[int, ...]:
         labels[lo - 1] = idx + 1
         labels[hi - 1] = idx + 1
     return tuple(labels)
-
-
-def _label(pmc: PointedMatchedCircle, position: int) -> int:
-    return _label_array(pmc)[position - 1]
 
 
 def source_idempotent(pmc: PointedMatchedCircle, gen: MatchedGenerator) -> Idempotent:
@@ -300,24 +298,6 @@ def differential_unmatched(d: UnmatchedDiagram) -> GF2Sum:
     return GF2Sum(terms)
 
 
-def product_unmatched(d1: UnmatchedDiagram, d2: UnmatchedDiagram) -> GF2Sum:
-    """Concatenate when end positions match start positions; zero or one term.
-
-    The composite survives exactly when inversions add, which is the no
-    double-crossing condition.
-    """
-    ends = tuple(sorted(b for _, b in d1.strands))
-    starts = tuple(a for a, _ in d2.strands)
-    if ends != starts:
-        return GF2Sum.zero()
-    follow = dict(d2.strands)
-    composite = tuple((a, follow[b]) for a, b in d1.strands)
-    if _inversions(composite) != _inversions(d1.strands) + _inversions(d2.strands):
-        return GF2Sum.zero()
-    comp = sorted(composite)
-    return GF2Sum.of(UnmatchedDiagram(tuple(comp)))
-
-
 def recognize(pmc: PointedMatchedCircle, total: GF2Sum | Iterable[UnmatchedDiagram]) -> GF2Sum:
     """Reassemble a sum of plain diagrams into matched generators.
 
@@ -325,13 +305,14 @@ def recognize(pmc: PointedMatchedCircle, total: GF2Sum | Iterable[UnmatchedDiagr
     accepted only when all of its sections are present.  Anything partial
     raises ClosureError.
     """
+    labels = _label_array(pmc)
     groups: dict[MatchedGenerator, set[UnmatchedDiagram]] = {}
     for diagram in total:
         chords = []
         dotted = []
         for a, b in diagram.strands:
             if a == b:
-                dotted.append(_label(pmc, a))
+                dotted.append(labels[a - 1])
             else:
                 chords.append((a, b))
         dotted.sort()
@@ -360,15 +341,52 @@ def differential(pmc: PointedMatchedCircle, gen: MatchedGenerator) -> GF2Sum:
     return recognize(pmc, acc)
 
 
-def product(pmc: PointedMatchedCircle, g1: MatchedGenerator, g2: MatchedGenerator) -> GF2Sum:
-    """Concatenation product; zero when the idempotents do not meet."""
-    if target_idempotent(pmc, g1) != source_idempotent(pmc, g2):
+class Sections(NamedTuple):
+    """A generator's idempotents and its sections, for ``compose``.  Each
+    section is a tuple (strands sorted by start, sorted end positions,
+    start positions, inversion count, map from start to end)."""
+
+    source: Idempotent
+    target: Idempotent
+    sections: tuple[tuple, ...]
+
+
+def sections(pmc: PointedMatchedCircle, gen: MatchedGenerator) -> Sections:
+    """Everything ``compose`` needs of gen, computed once per generator."""
+    out = []
+    for d in section_expand(pmc, gen):
+        strands = d.strands
+        ends = tuple(sorted(b for _, b in strands))
+        starts = tuple(a for a, _ in strands)
+        out.append((strands, ends, starts, _inversions(strands), dict(strands)))
+    return Sections(source_idempotent(pmc, gen), target_idempotent(pmc, gen), tuple(out))
+
+
+def compose(pmc: PointedMatchedCircle, left: Sections, right: Sections) -> GF2Sum:
+    """Concatenation product of two generators given by their sections;
+    zero when the idempotents do not meet.
+
+    A section pair concatenates when the left's end positions are the
+    right's start positions, and its composite survives exactly when
+    inversions add, which is the no double-crossing condition.  The
+    surviving composites are reassembled by ``recognize``.
+    """
+    if left.target != right.source:
         return GF2Sum.zero()
     acc: set[UnmatchedDiagram] = set()
-    for s1 in section_expand(pmc, g1):
-        for s2 in section_expand(pmc, g2):
-            acc ^= product_unmatched(s1, s2).terms
-    return recognize(pmc, acc)
+    for strands1, ends, _, inv1, _ in left.sections:
+        for _, _, starts, inv2, follow in right.sections:
+            if ends != starts:
+                continue
+            composite = sorted((a, follow[b]) for a, b in strands1)
+            if _inversions(composite) == inv1 + inv2:
+                acc ^= {UnmatchedDiagram(tuple(composite))}
+    return recognize(pmc, acc) if acc else GF2Sum.zero()
+
+
+def product(pmc: PointedMatchedCircle, g1: MatchedGenerator, g2: MatchedGenerator) -> GF2Sum:
+    """Concatenation product; zero when the idempotents do not meet."""
+    return compose(pmc, sections(pmc, g1), sections(pmc, g2))
 
 
 # ---------------------------------------------------------------------------

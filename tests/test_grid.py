@@ -189,6 +189,23 @@ def test_product_triangles_cases():
     # branch then branch stays flexible
     assert product_triangles(W1, ((1, 1),), ((1, 1),)) == [Triangle(1, 1, 1, flex=1)]
     assert set(floer_product(W1, ((1, 1),), ((1, 1),))) == {((1, 1),)}
+    # label sets of the same length that differ: rows {2, 3}, columns {1, 2}
+    assert product_triangles(W2, ((1, 2), (3, 3)), ((2, 3), (1, 1))) is None
+    # a repeated row label against distinct columns: every row label is a
+    # column label, but the multisets (2, 2) and (1, 2) differ
+    assert product_triangles(W2, ((1, 2), (2, 2)), ((2, 3), (1, 1))) is None
+    # counts differ
+    assert product_triangles(W1, ((1, 2),), ((2, 3), (1, 1))) is None
+    # the same labels in another order meet
+    want = [Triangle(1, 2, 3), Triangle(3, 3, 4)]
+    assert product_triangles(W2, ((1, 2), (3, 3)), ((3, 4), (2, 3))) == want
+    # repeated column labels meet only the same repeated row labels; the
+    # last point of a repeated column label is the one paired
+    assert product_triangles(W1, ((1, 2), (1, 4)), ((2, 3), (4, 4))) == [
+        Triangle(1, 2, 2),
+        Triangle(1, 4, 4),
+    ]
+    assert product_triangles(W1, ((1, 2), (3, 3)), ((2, 3), (4, 4))) is None
 
 
 def test_product_forbidden_overlap_kills_count():

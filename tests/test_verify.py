@@ -9,6 +9,7 @@ import pytest
 from conftest import assoc_walk, build_table
 from strandfloer import grid, index, verify
 from strandfloer.circle import matching_from_pairs, standard_matching
+from strandfloer.strands import ClosureError
 from strandfloer.verify import (
     GRID_SUITES,
     SUITE_NAMES,
@@ -18,6 +19,7 @@ from strandfloer.verify import (
     check_patterns,
     run_suites,
     suite_assoc,
+    suite_closure,
     suite_dictionary_prod,
     suite_leibniz,
     suite_regression,
@@ -215,6 +217,74 @@ def test_dictionary_prod_counts_each_seeded_defect_once(mutant):
     report = suite_dictionary_prod(*mutant(tab, copy.copy(edges)))
     assert report["checked"] == pairs
     assert report["failed"] == 1
+
+
+def _closure_flip_product(tab):
+    # e_s a = a becomes e_s.
+    a = next(i for i in range(len(tab.gens)) if tab.src[i] != tab.tgt[i])
+    e = tab.idem_gen[tab.src[a]]
+    tab.prod = {**tab.prod, (e, a): e}
+
+
+def _closure_delete_product(tab):
+    tab.prod = dict(tab.prod)
+    del tab.prod[min(tab.prod)]
+
+
+def _closure_product_on_a_zero_pair(tab):
+    i, j = next(
+        (i, j)
+        for u in range(len(tab.idem_list))
+        for i in tab.by_target[u]
+        for j in tab.by_source[u]
+        if (i, j) not in tab.prod
+    )
+    tab.prod = {**tab.prod, (i, j): i}
+
+
+def _closure_drop_diff_term(tab):
+    i = next(i for i, row in enumerate(tab.diff) if row)
+    tab.diff = tab.diff[:i] + (tab.diff[i][1:],) + tab.diff[i + 1 :]
+
+
+@pytest.mark.parametrize(
+    "mutant",
+    [
+        _closure_flip_product,
+        _closure_delete_product,
+        _closure_product_on_a_zero_pair,
+        _closure_drop_diff_term,
+    ],
+)
+def test_closure_counts_each_seeded_table_defect_once(mutant):
+    tab = copy.copy(build_table(2, 2, "full"))
+    pairs = sum(len(t) * len(s) for t, s in zip(tab.by_target, tab.by_source))
+    assert suite_closure(tab) == {
+        "name": "closure", "checked": len(tab.gens) + pairs, "failures": []
+    }
+    mutant(tab)
+    report = suite_closure(tab)
+    assert report["checked"] == len(tab.gens) + pairs
+    assert report["failed"] == 1
+
+
+def test_closure_reports_a_closure_error_with_its_text(monkeypatch):
+    tab = build_table(2, 2, "full")
+    real = verify.compose
+    calls = []
+
+    def fails_once(pmc, left, right):
+        calls.append(None)
+        if len(calls) == 100:
+            raise ClosureError("seeded partial family")
+        return real(pmc, left, right)
+
+    monkeypatch.setattr(verify, "compose", fails_once)
+    report = suite_closure(tab)
+    assert report["failed"] == 1
+    (failure,) = report["failures"]
+    assert failure["error"] == "seeded partial family"
+    assert set(failure) == {"left", "right", "error"}
 
 
 @pytest.mark.parametrize("g, k, failed", [(1, 1, 1), (2, 1, 4), (2, 2, 5)])
