@@ -323,18 +323,19 @@ def floer_product(spec: GridSpec, x: FloerGenerator, y: FloerGenerator) -> GF2Su
     The count is zero or a single generator: the pairing by labels is
     unique, so at most one tuple of triangles exists.
     """
-    return count_triangles(spec, product_triangles(spec, x, y))
+    z = count_triangles(spec, product_triangles(spec, x, y))
+    return GF2Sum.zero() if z is None else GF2Sum.of(z)
 
 
-def count_triangles(spec: GridSpec, tris: list[Triangle] | None) -> GF2Sum:
+def count_triangles(spec: GridSpec, tris: list[Triangle] | None) -> FloerGenerator | None:
     """The product counted by a triangle tuple from ``product_triangles``:
-    zero when there is none or two of its triangles overlap forbiddenly,
+    None when there is none or two of its triangles overlap forbiddenly,
     else the generator at the triangles' outgoing corners."""
     if tris is None:
-        return GF2Sum.zero()
+        return None
     for t1, t2 in itertools.combinations(tris, 2):
         if overlap_class(spec, t1, t2) == "forbidden":
-            return GF2Sum.zero()
+            return None
     points = []
     for t in tris:
         if t.flex:
@@ -342,4 +343,4 @@ def count_triangles(spec: GridSpec, tris: list[Triangle] | None) -> GF2Sum:
         else:
             points.append(canonical_point(spec, t.c, t.r))
             assert spec.allowed(t.c, t.r), t
-    return GF2Sum.of(tuple(sorted(points)))
+    return tuple(sorted(points))

@@ -136,6 +136,17 @@ def counted_rectangle_domains(spec: GridSpec, k: int):
             yield rectangle_domain(spec, rect, k)
 
 
+def _column_key(spec: GridSpec, y: FloerGenerator) -> tuple[int, ...]:
+    """The column position of each point of y, in label order, with 0 for
+    a branch point.  ``product_triangles`` meets a row b of x with the
+    column a of y on the same label only when a == b, unless either point
+    is a branch point, which meets any position of its label."""
+    return tuple(0 if a == b else a for a, b in sorted(y, key=lambda p: spec.label(p[0])))
+
+
+_ANY = -1  # a masked position of a right factor's key: a branch row of x meets any column
+
+
 class _Edges:
     """Every counted product of a diagram, as a gluing graph.  It is the
     one grid product table of a verify run: dictionary-prod, euler and
@@ -144,26 +155,44 @@ class _Edges:
     An edge is a composable pair (x, y) whose product is nonzero: the
     triangle tuple exists and has no forbidden overlap.  Its product
     generator is where later factors attach.
+
+    Only matched pairs are visited.  Each right factor y is filed under
+    its source labels and every masking of its ``_column_key`` (2^k
+    keys).  A left factor x looks up, per label of its rows, ``_ANY`` for
+    a branch row and either its row position b or a branch column (0)
+    otherwise, so it reaches exactly the y whose non-branch columns equal
+    its non-branch rows: the pairs for which ``product_triangles`` finds
+    a triangle tuple, each once.  The visits are taken in index order, so
+    the edges come out in the order of a walk over all composable pairs.
     """
 
     def __init__(self, spec: GridSpec, k: int):
         self.spec = spec
         self.gens = all_floer_generators(spec, k)
         index = {x: i for i, x in enumerate(self.gens)}
-        by_source: dict[tuple[int, ...], list[int]] = {}
+        by_key: dict[tuple, list[int]] = {}
         for j, y in enumerate(self.gens):
-            by_source.setdefault(source_labels(spec, y), []).append(j)
+            labels = source_labels(spec, y)
+            key = _column_key(spec, y)
+            for mask in itertools.product((False, True), repeat=len(key)):
+                masked = tuple(_ANY if m else a for m, a in zip(mask, key))
+                by_key.setdefault((labels, masked), []).append(j)
         self.left: list[int] = []
         self.right: list[int] = []
         self.prod: list[int] = []
         self.tris: list[list[Triangle]] = []
         for i, x in enumerate(self.gens):
-            for j in by_source.get(target_labels(spec, x), ()):
+            labels = target_labels(spec, x)
+            rows = sorted(x, key=lambda p: spec.label(p[1]))
+            choices = [(_ANY,) if a == b else (b, 0) for a, b in rows]
+            visits = sorted(
+                j for key in itertools.product(*choices) for j in by_key.get((labels, key), ())
+            )
+            for j in visits:
                 tris = product_triangles(spec, x, self.gens[j])
-                out = count_triangles(spec, tris)
-                if not out:
+                z = count_triangles(spec, tris)
+                if z is None:
                     continue
-                (z,) = out
                 self.left.append(i)
                 self.right.append(j)
                 self.prod.append(index[z])

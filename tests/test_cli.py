@@ -14,7 +14,13 @@ from strandfloer import strands, verify
 from strandfloer.circle import idempotents, standard_matching
 from strandfloer.cli import ConfigError, _meta, build_config, main, make_parser
 from strandfloer.strands import AlgebraTable
-from strandfloer.grid import all_floer_generators, make_spec, source_labels, target_labels
+from strandfloer.grid import (
+    all_floer_generators,
+    make_spec,
+    product_triangles,
+    source_labels,
+    target_labels,
+)
 
 NONSTANDARD_G2 = '{"g": 2, "pairs": [[1, 3], [2, 4], [5, 7], [6, 8]]}'
 
@@ -263,13 +269,16 @@ def test_trace_harness_reaches_the_wrapped_kernels(tmp_path):
                  "kernels.assoc_scan", "strands.as_csr", "grid.product_triangles"):
         assert calls.get(name, 0) > 0, name
     # The gluing graph is the one place verify pairs triangles: once per
-    # label-composable grid pair.
+    # label-composable grid pair that has a triangle tuple.
     spec = make_spec(1, "wrapped")
     gens = all_floer_generators(spec, 1)
-    composable = sum(
-        target_labels(spec, x) == source_labels(spec, y) for x in gens for y in gens
+    matched = sum(
+        target_labels(spec, x) == source_labels(spec, y)
+        and product_triangles(spec, x, y) is not None
+        for x in gens
+        for y in gens
     )
-    assert calls["grid.product_triangles"] == composable
+    assert calls["grid.product_triangles"] == matched
     # yoneda builds one projective module per idempotent and reuses it
     # for every ordered pair.
     n_idem = len(idempotents(standard_matching(1), 1))

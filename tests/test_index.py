@@ -6,8 +6,18 @@ from fractions import Fraction
 
 import pytest
 
-from strandfloer import _kernels
-from strandfloer.grid import Rectangle, Triangle, make_spec
+from strandfloer import _kernels, index
+from strandfloer.grid import (
+    MODES,
+    Rectangle,
+    Triangle,
+    all_floer_generators,
+    count_triangles,
+    make_spec,
+    product_triangles,
+    source_labels,
+    target_labels,
+)
 from strandfloer.index import (
     Domain,
     Piece,
@@ -142,3 +152,48 @@ def test_rigidity_scan_matches_glued_domains():
     report = verify_rigidity(edges)
     assert (report["checked"], report["max_intersection"]) == (checked, max_intersection)
     assert checked == 26906
+
+
+def _all_pairs_edges(spec, k):
+    """The gluing graph by a walk over every label-composable pair, as
+    (left, right, prod, tris), and the number of pairs with a triangle
+    tuple."""
+    gens = all_floer_generators(spec, k)
+    position = {x: i for i, x in enumerate(gens)}
+    by_source: dict[tuple[int, ...], list[int]] = {}
+    for j, y in enumerate(gens):
+        by_source.setdefault(source_labels(spec, y), []).append(j)
+    left, right, prod, all_tris = [], [], [], []
+    matched = 0
+    for i, x in enumerate(gens):
+        for j in by_source.get(target_labels(spec, x), ()):
+            tris = product_triangles(spec, x, gens[j])
+            matched += tris is not None
+            z = count_triangles(spec, tris)
+            if z is not None:
+                left.append(i)
+                right.append(j)
+                prod.append(position[z])
+                all_tris.append(tris)
+    return (left, right, prod, all_tris), matched
+
+
+@pytest.mark.parametrize(
+    "g, k, mode",
+    [(g, k, mode) for g in (1, 2) for k in range(1, 2 * g + 1) for mode in MODES]
+    + [(3, k, mode) for k in (1, 2) for mode in MODES],
+)
+def test_edges_visit_only_matched_pairs_and_match_the_all_pairs_walk(monkeypatch, g, k, mode):
+    spec = make_spec(g, mode)
+    want, matched = _all_pairs_edges(spec, k)
+    tuples = []
+
+    def recorded(spec, x, y):
+        tuples.append(product_triangles(spec, x, y))
+        return tuples[-1]
+
+    monkeypatch.setattr(index, "product_triangles", recorded)
+    edges = _Edges(spec, k)
+    assert (edges.left, edges.right, edges.prod, edges.tris) == want
+    assert None not in tuples
+    assert len(tuples) == matched

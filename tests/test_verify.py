@@ -172,7 +172,7 @@ def test_assoc_counts_every_failure_of_a_flipped_product():
 def test_failing_suite_keeps_five_examples_and_counts_all(monkeypatch):
     # With the grid product always zero, every nonzero algebra product fails.
     tab = build_table(1, 1, "full")
-    monkeypatch.setattr(index, "count_triangles", lambda spec, tris: [])
+    monkeypatch.setattr(index, "count_triangles", lambda spec, tris: None)
     report = suite_dictionary_prod(tab, index._Edges(verify.grid_spec(1, "full"), 1))
     assert report["checked"] == sum(len(t) * len(s) for t, s in zip(tab.by_target, tab.by_source))
     assert report["failed"] == len(tab.prod) > 5
@@ -217,6 +217,18 @@ def test_dictionary_prod_counts_each_seeded_defect_once(mutant):
     report = suite_dictionary_prod(*mutant(tab, copy.copy(edges)))
     assert report["checked"] == pairs
     assert report["failed"] == 1
+
+
+def test_dictionary_prod_catches_a_visit_rule_without_branch_wildcards(monkeypatch):
+    # A branch point of a right factor keyed by its column position meets
+    # only the rows at that avatar, so the gluing graph drops products.
+    def no_wildcard(spec, y):
+        return tuple(a for a, _ in sorted(y, key=lambda p: spec.label(p[0])))
+
+    tab = build_table(2, 2, "full")
+    monkeypatch.setattr(index, "_column_key", no_wildcard)
+    report = suite_dictionary_prod(tab, index._Edges(verify.grid_spec(2, "full"), 2))
+    assert report["failed"] > 0
 
 
 def _closure_flip_product(tab):
