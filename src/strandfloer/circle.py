@@ -7,40 +7,36 @@ admissible when that surface has genus g and a single boundary circle.
 
 Positions are numbered 1..4g anticlockwise starting after the basepoint.
 Pairs carry labels 1..2g, assigned by increasing lower position, so the
-standard matching pairs position i with i + 2g under label i.
+standard matching pairs position i with i + 2g under label i.  Which
+position carries which label is decided here, once per circle: the
+algebra and the grid both read ``labels`` and ``positions_of``.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 Idempotent = tuple[int, ...]
-
-MODES = ("single", "double")
 
 
 @dataclass(frozen=True)
 class PointedMatchedCircle:
-    """A matched circle: genus, pair list and the circle mode.
+    """A matched circle: genus and pair list.
 
     ``pairs`` holds 2g position pairs (lo, hi), sorted by lo; the pair at
-    index p-1 carries label p.  ``mode`` is "single" for one pointed circle
-    or "double" for the variant split into two circles between positions
-    2g and 2g+1 (strands crossing that split are representable but belong
-    only to the unrestricted algebra).
+    index p-1 carries label p.  ``labels[pos-1]`` is the label of each
+    position, computed once from the pairs.
     """
 
     g: int
     pairs: tuple[tuple[int, int], ...]
-    mode: str = "single"
+    labels: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.g < 1:
             raise ValueError("genus must be at least 1")
-        if self.mode not in MODES:
-            raise ValueError(f"unknown mode {self.mode!r}")
         n = 4 * self.g
         seen = sorted(p for pair in self.pairs for p in pair)
         if len(self.pairs) != 2 * self.g or seen != list(range(1, n + 1)):
@@ -50,6 +46,8 @@ class PointedMatchedCircle:
                 raise ValueError("each pair must be stored as (lo, hi)")
         if list(self.pairs) != sorted(self.pairs):
             raise ValueError("pairs must be sorted by lower position")
+        label = {p: i for i, pair in enumerate(self.pairs, 1) for p in pair}
+        object.__setattr__(self, "labels", tuple(label[p] for p in range(1, n + 1)))
 
     @property
     def n_points(self) -> int:
@@ -57,10 +55,9 @@ class PointedMatchedCircle:
 
     def label_of(self, position: int) -> int:
         """Label (1..2g) of the pair containing ``position``."""
-        for idx, (lo, hi) in enumerate(self.pairs):
-            if position == lo or position == hi:
-                return idx + 1
-        raise ValueError(f"position {position} out of range 1..{self.n_points}")
+        if not 1 <= position <= self.n_points:
+            raise ValueError(f"position {position} out of range 1..{self.n_points}")
+        return self.labels[position - 1]
 
     def positions_of(self, label: int) -> tuple[int, int]:
         """The two positions carrying ``label``."""
@@ -71,9 +68,8 @@ class PointedMatchedCircle:
     def crosses_split(self, start: int, end: int) -> bool:
         """Whether a strand from ``start`` to ``end`` crosses the split arc.
 
-        The split sits between positions 2g and 2g+1.  In double mode such
-        strands connect the two circles and are excluded from the
-        restricted algebra.
+        The split sits between positions 2g and 2g+1, whatever the
+        matching.  Such strands are excluded from the half algebra.
         """
         lo, hi = min(start, end), max(start, end)
         return lo <= 2 * self.g < hi
@@ -89,18 +85,18 @@ class SurfaceInvariants:
     valid: bool
 
 
-def standard_matching(g: int, mode: str = "single") -> PointedMatchedCircle:
+def standard_matching(g: int) -> PointedMatchedCircle:
     """The antipodal matching: position i paired with i + 2g, label i."""
     if g < 1:
         raise ValueError("genus must be at least 1")
     pairs = tuple((i, i + 2 * g) for i in range(1, 2 * g + 1))
-    return PointedMatchedCircle(g=g, pairs=pairs, mode=mode)
+    return PointedMatchedCircle(g=g, pairs=pairs)
 
 
-def matching_from_pairs(g: int, raw_pairs, mode: str = "single") -> PointedMatchedCircle:
+def matching_from_pairs(g: int, raw_pairs) -> PointedMatchedCircle:
     """Build a circle from an arbitrary pair list, normalising order."""
     pairs = tuple(sorted((min(a, b), max(a, b)) for a, b in raw_pairs))
-    return PointedMatchedCircle(g=g, pairs=pairs, mode=mode)
+    return PointedMatchedCircle(g=g, pairs=pairs)
 
 
 def validate_surface(pmc: PointedMatchedCircle) -> SurfaceInvariants:

@@ -59,12 +59,13 @@ def _parse_matching(text: str, g: int) -> PointedMatchedCircle:
         pairs = [tuple(p) for p in data["pairs"]]
     except (json.JSONDecodeError, KeyError, TypeError) as err:
         raise ConfigError(f"bad matching JSON: {err}") from err
-    mode = data.get("mode", "single")
+    if data.get("mode", "single") != "single":
+        raise ConfigError(f"bad matching: mode {data['mode']!r} is not supported, only 'single'")
     g = data.get("g", g)
     if not all(_is_int(v) for v in (g, *(x for p in pairs for x in p))):
         raise ConfigError("bad matching: g and the pair entries must be integers")
     try:
-        return matching_from_pairs(g, pairs, mode)
+        return matching_from_pairs(g, pairs)
     except ValueError as err:
         raise ConfigError(f"bad matching: {err}") from err
 
@@ -113,13 +114,15 @@ def _meta(cfg: RunConfig) -> dict:
         "g": cfg.g,
         "k": cfg.k,
         "variant": cfg.variant,
-        "mode": verify.grid_spec(cfg.g, cfg.variant).mode,
+        "mode": verify.grid_spec(cfg.pmc, cfg.variant).mode,
         "matching": {
             "g": cfg.pmc.g,
-            "mode": cfg.pmc.mode,
+            # Matched circles have no mode; the constant keeps the build
+            # bytes that perfbench/census.json pins.
+            "mode": "single",
             "pairs": [list(p) for p in cfg.pmc.pairs],
         },
-        "standard": cfg.pmc == standard_matching(cfg.g, mode=cfg.pmc.mode),
+        "standard": cfg.pmc == standard_matching(cfg.g),
     }
 
 

@@ -3,11 +3,12 @@ and triangle counts.
 
 Everything here is phrased in the cut-open coordinates of the curve
 diagrams: a point (a, b) pairs column position a with row position b,
-1 <= a <= b <= 4g.  Diagonal points (p, p) and (2g+p, 2g+p) are avatars of
-the same branch point and are stored canonically at the pair label
-(p <= 2g).  Half mode removes the cells with a <= 2g < b, cutting the
-staircase into the two sheets V (positions <= 2g) and V' (the rest);
-wrapped mode keeps the whole upper triangle.
+1 <= a <= b <= 4g.  The matched circle says which label each position
+carries: the diagonal points (lo, lo) and (hi, hi) of a matched pair are
+avatars of the same branch point, stored canonically at lo.  Half mode
+removes the cells with a <= 2g < b, cutting the staircase into the two
+sheets V (positions <= 2g) and V' (the rest); wrapped mode keeps the whole
+upper triangle.  Every admissible matching has a grid model.
 
 The module never consults the strands algebra: differentials count empty
 rectangles, products count triangle tuples filtered by pairwise overlap.
@@ -20,22 +21,27 @@ from __future__ import annotations
 import itertools
 from typing import NamedTuple
 
+from .circle import PointedMatchedCircle
 from .strands import GF2Sum, MatchedGenerator
 
 MODES = ("wrapped", "half")
 
 
 class GridSpec(NamedTuple):
-    g: int
+    pmc: PointedMatchedCircle
     mode: str
 
     @property
+    def g(self) -> int:
+        return self.pmc.g
+
+    @property
     def n(self) -> int:
-        return 4 * self.g
+        return self.pmc.n_points
 
     def label(self, position: int) -> int:
-        """Pair label of a position under the standard matching."""
-        return position if position <= 2 * self.g else position - 2 * self.g
+        """Pair label of a position under the circle's matching."""
+        return self.pmc.labels[position - 1]
 
     def allowed(self, a: int, b: int) -> bool:
         if not 1 <= a <= b <= self.n:
@@ -45,12 +51,10 @@ class GridSpec(NamedTuple):
         return True
 
 
-def make_spec(g: int, mode: str) -> GridSpec:
-    if g < 1:
-        raise ValueError("genus must be at least 1")
+def make_spec(pmc: PointedMatchedCircle, mode: str) -> GridSpec:
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
-    return GridSpec(g, mode)
+    return GridSpec(pmc, mode)
 
 
 GridPoint = tuple[int, int]
@@ -68,7 +72,8 @@ class Rectangle(NamedTuple):
 
 class Triangle(NamedTuple):
     """c <= m <= r; flex marks a branch-point triangle free to sit at
-    either avatar (then c = m = r = flex is the pair label)."""
+    either avatar (then flex is the pair label and c = m = r its lower
+    position)."""
 
     c: int
     m: int
@@ -89,21 +94,23 @@ class Triangle(NamedTuple):
 def avatars(spec: GridSpec, point: GridPoint) -> tuple[GridPoint, ...]:
     a, b = point
     if a == b:
-        return ((a, a), (a + 2 * spec.g, a + 2 * spec.g))
+        lo, hi = spec.pmc.positions_of(spec.label(a))
+        return ((lo, lo), (hi, hi))
     return (point,)
 
 
 def canonical_point(spec: GridSpec, a: int, b: int) -> GridPoint:
-    if a == b and a > 2 * spec.g:
-        return (a - 2 * spec.g, a - 2 * spec.g)
+    if a == b:
+        lo, _ = spec.pmc.positions_of(spec.label(a))
+        return (lo, lo)
     return (a, b)
 
 
 def points_for_labels(spec: GridSpec, i: int, j: int) -> list[GridPoint]:
     """All allowed points with column label i and row label j, canonical."""
     out = set()
-    for a in (i, i + 2 * spec.g):
-        for b in (j, j + 2 * spec.g):
+    for a in spec.pmc.positions_of(i):
+        for b in spec.pmc.positions_of(j):
             if spec.allowed(a, b):
                 out.add(canonical_point(spec, a, b))
     return sorted(out)
@@ -172,7 +179,7 @@ def to_algebra(spec: GridSpec, x: FloerGenerator) -> MatchedGenerator:
 
 
 def from_algebra(spec: GridSpec, gen: MatchedGenerator) -> FloerGenerator:
-    points = [(p, p) for p in gen.dotted]
+    points = [(lo, lo) for lo, _ in map(spec.pmc.positions_of, gen.dotted)]
     for a, b in gen.chords:
         if not spec.allowed(a, b):
             raise ValueError(f"cell {(a, b)} not allowed in {spec.mode} mode")
@@ -237,7 +244,7 @@ def triangles(spec: GridSpec) -> list[Triangle]:
     """Every triangle of the diagram: pinned (c <= m <= r, all three cells
     allowed, not entirely diagonal) plus one flexible branch triangle per
     pair label."""
-    out = [Triangle(p, p, p, flex=p) for p in range(1, 2 * spec.g + 1)]
+    out = [Triangle(lo, lo, lo, flex=p) for p, (lo, _) in enumerate(spec.pmc.pairs, 1)]
     for c in range(1, spec.n + 1):
         for m in range(c, spec.n + 1):
             if not spec.allowed(c, m):
@@ -271,7 +278,7 @@ def overlap_class(spec: GridSpec, t1: Triangle, t2: Triangle) -> str:
     if t1.flex or t2.flex:
         flex, other = (t1, t2) if t1.flex else (t2, t1)
         chi = 0
-        for alpha in (flex.flex, flex.flex + 2 * spec.g):
+        for alpha in spec.pmc.positions_of(flex.flex):
             chi += 1 if other.c < alpha < other.m else 0
             chi += 1 if other.m < alpha < other.r else 0
         return "head_to_tail" if chi else "disjoint"
@@ -304,8 +311,8 @@ def product_triangles(
         x_branch = a == b
         y_branch = a2 == b2
         if x_branch and y_branch:
-            # a == b, so the branch point's label is the row label.
-            tris.append(Triangle(m_label, m_label, m_label, flex=m_label))
+            # a == b is the canonical avatar, on the row label.
+            tris.append(Triangle(a, a, a, flex=m_label))
         elif x_branch:
             tris.append(Triangle(a2, a2, b2))
         elif y_branch:
@@ -338,9 +345,6 @@ def count_triangles(spec: GridSpec, tris: list[Triangle] | None) -> FloerGenerat
             return None
     points = []
     for t in tris:
-        if t.flex:
-            points.append((t.flex, t.flex))
-        else:
-            points.append(canonical_point(spec, t.c, t.r))
-            assert spec.allowed(t.c, t.r), t
+        points.append(canonical_point(spec, t.c, t.r))
+        assert spec.allowed(t.c, t.r), t
     return tuple(sorted(points))

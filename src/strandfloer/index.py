@@ -144,9 +144,6 @@ def _column_key(spec: GridSpec, y: FloerGenerator) -> tuple[int, ...]:
     return tuple(0 if a == b else a for a, b in sorted(y, key=lambda p: spec.label(p[0])))
 
 
-_ANY = -1  # a masked position of a right factor's key: a branch row of x meets any column
-
-
 class _Edges:
     """Every counted product of a diagram, as a gluing graph.  It is the
     one grid product table of a verify run: dictionary-prod, euler and
@@ -157,13 +154,14 @@ class _Edges:
     generator is where later factors attach.
 
     Only matched pairs are visited.  Each right factor y is filed under
-    its source labels and every masking of its ``_column_key`` (2^k
-    keys).  A left factor x looks up, per label of its rows, ``_ANY`` for
-    a branch row and either its row position b or a branch column (0)
-    otherwise, so it reaches exactly the y whose non-branch columns equal
-    its non-branch rows: the pairs for which ``product_triangles`` finds
-    a triangle tuple, each once.  The visits are taken in index order, so
-    the edges come out in the order of a walk over all composable pairs.
+    one key: its source labels and its ``_column_key``.  A left factor x
+    looks up, per label of its rows, its row position b or a branch
+    column (0) for a non-branch row, and a branch column or either
+    position of the label for a branch row.  So it reaches exactly the y
+    whose non-branch columns equal its non-branch rows: the pairs for
+    which ``product_triangles`` finds a triangle tuple, each once.  The
+    visits are taken in index order, so the edges come out in the order
+    of a walk over all composable pairs.
     """
 
     def __init__(self, spec: GridSpec, k: int):
@@ -172,11 +170,7 @@ class _Edges:
         index = {x: i for i, x in enumerate(self.gens)}
         by_key: dict[tuple, list[int]] = {}
         for j, y in enumerate(self.gens):
-            labels = source_labels(spec, y)
-            key = _column_key(spec, y)
-            for mask in itertools.product((False, True), repeat=len(key)):
-                masked = tuple(_ANY if m else a for m, a in zip(mask, key))
-                by_key.setdefault((labels, masked), []).append(j)
+            by_key.setdefault((source_labels(spec, y), _column_key(spec, y)), []).append(j)
         self.left: list[int] = []
         self.right: list[int] = []
         self.prod: list[int] = []
@@ -184,7 +178,9 @@ class _Edges:
         for i, x in enumerate(self.gens):
             labels = target_labels(spec, x)
             rows = sorted(x, key=lambda p: spec.label(p[1]))
-            choices = [(_ANY,) if a == b else (b, 0) for a, b in rows]
+            choices = [
+                (0, *spec.pmc.positions_of(spec.label(b))) if a == b else (b, 0) for a, b in rows
+            ]
             visits = sorted(
                 j for key in itertools.product(*choices) for j in by_key.get((labels, key), ())
             )

@@ -46,7 +46,6 @@ from __future__ import annotations
 
 import itertools
 import os
-from functools import lru_cache
 from typing import Iterable, NamedTuple
 
 from .circle import Idempotent, PointedMatchedCircle
@@ -134,23 +133,13 @@ class GF2Sum:
         return f"GF2Sum({sorted(self.terms)!r})"
 
 
-@lru_cache(maxsize=None)
-def _label_array(pmc: PointedMatchedCircle) -> tuple[int, ...]:
-    """labels[pos-1] for every position, cached per circle."""
-    labels = [0] * pmc.n_points
-    for idx, (lo, hi) in enumerate(pmc.pairs):
-        labels[lo - 1] = idx + 1
-        labels[hi - 1] = idx + 1
-    return tuple(labels)
-
-
 def source_idempotent(pmc: PointedMatchedCircle, gen: MatchedGenerator) -> Idempotent:
-    labels = _label_array(pmc)
+    labels = pmc.labels
     return tuple(sorted(itertools.chain((labels[a - 1] for a, _ in gen.chords), gen.dotted)))
 
 
 def target_idempotent(pmc: PointedMatchedCircle, gen: MatchedGenerator) -> Idempotent:
-    labels = _label_array(pmc)
+    labels = pmc.labels
     return tuple(sorted(itertools.chain((labels[b - 1] for _, b in gen.chords), gen.dotted)))
 
 
@@ -161,7 +150,7 @@ def is_half(pmc: PointedMatchedCircle, gen: MatchedGenerator) -> bool:
 
 def check_generator(pmc: PointedMatchedCircle, gen: MatchedGenerator) -> None:
     """Raise ValueError unless gen is a well-formed generator for pmc."""
-    labels = _label_array(pmc)
+    labels = pmc.labels
     n = pmc.n_points
     src = list(gen.dotted)
     tgt = list(gen.dotted)
@@ -201,7 +190,7 @@ def enumerate_generators(
         raise ValueError(f"variant must be one of {VARIANTS}")
     if not 0 <= k <= 2 * pmc.g:
         raise ValueError(f"k must lie in 0..{2 * pmc.g}, got {k}")
-    labels = _label_array(pmc)
+    labels = pmc.labels
     n = pmc.n_points
 
     chords = []
@@ -305,7 +294,7 @@ def recognize(pmc: PointedMatchedCircle, total: GF2Sum | Iterable[UnmatchedDiagr
     accepted only when all of its sections are present.  Anything partial
     raises ClosureError.
     """
-    labels = _label_array(pmc)
+    labels = pmc.labels
     groups: dict[MatchedGenerator, set[UnmatchedDiagram]] = {}
     for diagram in total:
         chords = []
@@ -443,7 +432,7 @@ def _factor(pmc: PointedMatchedCircle, gen: MatchedGenerator, u: Idempotent, lef
     masks with their consistent choices, and per label the code bit of
     the chord on it and its outer position (both 0 when dotted).
     """
-    labels = _label_array(pmc)
+    labels = pmc.labels
     n = pmc.n_points
     on_label = {labels[(b if left else a) - 1]: (a, b) for a, b in gen.chords}
     middle, outer, own = [], [], []

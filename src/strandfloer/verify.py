@@ -6,10 +6,10 @@ algebra table across suites; run_suites is the driver the command line
 uses.  A suite result is a dict {name, checked, failures} and passes
 when failures is empty.  A suite checks everything even after it has
 failed; a failing result also carries failed, the total number of
-failures, of which failures keeps at most MAX_EXAMPLES.  Suites that
-need the grid dictionary only make sense for the standard matching; with
-a custom matching the driver reports them as skipped instead of silently
-passing.
+failures, of which failures keeps at most MAX_EXAMPLES.  The grid
+suites read the grid model of the table's own matching, so they run on
+every admissible matching; the driver skips them only at k = 0, where
+the grid model has no generators.
 """
 
 from __future__ import annotations
@@ -54,9 +54,10 @@ SUITE_NAMES = (
     "yoneda",
 )
 
-GRID_SUITES = frozenset(
-    {"regression", "dictionary-diff", "dictionary-prod", "euler", "rigidity"}
-)
+GRID_SUITES = frozenset({"dictionary-diff", "dictionary-prod", "euler", "rigidity"})
+
+# The grid suites that read the gluing graph.
+_GRAPH_SUITES = GRID_SUITES - {"dictionary-diff"}
 
 
 MAX_EXAMPLES = 5
@@ -239,9 +240,9 @@ def suite_closure(table: AlgebraTable, sample: int | None = None, seed: int = 0)
     return failures.result("closure", checked)
 
 
-def grid_spec(g: int, variant: str) -> GridSpec:
-    """The grid diagram that models the genus-g algebra of a variant."""
-    return make_spec(g, "half" if variant == "half" else "wrapped")
+def grid_spec(pmc: PointedMatchedCircle, variant: str) -> GridSpec:
+    """The grid diagram that models the algebra of a matching and variant."""
+    return make_spec(pmc, "half" if variant == "half" else "wrapped")
 
 
 def _placed(table: AlgebraTable, spec: GridSpec, x: FloerGenerator) -> int | None:
@@ -262,7 +263,7 @@ def suite_dictionary_diff(table: AlgebraTable) -> dict:
     generator under the dictionary, both directions of the translation.
     A generator or differential term the dictionary cannot place back in
     the table is a failure."""
-    spec = grid_spec(table.pmc.g, table.variant)
+    spec = grid_spec(table.pmc, table.variant)
     failures = _Failures()
     for i, gen in enumerate(table.gens):
         x = from_algebra(spec, gen)
@@ -288,13 +289,17 @@ def suite_dictionary_prod(table: AlgebraTable, edges: index._Edges) -> dict:
         if i is None:
             failures.add({"grid": _points_json(x)})
     grid_of = {i: x for x, i in enumerate(alg)}
-    unseen = {(x, y): e for e, (x, y) in enumerate(zip(edges.left, edges.right))}
+    n = len(edges.gens)
+    # Edges not yet reached by a composable pair, keyed x * n + y.
+    unseen = {x * n + y: e for e, (x, y) in enumerate(zip(edges.left, edges.right))}
     checked = 0
     for u in range(len(table.idem_list)):
         for i in table.by_target[u]:
+            x = grid_of.get(i)
             for j in table.by_source[u]:
                 checked += 1
-                e = unseen.pop((grid_of.get(i), grid_of.get(j)), None)
+                y = grid_of.get(j)
+                e = None if x is None or y is None else unseen.pop(x * n + y, None)
                 got = [] if e is None else [alg[edges.prod[e]]]
                 want = table.prod.get((i, j))
                 if got != ([] if want is None else [want]):
@@ -412,8 +417,9 @@ def check_patterns(g: int) -> dict:
     """Intersection counts against the closed-form tables."""
     failures = []
     checked = 0
-    wrapped = make_spec(g, "wrapped")
-    half = make_spec(g, "half")
+    pmc = standard_matching(g)
+    wrapped = make_spec(pmc, "wrapped")
+    half = make_spec(pmc, "half")
     for i in range(1, 2 * g + 1):
         for j in range(1, 2 * g + 1):
             checked += 2
@@ -440,28 +446,24 @@ def run_suites(
 ) -> dict:
     """Build once, run the requested suites, report one dict per suite.
     The algebra table is built once for all suites, and the grid's gluing
-    graph once for dictionary-prod, euler and rigidity.
+    graph once for dictionary-prod, euler and rigidity; it is dropped
+    after the last of them.
 
     The overall report is {"suites": [...], "ok": bool, "skipped": [...]}.
-    Grid-dependent suites require the standard matching and are skipped
-    (with a reason) otherwise.
+    Grid suites are skipped (with a reason) at k = 0.
     """
     chosen = list(SUITE_NAMES) if suites is None else list(suites)
     unknown = [s for s in chosen if s not in SUITE_NAMES]
     if unknown:
         raise ValueError(f"unknown suites: {unknown}")
     table = AlgebraTable.build(pmc, k, variant)
-    is_standard = pmc == standard_matching(pmc.g, mode=pmc.mode)
-    spec = grid_spec(pmc.g, variant)
+    spec = grid_spec(pmc, variant)
 
     results = []
     skipped = []
     edges = None  # the gluing graph, built once for dictionary-prod, euler and rigidity
-    for name in chosen:
-        if name in GRID_SUITES and not is_standard:
-            skipped.append({"name": name, "reason": "custom matching has no grid model"})
-            continue
-        if name in GRID_SUITES and name != "regression" and k == 0:
+    for n, name in enumerate(chosen):
+        if name in GRID_SUITES and k == 0:
             skipped.append({"name": name, "reason": "grid model needs k >= 1"})
             continue
         if name == "regression":
@@ -487,5 +489,7 @@ def run_suites(
             results.append(suite_rigidity(edges))
         elif name == "yoneda":
             results.append(suite_yoneda(table))
+        if not _GRAPH_SUITES.intersection(chosen[n + 1 :]):
+            edges = None
     ok = all(not r["failures"] for r in results)
     return {"suites": results, "skipped": skipped, "ok": ok}

@@ -53,7 +53,7 @@ from strandfloer.verify import (
 def _grid_matches_algebra(g: int, k: int, variant: str) -> None:
     """Differential matrices equal, products equal on composable pairs."""
     table = build_table(g, k, variant)
-    spec = make_spec(g, "half" if variant == "half" else "wrapped")
+    spec = make_spec(standard_matching(g), "half" if variant == "half" else "wrapped")
     mapped = [from_algebra(spec, gen) for gen in table.gens]
     # the dictionary is a bijection onto the grid generators
     assert sorted(mapped) == all_floer_generators(spec, k)
@@ -121,8 +121,8 @@ def test_criterion_03_full_dictionary():
 def test_criterion_04_intersection_patterns():
     with criterion(4, "curve intersection counts 3/2/1 wrapped, 2/1/0 half, g<=6"):
         for g in range(1, 7):
-            wrapped = make_spec(g, "wrapped")
-            half = make_spec(g, "half")
+            wrapped = make_spec(standard_matching(g), "wrapped")
+            half = make_spec(standard_matching(g), "half")
             for i in range(1, 2 * g + 1):
                 for j in range(1, 2 * g + 1):
                     expect = 3 if i < j else (2 if i == j else 1)
@@ -169,7 +169,7 @@ def test_criterion_07_index_suite():
         saw_crossings = 0
         for g in (1, 2):
             for mode in ("wrapped", "half"):
-                spec = make_spec(g, mode)
+                spec = make_spec(standard_matching(g), mode)
                 for k in range(1, 2 * g + 1):
                     for dom in counted_rectangle_domains(spec, k):
                         assert dom.euler_measure == 0

@@ -25,6 +25,7 @@ def test_standard_matching_shape():
     assert pmc.label_of(3) == 3
     assert pmc.label_of(7) == 3
     assert pmc.positions_of(4) == (4, 8)
+    assert pmc.labels == (1, 2, 3, 4, 1, 2, 3, 4)
 
 
 def test_standard_matching_validates_for_small_genus():
@@ -74,7 +75,7 @@ def test_all_matchings_share_euler_characteristic():
 
 
 def test_crosses_split():
-    pmc = standard_matching(2, mode="double")
+    pmc = standard_matching(2)
     assert pmc.crosses_split(4, 5)
     assert pmc.crosses_split(1, 8)
     assert not pmc.crosses_split(1, 4)
@@ -85,19 +86,20 @@ def test_bad_circles_rejected():
     with pytest.raises(ValueError):
         standard_matching(0)
     with pytest.raises(ValueError):
-        PointedMatchedCircle(g=1, pairs=((1, 2), (2, 4)), mode="single")
-    with pytest.raises(ValueError):
-        PointedMatchedCircle(g=1, pairs=((1, 3), (2, 4)), mode="triple")
+        PointedMatchedCircle(g=1, pairs=((1, 2), (2, 4)))
     with pytest.raises(ValueError):
         # pairs must arrive sorted by lower position
         PointedMatchedCircle(g=1, pairs=((2, 4), (1, 3)))
     assert matching_from_pairs(1, [(4, 2), (3, 1)]).pairs == ((1, 3), (2, 4))
+    assert matching_from_pairs(1, [(1, 2), (4, 3)]).labels == (1, 1, 2, 2)
 
 
 def test_label_position_errors():
     pmc = standard_matching(1)
     with pytest.raises(ValueError):
         pmc.label_of(5)
+    with pytest.raises(ValueError):
+        pmc.label_of(0)
     with pytest.raises(ValueError):
         pmc.positions_of(3)
 

@@ -153,16 +153,18 @@ def test_verify_full_run_small(tmp_path):
     assert len(doc["suites"]) == 10
 
 
-def test_verify_nonstandard_matching_skips_grid(tmp_path):
+def test_verify_nonstandard_matching_runs_grid(tmp_path):
     code, text = _run(
         tmp_path, "verify", "-g", "2", "--k", "1", "--matching", NONSTANDARD_G2,
-        "--suites", "d2,assoc,euler",
+        "--suites", "d2,assoc,euler,dictionary-prod",
     )
     assert code == 0
     doc = json.loads(text)
     assert doc["meta"]["standard"] is False
-    assert [s["name"] for s in doc["skipped"]] == ["euler"]
-    assert [s["name"] for s in doc["suites"]] == ["d2", "assoc"]
+    assert doc["meta"]["matching"]["mode"] == "single"
+    assert doc["skipped"] == []
+    assert [s["name"] for s in doc["suites"]] == ["d2", "assoc", "euler", "dictionary-prod"]
+    assert all(s["checked"] > 0 and s["failures"] == [] for s in doc["suites"])
 
 
 def test_matching_file_and_inline_agree(tmp_path):
@@ -208,6 +210,7 @@ def test_invalid_inputs_exit_two(tmp_path, capsys):
     assert main(["build", "-g", "1", "--matching", '{"pairs": [[1, 2], [3, 4]]}']) == 2
     assert main(["build", "-g", "2", "--matching", '{"g": 1, "pairs": [[1, 3], [2, 4]]}']) == 2
     assert main(["build", "-g", "1", "--matching", "not json at all"]) == 2
+    assert main(["build", "-g", "2", "--matching", '{"g": 2, "mode": "double", "pairs": [[1, 5], [2, 6], [3, 7], [4, 8]]}']) == 2
     assert main(["build", "-g", "2", "--matching", '{"g": "2", "pairs": [[1, 5], [2, 6], [3, 7], [4, 8]]}']) == 2
     assert main(["build", "-g", "2", "--matching", '{"g": 2, "pairs": [["1", 5], [2, 6], [3, 7], [4, 8]]}']) == 2
     assert main(["verify", "-g", "1", "--suites", "regression,nope"]) == 2
@@ -270,7 +273,7 @@ def test_trace_harness_reaches_the_wrapped_kernels(tmp_path):
         assert calls.get(name, 0) > 0, name
     # The gluing graph is the one place verify pairs triangles: once per
     # label-composable grid pair that has a triangle tuple.
-    spec = make_spec(1, "wrapped")
+    spec = make_spec(standard_matching(1), "wrapped")
     gens = all_floer_generators(spec, 1)
     matched = sum(
         target_labels(spec, x) == source_labels(spec, y)

@@ -10,6 +10,7 @@ import itertools
 
 import pytest
 
+from strandfloer.circle import matching_from_pairs, standard_matching
 from strandfloer.grid import (
     Rectangle,
     Triangle,
@@ -32,16 +33,16 @@ from strandfloer.grid import (
 )
 from strandfloer.strands import MatchedGenerator
 
-W1 = make_spec(1, "wrapped")
-H1 = make_spec(1, "half")
-W2 = make_spec(2, "wrapped")
+W1 = make_spec(standard_matching(1), "wrapped")
+H1 = make_spec(standard_matching(1), "half")
+W2 = make_spec(standard_matching(2), "wrapped")
 
 
 def test_spec_validation():
     with pytest.raises(ValueError):
-        make_spec(0, "wrapped")
+        make_spec(standard_matching(0), "wrapped")
     with pytest.raises(ValueError):
-        make_spec(1, "bogus")
+        make_spec(standard_matching(1), "bogus")
     assert W2.n == 8
     assert W2.label(3) == 3
     assert W2.label(7) == 3
@@ -64,6 +65,23 @@ def test_avatars_and_canonical_point():
     assert canonical_point(W1, 1, 3) == (1, 3)
 
 
+def test_custom_matching_places_avatars_at_its_pairs():
+    # Label 3 sits at positions 3 and 5, label 4 at 4 and 6.
+    spec = make_spec(matching_from_pairs(2, ((1, 7), (2, 8), (3, 5), (4, 6))), "wrapped")
+    assert [spec.label(p) for p in range(1, 9)] == [1, 2, 3, 4, 3, 4, 1, 2]
+    assert avatars(spec, (5, 5)) == avatars(spec, (3, 3)) == ((3, 3), (5, 5))
+    assert canonical_point(spec, 5, 5) == (3, 3)
+    assert points_for_labels(spec, 3, 4) == [(3, 4), (3, 6), (5, 6)]
+    assert from_algebra(spec, MatchedGenerator(chords=(), dotted=(3, 4))) == ((3, 3), (4, 4))
+    assert triangles(spec)[:4] == [
+        Triangle(1, 1, 1, flex=1), Triangle(1, 1, 2), Triangle(1, 1, 3), Triangle(1, 1, 4)
+    ]
+    assert Triangle(3, 3, 3, flex=3) in triangles(spec)
+    # The flexible triangle of label 3 has the levels 3 and 5, not 3 and 7.
+    assert overlap_class(spec, Triangle(3, 3, 3, flex=3), Triangle(4, 6, 6)) == "head_to_tail"
+    assert overlap_class(spec, Triangle(3, 3, 3, flex=3), Triangle(6, 8, 8)) == "disjoint"
+
+
 def test_points_for_labels_hand_table():
     assert points_for_labels(W1, 1, 1) == [(1, 1), (1, 3)]
     assert points_for_labels(W1, 1, 2) == [(1, 2), (1, 4), (3, 4)]
@@ -75,8 +93,8 @@ def test_points_for_labels_hand_table():
 
 def test_intersection_pattern_closed_form():
     for g in (1, 2, 3):
-        wrapped = make_spec(g, "wrapped")
-        half = make_spec(g, "half")
+        wrapped = make_spec(standard_matching(g), "wrapped")
+        half = make_spec(standard_matching(g), "half")
         for i in range(1, 2 * g + 1):
             for j in range(1, 2 * g + 1):
                 expect = 3 if i < j else (2 if i == j else 1)

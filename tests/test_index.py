@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from strandfloer import _kernels, index
+from strandfloer.circle import matching_from_pairs, standard_matching
 from strandfloer.grid import (
     MODES,
     Rectangle,
@@ -30,8 +31,8 @@ from strandfloer.index import (
     verify_rigidity,
 )
 
-W1 = make_spec(1, "wrapped")
-W2 = make_spec(2, "wrapped")
+W1 = make_spec(standard_matching(1), "wrapped")
+W2 = make_spec(standard_matching(2), "wrapped")
 
 
 def test_piece_euler_quarters():
@@ -184,7 +185,16 @@ def _all_pairs_edges(spec, k):
     + [(3, k, mode) for k in (1, 2) for mode in MODES],
 )
 def test_edges_visit_only_matched_pairs_and_match_the_all_pairs_walk(monkeypatch, g, k, mode):
-    spec = make_spec(g, mode)
+    _check_edges_against_all_pairs(monkeypatch, make_spec(standard_matching(g), mode), k)
+
+
+@pytest.mark.parametrize("k, mode", [(k, mode) for k in range(1, 5) for mode in MODES])
+def test_edges_match_the_all_pairs_walk_on_a_custom_matching(monkeypatch, k, mode):
+    pmc = matching_from_pairs(2, ((1, 7), (2, 8), (3, 5), (4, 6)))
+    _check_edges_against_all_pairs(monkeypatch, make_spec(pmc, mode), k)
+
+
+def _check_edges_against_all_pairs(monkeypatch, spec, k):
     want, matched = _all_pairs_edges(spec, k)
     tuples = []
 

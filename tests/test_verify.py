@@ -70,21 +70,38 @@ def test_empty_selection_is_vacuous():
     assert report["suites"] == []
 
 
-def test_custom_matching_skips_grid_suites():
+def test_custom_matching_runs_grid_suites():
     pmc = matching_from_pairs(2, NONSTANDARD_G2)
     report = run_suites(pmc, 2, "full")
-    skipped = {s["name"] for s in report["skipped"]}
-    assert skipped == GRID_SUITES
-    ran = {r["name"] for r in report["suites"]}
-    assert ran == set(SUITE_NAMES) - GRID_SUITES
+    assert report["skipped"] == []
+    assert [r["name"] for r in report["suites"]] == list(SUITE_NAMES)
+    assert all(r["checked"] > 0 for r in report["suites"])
     assert report["ok"]
 
 
 def test_k_zero_skips_grid_but_not_regression():
     report = run_suites(standard_matching(1), 0, "full")
-    skipped = {s["name"] for s in report["skipped"]}
-    assert skipped == GRID_SUITES - {"regression"}
+    assert report["skipped"] == [
+        {"name": name, "reason": "grid model needs k >= 1"}
+        for name in SUITE_NAMES
+        if name in GRID_SUITES
+    ]
+    assert "regression" not in GRID_SUITES
     assert report["ok"]
+
+
+@pytest.mark.parametrize("variant", ["full", "half"])
+def test_dictionary_suites_catch_the_standard_grid_on_a_custom_matching(monkeypatch, variant):
+    # The wrong label map: the grid of the standard matching against the
+    # table of another matching.
+    real = verify.grid_spec
+    monkeypatch.setattr(
+        verify, "grid_spec", lambda pmc, variant: real(standard_matching(pmc.g), variant)
+    )
+    pmc = matching_from_pairs(2, ((1, 7), (2, 8), (3, 5), (4, 6)))
+    report = run_suites(pmc, 2, variant, suites=["dictionary-diff", "dictionary-prod"])
+    assert [r["name"] for r in report["suites"]] == ["dictionary-diff", "dictionary-prod"]
+    assert all(r["failed"] > 0 for r in report["suites"])
 
 
 def test_sampling_is_seed_deterministic():
@@ -173,7 +190,8 @@ def test_failing_suite_keeps_five_examples_and_counts_all(monkeypatch):
     # With the grid product always zero, every nonzero algebra product fails.
     tab = build_table(1, 1, "full")
     monkeypatch.setattr(index, "count_triangles", lambda spec, tris: None)
-    report = suite_dictionary_prod(tab, index._Edges(verify.grid_spec(1, "full"), 1))
+    edges = index._Edges(verify.grid_spec(standard_matching(1), "full"), 1)
+    report = suite_dictionary_prod(tab, edges)
     assert report["checked"] == sum(len(t) * len(s) for t, s in zip(tab.by_target, tab.by_source))
     assert report["failed"] == len(tab.prod) > 5
     assert len(report["failures"]) == 5
@@ -210,7 +228,7 @@ def _add_edge_the_algebra_does_not_compose(tab, edges):
 def test_dictionary_prod_counts_each_seeded_defect_once(mutant):
     tab = build_table(2, 2, "full")
     pairs = sum(len(t) * len(s) for t, s in zip(tab.by_target, tab.by_source))
-    edges = index._Edges(verify.grid_spec(2, "full"), 2)
+    edges = index._Edges(verify.grid_spec(standard_matching(2), "full"), 2)
     assert suite_dictionary_prod(tab, edges) == {
         "name": "dictionary-prod", "checked": pairs, "failures": []
     }
@@ -227,7 +245,8 @@ def test_dictionary_prod_catches_a_visit_rule_without_branch_wildcards(monkeypat
 
     tab = build_table(2, 2, "full")
     monkeypatch.setattr(index, "_column_key", no_wildcard)
-    report = suite_dictionary_prod(tab, index._Edges(verify.grid_spec(2, "full"), 2))
+    edges = index._Edges(verify.grid_spec(standard_matching(2), "full"), 2)
+    report = suite_dictionary_prod(tab, edges)
     assert report["failed"] > 0
 
 
