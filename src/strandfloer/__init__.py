@@ -61,7 +61,6 @@ from .index import (
 from .strands import (
     AlgebraTable,
     ClosureError,
-    GF2Sum,
     MatchedGenerator,
     differential,
     enumerate_generators,
@@ -78,7 +77,6 @@ __all__ = [
     "ClosureError",
     "Domain",
     "FloerGenerator",
-    "GF2Sum",
     "GridSpec",
     "MatchedGenerator",
     "MorComplex",

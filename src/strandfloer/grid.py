@@ -22,7 +22,7 @@ import itertools
 from typing import NamedTuple
 
 from .circle import PointedMatchedCircle
-from .strands import GF2Sum, MatchedGenerator
+from .strands import MatchedGenerator
 
 MODES = ("wrapped", "half")
 
@@ -229,11 +229,11 @@ def _is_empty(spec, x, outer, inner, rect: Rectangle) -> bool:
     return True
 
 
-def floer_differential(spec: GridSpec, x: FloerGenerator) -> GF2Sum:
+def floer_differential(spec: GridSpec, x: FloerGenerator) -> frozenset[FloerGenerator]:
     terms: set[FloerGenerator] = set()
     for _, y in empty_rectangles(spec, x):
-        terms.symmetric_difference_update((y,))
-    return GF2Sum(terms)
+        terms ^= {y}
+    return frozenset(terms)
 
 
 # ---------------------------------------------------------------------------
@@ -324,14 +324,16 @@ def product_triangles(
     return tris
 
 
-def floer_product(spec: GridSpec, x: FloerGenerator, y: FloerGenerator) -> GF2Sum:
+def floer_product(
+    spec: GridSpec, x: FloerGenerator, y: FloerGenerator
+) -> frozenset[FloerGenerator]:
     """Count the triangle tuple; zero on any forbidden pair.
 
     The count is zero or a single generator: the pairing by labels is
     unique, so at most one tuple of triangles exists.
     """
     z = count_triangles(spec, product_triangles(spec, x, y))
-    return GF2Sum.zero() if z is None else GF2Sum.of(z)
+    return frozenset() if z is None else frozenset((z,))
 
 
 def count_triangles(spec: GridSpec, tris: list[Triangle] | None) -> FloerGenerator | None:

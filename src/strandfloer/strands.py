@@ -12,12 +12,14 @@ horizontal strands at its positions.  The operations ``differential`` and
 ``product`` therefore expand a generator into its 2^(#dotted) sections
 (plain diagrams), act on those by crossing resolution or concatenation
 under the double-crossing rule, and reassemble complete section families
-back into generators.  The reassembly is all-or-nothing; a partial family
-raises ClosureError, which never happens downstream of the algebra
-operations themselves (a tested property, and the content of the closure
-claims for both variants).  ``product`` is ``compose`` of two
-``sections`` records, the per-generator half of the route, so a caller
-that multiplies many pairs expands each generator once.
+back into generators.  A plain diagram is a sorted tuple of (start, end)
+strands, and a mod-2 sum is the frozenset of its terms.  The reassembly
+is all-or-nothing; a partial family raises ClosureError, which never
+happens downstream of the algebra operations themselves (a tested
+property, and the content of the closure claims for both variants).
+``product`` is ``compose`` of two ``sections`` records, the
+per-generator half of the route, so a caller that multiplies many pairs
+expands each generator once.
 
 The product table works on matched generators instead: a product of two
 generators is one generator or zero (Lipshitz-Ozsvath-Thurston,
@@ -83,54 +85,8 @@ class MatchedGenerator(NamedTuple):
     dotted: tuple[int, ...]
 
 
-class UnmatchedDiagram(NamedTuple):
-    """A plain diagram: strands (start, end), start <= end, sorted by start."""
-
-    strands: tuple[tuple[int, int], ...]
-
-
-class GF2Sum:
-    """A formal mod-2 sum of basis objects (the support set).
-
-    Adding is symmetric difference.  Iteration is sorted, so equal sums
-    serialize identically.
-    """
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: Iterable = ()):
-        self.terms = frozenset(terms)
-
-    @classmethod
-    def zero(cls) -> "GF2Sum":
-        return cls()
-
-    @classmethod
-    def of(cls, *terms) -> "GF2Sum":
-        return cls(terms)
-
-    def __add__(self, other: "GF2Sum") -> "GF2Sum":
-        return GF2Sum(self.terms ^ other.terms)
-
-    __xor__ = __add__
-
-    def __iter__(self):
-        return iter(sorted(self.terms))
-
-    def __len__(self) -> int:
-        return len(self.terms)
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, GF2Sum) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(self.terms)
-
-    def __repr__(self):
-        return f"GF2Sum({sorted(self.terms)!r})"
+Diagram = tuple[tuple[int, int], ...]
+"""A plain diagram: strands (start, end), start <= end, sorted by start."""
 
 
 def source_idempotent(pmc: PointedMatchedCircle, gen: MatchedGenerator) -> Idempotent:
@@ -231,7 +187,7 @@ def enumerate_generators(
     return [entry[4] for entry in keyed]
 
 
-def section_expand(pmc: PointedMatchedCircle, gen: MatchedGenerator) -> list[UnmatchedDiagram]:
+def section_expand(pmc: PointedMatchedCircle, gen: MatchedGenerator) -> list[Diagram]:
     """The 2^(#dotted) plain diagrams of a generator.
 
     Each dotted pair label contributes a horizontal strand at one of its
@@ -242,16 +198,12 @@ def section_expand(pmc: PointedMatchedCircle, gen: MatchedGenerator) -> list[Unm
     for picks in itertools.product(*choices):
         strands = list(gen.chords) + [(pos, pos) for pos in picks]
         strands.sort()
-        out.append(UnmatchedDiagram(tuple(strands)))
+        out.append(tuple(strands))
     return out
 
 
-def inversions(d: UnmatchedDiagram) -> int:
+def inversions(strands: Diagram) -> int:
     """Number of crossing strand pairs: (a-a')(b-b') < 0."""
-    return _inversions(d.strands)
-
-
-def _inversions(strands) -> int:
     count = 0
     for i in range(len(strands)):
         a1, b1 = strands[i]
@@ -262,16 +214,15 @@ def _inversions(strands) -> int:
     return count
 
 
-def differential_unmatched(d: UnmatchedDiagram) -> GF2Sum:
+def differential_unmatched(strands: Diagram) -> frozenset[Diagram]:
     """Resolve one crossing in every way that drops the count by exactly 1.
 
     Resolving swaps the two ends; a resolution that removes more than its
     own crossing (some third strand crossed both arms between the swap
     points) is the double-crossing case and is excluded.
     """
-    strands = d.strands
-    base = _inversions(strands)
-    terms = set()
+    base = inversions(strands)
+    terms: set[Diagram] = set()
     for i in range(len(strands)):
         a1, b1 = strands[i]
         for j in range(i + 1, len(strands)):
@@ -282,12 +233,12 @@ def differential_unmatched(d: UnmatchedDiagram) -> GF2Sum:
             resolved[i] = (a1, b2)
             resolved[j] = (a2, b1)
             resolved.sort()
-            if _inversions(resolved) == base - 1:
-                terms.symmetric_difference_update((UnmatchedDiagram(tuple(resolved)),))
-    return GF2Sum(terms)
+            if inversions(resolved) == base - 1:
+                terms ^= {tuple(resolved)}
+    return frozenset(terms)
 
 
-def recognize(pmc: PointedMatchedCircle, total: GF2Sum | Iterable[UnmatchedDiagram]) -> GF2Sum:
+def recognize(pmc: PointedMatchedCircle, total: Iterable[Diagram]) -> frozenset[MatchedGenerator]:
     """Reassemble a sum of plain diagrams into matched generators.
 
     Horizontal strands name dotted pair labels; a candidate generator is
@@ -295,11 +246,11 @@ def recognize(pmc: PointedMatchedCircle, total: GF2Sum | Iterable[UnmatchedDiagr
     raises ClosureError.
     """
     labels = pmc.labels
-    groups: dict[MatchedGenerator, set[UnmatchedDiagram]] = {}
+    groups: dict[MatchedGenerator, set[Diagram]] = {}
     for diagram in total:
         chords = []
         dotted = []
-        for a, b in diagram.strands:
+        for a, b in diagram:
             if a == b:
                 dotted.append(labels[a - 1])
             else:
@@ -310,23 +261,20 @@ def recognize(pmc: PointedMatchedCircle, total: GF2Sum | Iterable[UnmatchedDiagr
                 raise ClosureError(f"diagram {diagram} occupies both positions of pair {p}")
         cand = MatchedGenerator(chords=tuple(sorted(chords)), dotted=tuple(dotted))
         groups.setdefault(cand, set()).add(diagram)
-    terms = []
     for cand, seen in groups.items():
         expected = 1 << len(cand.dotted)
-        if len(seen) == expected:
-            terms.append(cand)
-        else:
+        if len(seen) != expected:
             raise ClosureError(
                 f"candidate {cand} has {len(seen)} of {expected} sections present"
             )
-    return GF2Sum(terms)
+    return frozenset(groups)
 
 
-def differential(pmc: PointedMatchedCircle, gen: MatchedGenerator) -> GF2Sum:
+def differential(pmc: PointedMatchedCircle, gen: MatchedGenerator) -> frozenset[MatchedGenerator]:
     """Sum of single-crossing resolutions, reassembled to generators."""
-    acc: set[UnmatchedDiagram] = set()
+    acc: set[Diagram] = set()
     for section in section_expand(pmc, gen):
-        acc ^= differential_unmatched(section).terms
+        acc ^= differential_unmatched(section)
     return recognize(pmc, acc)
 
 
@@ -343,15 +291,16 @@ class Sections(NamedTuple):
 def sections(pmc: PointedMatchedCircle, gen: MatchedGenerator) -> Sections:
     """Everything ``compose`` needs of gen, computed once per generator."""
     out = []
-    for d in section_expand(pmc, gen):
-        strands = d.strands
+    for strands in section_expand(pmc, gen):
         ends = tuple(sorted(b for _, b in strands))
         starts = tuple(a for a, _ in strands)
-        out.append((strands, ends, starts, _inversions(strands), dict(strands)))
+        out.append((strands, ends, starts, inversions(strands), dict(strands)))
     return Sections(source_idempotent(pmc, gen), target_idempotent(pmc, gen), tuple(out))
 
 
-def compose(pmc: PointedMatchedCircle, left: Sections, right: Sections) -> GF2Sum:
+def compose(
+    pmc: PointedMatchedCircle, left: Sections, right: Sections
+) -> frozenset[MatchedGenerator]:
     """Concatenation product of two generators given by their sections;
     zero when the idempotents do not meet.
 
@@ -361,19 +310,21 @@ def compose(pmc: PointedMatchedCircle, left: Sections, right: Sections) -> GF2Su
     surviving composites are reassembled by ``recognize``.
     """
     if left.target != right.source:
-        return GF2Sum.zero()
-    acc: set[UnmatchedDiagram] = set()
+        return frozenset()
+    acc: set[Diagram] = set()
     for strands1, ends, _, inv1, _ in left.sections:
         for _, _, starts, inv2, follow in right.sections:
             if ends != starts:
                 continue
             composite = sorted((a, follow[b]) for a, b in strands1)
-            if _inversions(composite) == inv1 + inv2:
-                acc ^= {UnmatchedDiagram(tuple(composite))}
-    return recognize(pmc, acc) if acc else GF2Sum.zero()
+            if inversions(composite) == inv1 + inv2:
+                acc ^= {tuple(composite)}
+    return recognize(pmc, acc) if acc else frozenset()
 
 
-def product(pmc: PointedMatchedCircle, g1: MatchedGenerator, g2: MatchedGenerator) -> GF2Sum:
+def product(
+    pmc: PointedMatchedCircle, g1: MatchedGenerator, g2: MatchedGenerator
+) -> frozenset[MatchedGenerator]:
     """Concatenation product; zero when the idempotents do not meet."""
     return compose(pmc, sections(pmc, g1), sections(pmc, g2))
 
@@ -594,8 +545,7 @@ class AlgebraTable:
         return len(self.gens)
 
     def hom_dim(self, s: Idempotent, t: Idempotent) -> int:
-        sid, tid = self.idem_id[tuple(s)], self.idem_id[tuple(t)]
-        return sum(1 for i in self.by_source[sid] if self.tgt[i] == tid)
+        return len(self.hom_indices(s, t))
 
     def hom_indices(self, s: Idempotent, t: Idempotent) -> list[int]:
         sid, tid = self.idem_id[tuple(s)], self.idem_id[tuple(t)]
@@ -607,10 +557,6 @@ class AlgebraTable:
             key = (self.idem_list[self.src[i]], self.idem_list[self.tgt[i]])
             dims[key] = dims.get(key, 0) + 1
         return dims
-
-    def multiply(self, i: int, j: int) -> int | None:
-        """Index of gens[i]*gens[j], None when the product is zero."""
-        return self.prod.get((i, j))
 
     def as_csr(self):
         """The row and column views of the product, (rows, cols): rows[i]

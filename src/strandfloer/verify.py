@@ -14,7 +14,6 @@ the grid model has no generators.
 
 from __future__ import annotations
 
-import itertools
 import random
 from fractions import Fraction
 
@@ -26,7 +25,6 @@ from .grid import (
     floer_differential,
     floer_product,  # unused here; perfbench/traced.py wraps verify.floer_product by name
     from_algebra,
-    intersection_pattern,
     make_spec,
     to_algebra,
 )
@@ -95,7 +93,7 @@ def suite_regression() -> dict:
     d{chord (5,8), dotted 2} = {chords (5,6) and (6,8)}."""
     pmc = standard_matching(2)
     gen = MatchedGenerator(chords=((5, 8),), dotted=(2,))
-    got = list(differential(pmc, gen))
+    got = sorted(differential(pmc, gen))
     want = [MatchedGenerator(chords=((5, 6), (6, 8)), dotted=())]
     failures = []
     if got != want:
@@ -377,59 +375,6 @@ def suite_yoneda(table: AlgebraTable) -> dict:
             if mor_rank != hom_rank:
                 failures.add({"s": list(s), "t": list(t), "mor": mor_rank, "hom": hom_rank})
     return failures.result("yoneda", checked)
-
-
-# ---------------------------------------------------------------------------
-# Extra property checks used by the test suite (not part of cmd_verify).
-
-
-def check_exceptional(table: AlgebraTable) -> dict:
-    """Half variant: hom(s,s) is one-dimensional for every s."""
-    failures = []
-    for s in table.idem_list:
-        d = table.hom_dim(s, s)
-        if d != 1:
-            failures.append({"s": list(s), "dim": d})
-    return _result("exceptional", len(table.idem_list), failures)
-
-
-def check_directed(table: AlgebraTable) -> dict:
-    """Half variant: no two distinct objects support morphisms both ways."""
-    failures = []
-    checked = 0
-    for s, t in itertools.combinations(table.idem_list, 2):
-        checked += 1
-        if table.hom_dim(s, t) > 0 and table.hom_dim(t, s) > 0:
-            failures.append({"s": list(s), "t": list(t)})
-    return _result("directed", checked, failures)
-
-
-def check_module_axioms(table: AlgebraTable) -> dict:
-    failures = []
-    for s in table.idem_list:
-        errs = homalg.verify_module_axioms(homalg.projective_module(table, s))
-        if errs:
-            failures.append({"s": list(s), "errors": errs[:3]})
-    return _result("module-axioms", len(table.idem_list), failures)
-
-
-def check_patterns(g: int) -> dict:
-    """Intersection counts against the closed-form tables."""
-    failures = []
-    checked = 0
-    pmc = standard_matching(g)
-    wrapped = make_spec(pmc, "wrapped")
-    half = make_spec(pmc, "half")
-    for i in range(1, 2 * g + 1):
-        for j in range(1, 2 * g + 1):
-            checked += 2
-            expect_w = 3 if i < j else (2 if i == j else 1)
-            expect_h = 2 if i < j else (1 if i == j else 0)
-            if intersection_pattern(wrapped, i, j) != expect_w:
-                failures.append({"mode": "wrapped", "i": i, "j": j})
-            if intersection_pattern(half, i, j) != expect_h:
-                failures.append({"mode": "half", "i": i, "j": j})
-    return _result("patterns", checked, failures)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,8 @@ Algebra tables are pure functions of (g, k, variant), so tests share one
 cache across the whole session; the biggest table (g=3, k=3, full) takes
 several seconds to build and is needed by more than one module.
 ``assoc_walk`` is the dense associativity oracle shared by the kernel
-and suite tests.
+and suite tests; ``check_exceptional`` and ``check_directed`` are the
+half-algebra properties shared by the verify and acceptance tests.
 
 Acceptance tests wrap their body in the ``criterion`` context manager,
 which records a pass/fail line (with wall time) whether or not the body
@@ -13,6 +14,7 @@ raises; the lines are printed in a terminal section after the run.
 
 from __future__ import annotations
 
+import itertools
 import time
 from contextlib import contextmanager
 
@@ -49,6 +51,27 @@ def assoc_walk(table: AlgebraTable) -> tuple[int, list[tuple[int, int, int]], in
                 if left != right:
                     bad.append((i, j, l))
     return checked, bad, sides
+
+
+def check_exceptional(table: AlgebraTable) -> dict:
+    """Half variant: hom(s,s) is one-dimensional for every s."""
+    failures = []
+    for s in table.idem_list:
+        d = table.hom_dim(s, s)
+        if d != 1:
+            failures.append({"s": list(s), "dim": d})
+    return {"name": "exceptional", "checked": len(table.idem_list), "failures": failures}
+
+
+def check_directed(table: AlgebraTable) -> dict:
+    """Half variant: no two distinct objects support morphisms both ways."""
+    failures = []
+    checked = 0
+    for s, t in itertools.combinations(table.idem_list, 2):
+        checked += 1
+        if table.hom_dim(s, t) > 0 and table.hom_dim(t, s) > 0:
+            failures.append({"s": list(s), "t": list(t)})
+    return {"name": "directed", "checked": checked, "failures": failures}
 
 
 @contextmanager

@@ -14,7 +14,7 @@ import math
 import time
 from fractions import Fraction
 
-from conftest import build_table, criterion
+from conftest import build_table, check_directed, check_exceptional, criterion
 from strandfloer.circle import (
     idempotents,
     matching_from_pairs,
@@ -41,8 +41,6 @@ from strandfloer.index import (
 )
 from strandfloer.strands import MatchedGenerator, differential
 from strandfloer.verify import (
-    check_directed,
-    check_exceptional,
     suite_assoc,
     suite_closure,
     suite_d2,

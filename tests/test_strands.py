@@ -25,9 +25,7 @@ from strandfloer.circle import (
 from strandfloer.strands import (
     AlgebraTable,
     ClosureError,
-    GF2Sum,
     MatchedGenerator,
-    UnmatchedDiagram,
     check_generator,
     compose,
     differential,
@@ -146,10 +144,10 @@ def test_section_expansion_counts():
     sections = section_expand(pmc, gen)
     # each dotted pair doubles: two horizontals at p or p + 2g
     assert len(sections) == 4
-    assert all(len(s.strands) == 3 for s in sections)
+    assert all(len(s) == 3 for s in sections)
     assert len(set(sections)) == 4
     chord_only = MatchedGenerator(chords=((1, 2),), dotted=())
-    assert section_expand(pmc, chord_only) == [UnmatchedDiagram(((1, 2),))]
+    assert section_expand(pmc, chord_only) == [((1, 2),)]
 
 
 def test_recognize_roundtrip_and_closure_error():
@@ -163,9 +161,9 @@ def test_recognize_roundtrip_and_closure_error():
 
 
 def test_inversions():
-    assert inversions(UnmatchedDiagram(((1, 4), (2, 3)))) == 1
-    assert inversions(UnmatchedDiagram(((1, 3), (2, 4)))) == 0
-    assert inversions(UnmatchedDiagram(((1, 1), (2, 2)))) == 0
+    assert inversions(((1, 4), (2, 3))) == 1
+    assert inversions(((1, 3), (2, 4))) == 0
+    assert inversions(((1, 1), (2, 2))) == 0
 
 
 # -- differential and product ------------------------------------------------
@@ -219,16 +217,6 @@ def test_unit_idempotents_act_as_identity():
         assert tab.prod.get((i, e_tgt)) == i
 
 
-def test_gf2_sum_xor_semantics():
-    a = MatchedGenerator(chords=((1, 2),), dotted=())
-    b = MatchedGenerator(chords=((1, 3),), dotted=())
-    assert GF2Sum.of(a, a) == GF2Sum.of(a)  # of() collects a support set
-    assert not GF2Sum.of(a) + GF2Sum.of(a)  # addition cancels mod 2
-    assert GF2Sum.of(a) ^ GF2Sum.of(b) == GF2Sum.of(b, a)
-    assert list(GF2Sum.of(b, a)) == sorted([a, b])
-    assert len(GF2Sum.of(a, b)) == 2 and not GF2Sum.zero()
-
-
 # -- tables -------------------------------------------------------------------
 
 
@@ -267,8 +255,8 @@ def test_table_index_and_hom_lookups():
     assert [tab.gens[i] for i in tab.hom_indices((2,), (1,))] == [
         MatchedGenerator(chords=((2, 3),), dotted=())
     ]
-    assert tab.multiply(0, 0) == 0
-    assert tab.multiply(1, 1) is None
+    assert tab.prod.get((0, 0)) == 0
+    assert tab.prod.get((1, 1)) is None
 
 
 ASSOC_CASES = [

@@ -6,17 +6,13 @@ import copy
 
 import pytest
 
-from conftest import assoc_walk, build_table
-from strandfloer import grid, index, verify
+from conftest import assoc_walk, build_table, check_directed, check_exceptional
+from strandfloer import grid, homalg, index, verify
 from strandfloer.circle import matching_from_pairs, standard_matching
 from strandfloer.strands import ClosureError
 from strandfloer.verify import (
     GRID_SUITES,
     SUITE_NAMES,
-    check_directed,
-    check_exceptional,
-    check_module_axioms,
-    check_patterns,
     run_suites,
     suite_assoc,
     suite_closure,
@@ -126,6 +122,34 @@ def test_full_algebra_fails_both_as_a_negative_control():
     tab = build_table(1, 1, "full")
     assert check_exceptional(tab)["failures"]  # hom(s,s) is 2-dimensional
     assert check_directed(tab)["failures"]  # morphisms run both ways
+
+
+def check_module_axioms(table) -> dict:
+    failures = []
+    for s in table.idem_list:
+        errs = homalg.verify_module_axioms(homalg.projective_module(table, s))
+        if errs:
+            failures.append({"s": list(s), "errors": errs[:3]})
+    return {"name": "module-axioms", "checked": len(table.idem_list), "failures": failures}
+
+
+def check_patterns(g: int) -> dict:
+    """Intersection counts against the closed-form tables."""
+    failures = []
+    checked = 0
+    pmc = standard_matching(g)
+    wrapped = grid.make_spec(pmc, "wrapped")
+    half = grid.make_spec(pmc, "half")
+    for i in range(1, 2 * g + 1):
+        for j in range(1, 2 * g + 1):
+            checked += 2
+            expect_w = 3 if i < j else (2 if i == j else 1)
+            expect_h = 2 if i < j else (1 if i == j else 0)
+            if grid.intersection_pattern(wrapped, i, j) != expect_w:
+                failures.append({"mode": "wrapped", "i": i, "j": j})
+            if grid.intersection_pattern(half, i, j) != expect_h:
+                failures.append({"mode": "half", "i": i, "j": j})
+    return {"name": "patterns", "checked": checked, "failures": failures}
 
 
 def test_module_axiom_check_over_all_idempotents():
