@@ -6,7 +6,8 @@ The layers, bottom to top:
 - circle: pointed matched circles, surface validation, idempotents.
 - strands: matched generators, differential and product, AlgebraTable.
 - grid: intersection points, empty rectangles, triangles.
-- index: Euler measure, diagonal intersections, Maslov bookkeeping.
+- index: counted domains, their Euler measure, diagonal intersections
+  and Maslov index.
 - homalg: GF(2) complexes, projective modules, morphism complexes.
 - verify: every invariant as a suite with counterexample reporting.
 - cli: build / verify / export front end.
@@ -15,11 +16,9 @@ The layers, bottom to top:
 from .circle import (
     PointedMatchedCircle,
     SurfaceInvariants,
-    idempotent_count,
     idempotents,
     matching_from_pairs,
     standard_matching,
-    thimble_count,
     thimble_index_sets,
     validate_surface,
 )
@@ -95,7 +94,6 @@ __all__ = [
     "floer_product",
     "from_algebra",
     "glue",
-    "idempotent_count",
     "idempotents",
     "intersection_pattern",
     "make_spec",
@@ -108,7 +106,6 @@ __all__ = [
     "rectangle_domain",
     "section_expand",
     "standard_matching",
-    "thimble_count",
     "thimble_index_sets",
     "to_algebra",
     "triangles",

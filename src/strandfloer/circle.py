@@ -15,7 +15,6 @@ algebra and the grid both read ``labels`` and ``positions_of``.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, field
 
 Idempotent = tuple[int, ...]
@@ -159,13 +158,3 @@ def thimble_index_sets(g: int, k: int) -> list[Idempotent]:
     if not 0 <= k <= n:
         raise ValueError(f"k must lie in 0..{n}, got {k}")
     return [tuple(c) for c in itertools.combinations(range(1, n + 1), k)]
-
-
-def idempotent_count(g: int, k: int) -> int:
-    """Closed form for len(idempotents): C(2g, k)."""
-    return math.comb(2 * g, k)
-
-
-def thimble_count(g: int, k: int) -> int:
-    """Closed form for len(thimble_index_sets): C(2g+1, k)."""
-    return math.comb(2 * g + 1, k)

@@ -196,8 +196,9 @@ def empty_rectangles(spec: GridSpec, x: FloerGenerator) -> list[tuple[Rectangle,
 
     Incoming corners are (c1, r2) and (c2, r1) with c1 < c2 <= r1 < r2; a
     branch point may serve as the inner corner through either avatar.  A
-    rectangle is empty when no other point of x (either avatar) lies
-    strictly inside the column and row ranges.  Corner cells of allowed
+    rectangle is empty when no other point of x lies strictly inside the
+    column and row ranges.  A branch point's avatars never can: (v, v)
+    inside would need c1 < v < c2 <= r1 < v.  Corner cells of allowed
     input points are automatically allowed in both modes, which is
     asserted rather than trusted.
     """
@@ -209,7 +210,7 @@ def empty_rectangles(spec: GridSpec, x: FloerGenerator) -> list[tuple[Rectangle,
                     continue
                 rect = Rectangle(c1=a1, c2=a2, r1=b2, r2=b1)
                 assert spec.allowed(a1, b2) and spec.allowed(a2, b1), rect
-                if not _is_empty(spec, x, outer, inner, rect):
+                if not _is_empty(x, outer, inner, rect):
                     continue
                 new_points = [p for p in x if p is not outer and p is not inner]
                 new_points.append((rect.c1, rect.r1))
@@ -219,13 +220,13 @@ def empty_rectangles(spec: GridSpec, x: FloerGenerator) -> list[tuple[Rectangle,
     return out
 
 
-def _is_empty(spec, x, outer, inner, rect: Rectangle) -> bool:
+def _is_empty(x, outer, inner, rect: Rectangle) -> bool:
     for point in x:
         if point is outer or point is inner:
             continue
-        for v, w in avatars(spec, point):
-            if rect.c1 < v < rect.c2 and rect.r1 < w < rect.r2:
-                return False
+        v, w = point
+        if rect.c1 < v < rect.c2 and rect.r1 < w < rect.r2:
+            return False
     return True
 
 

@@ -1,11 +1,12 @@
 """Euler measure, diagonal intersection number and Maslov index for
 counted domains.
 
-Every quantity lives in quarter-integer units, so the arithmetic is pure
-int; callers see exact ``Fraction`` values.  A domain is a multiset of
-elementary pieces (rectangles, triangles, abstract convex m-gons) plus
-the number of incoming ends.  For the composite domains built by gluing
-product domains end to end, the index formula
+A counted domain is k, its number of incoming ends and its triangles:
+an empty rectangle has no triangles and one incoming end, a product
+domain k triangles and two.  Every quantity lives in quarter-integer
+units, so the arithmetic is pure int until ``maslov`` returns an exact
+``Fraction``.  For the composite domains built by gluing product
+domains end to end, the index formula
 
     mu = i + 2e - (l - 1) k / 2
 
@@ -24,7 +25,6 @@ from . import _kernels
 from .grid import (
     FloerGenerator,
     GridSpec,
-    Rectangle,
     Triangle,
     all_floer_generators,
     count_triangles,
@@ -37,61 +37,31 @@ from .grid import (
 
 
 @dataclass(frozen=True)
-class Piece:
-    kind: str  # "rectangle" | "triangle" | "polygon"
-    corners: int
-    triangle: Triangle | None = None
-
-    def __post_init__(self):
-        expected = {"rectangle": 4, "triangle": 3}.get(self.kind)
-        if expected is not None and self.corners != expected:
-            raise ValueError(f"{self.kind} piece with {self.corners} corners")
-        if self.corners < 3:
-            raise ValueError("a convex piece needs at least three corners")
-
-    @property
-    def euler_quarters(self) -> int:
-        """4 * (1 - m/4) for an embedded convex m-gon."""
-        return 4 - self.corners
-
-
-@dataclass(frozen=True)
 class Domain:
-    """A formal union of elementary pieces with inputs-end bookkeeping.
-
-    euler_quarters and diag_intersections are stored, and revalidated
-    against the pieces on construction.
-    """
+    """A counted domain.  Its Euler measure is a quarter per triangle
+    (an embedded triangle has e = 1 - 3/4; a rectangle, e = 0), and its
+    diagonal intersection number i, the count of forbidden triangle
+    pairs, is counted once, here."""
 
     spec: GridSpec
     k: int
     inputs: int
-    pieces: tuple[Piece, ...]
-    euler_quarters: int = field(default=None)  # type: ignore[assignment]
-    diag_intersections: int = field(default=None)  # type: ignore[assignment]
+    triangles: tuple[Triangle, ...]
+    diag_intersections: int = field(init=False)
 
     def __post_init__(self):
         if self.inputs < 1:
             raise ValueError("a domain has at least one incoming end")
-        e = sum(p.euler_quarters for p in self.pieces)
-        tris = [p.triangle for p in self.pieces if p.triangle is not None]
         i = sum(
             1
-            for t1, t2 in itertools.combinations(tris, 2)
+            for t1, t2 in itertools.combinations(self.triangles, 2)
             if overlap_class(self.spec, t1, t2) == "forbidden"
         )
-        if self.euler_quarters is None:
-            object.__setattr__(self, "euler_quarters", e)
-        elif self.euler_quarters != e:
-            raise ValueError("stored Euler measure disagrees with the pieces")
-        if self.diag_intersections is None:
-            object.__setattr__(self, "diag_intersections", i)
-        elif self.diag_intersections != i:
-            raise ValueError("stored intersection number disagrees with the pieces")
+        object.__setattr__(self, "diag_intersections", i)
 
     @property
-    def euler_measure(self) -> Fraction:
-        return Fraction(self.euler_quarters, 4)
+    def euler_quarters(self) -> int:
+        return len(self.triangles)
 
     def maslov(self) -> Fraction:
         quarters = (
@@ -102,25 +72,19 @@ class Domain:
         return Fraction(quarters, 4)
 
 
-def rectangle_domain(spec: GridSpec, rect: Rectangle, k: int) -> Domain:
-    return Domain(spec, k, inputs=1, pieces=(Piece("rectangle", 4),))
+def rectangle_domain(spec: GridSpec, k: int) -> Domain:
+    return Domain(spec, k, 1, ())
 
 
 def product_domain(spec: GridSpec, tris: list[Triangle]) -> Domain:
-    pieces = tuple(Piece("triangle", 3, triangle=t) for t in tris)
-    return Domain(spec, k=len(tris), inputs=2, pieces=pieces)
+    return Domain(spec, len(tris), 2, tuple(tris))
 
 
 def glue(d1: Domain, d2: Domain) -> Domain:
     """Feed the outgoing end of d1 into one incoming slot of d2."""
     if d1.spec != d2.spec or d1.k != d2.k:
         raise ValueError("domains live on different diagrams")
-    return Domain(
-        d1.spec,
-        d1.k,
-        inputs=d1.inputs + d2.inputs - 1,
-        pieces=d1.pieces + d2.pieces,
-    )
+    return Domain(d1.spec, d1.k, d1.inputs + d2.inputs - 1, d1.triangles + d2.triangles)
 
 
 # ---------------------------------------------------------------------------
@@ -132,8 +96,8 @@ def counted_rectangle_domains(spec: GridSpec, k: int):
     from .grid import empty_rectangles
 
     for x in all_floer_generators(spec, k):
-        for rect, _ in empty_rectangles(spec, x):
-            yield rectangle_domain(spec, rect, k)
+        for _ in empty_rectangles(spec, x):
+            yield rectangle_domain(spec, k)
 
 
 def _column_key(spec: GridSpec, y: FloerGenerator) -> tuple[int, ...]:
@@ -194,14 +158,11 @@ class _Edges:
                 self.prod.append(index[z])
                 self.tris.append(tris)
 
-    def domain(self, e: int) -> Domain:
-        return product_domain(self.spec, self.tris[e])
-
 
 def counted_product_domains(edges: _Edges):
     """One Domain per counted product: per edge of the gluing graph."""
-    for e in range(len(edges.prod)):
-        yield edges.domain(e)
+    for tris in edges.tris:
+        yield product_domain(edges.spec, tris)
 
 
 def verify_rigidity(edges: _Edges) -> dict:

@@ -61,13 +61,6 @@ _GRAPH_SUITES = GRID_SUITES - {"dictionary-diff"}
 MAX_EXAMPLES = 5
 
 
-def _result(name: str, checked: int, failures: list, failed: int | None = None) -> dict:
-    result = {"name": name, "checked": checked, "failures": failures}
-    if failures:
-        result["failed"] = len(failures) if failed is None else failed
-    return result
-
-
 class _Failures:
     """Counts every failure of a suite and keeps the first MAX_EXAMPLES."""
 
@@ -81,7 +74,10 @@ class _Failures:
             self.examples.append(example)
 
     def result(self, name: str, checked: int) -> dict:
-        return _result(name, checked, self.examples, self.total)
+        result = {"name": name, "checked": checked, "failures": self.examples}
+        if self.total:
+            result["failed"] = self.total
+        return result
 
 
 def _gen_json(gen: MatchedGenerator) -> dict:
@@ -95,10 +91,10 @@ def suite_regression() -> dict:
     gen = MatchedGenerator(chords=((5, 8),), dotted=(2,))
     got = sorted(differential(pmc, gen))
     want = [MatchedGenerator(chords=((5, 6), (6, 8)), dotted=())]
-    failures = []
+    failures = _Failures()
     if got != want:
-        failures.append({"got": [_gen_json(g) for g in got]})
-    return _result("regression", 1, failures)
+        failures.add({"got": [_gen_json(g) for g in got]})
+    return failures.result("regression", 1)
 
 
 def suite_d2(table: AlgebraTable) -> dict:
@@ -321,19 +317,15 @@ def suite_euler(spec: GridSpec, k: int, edges: index._Edges) -> dict:
     checked = 0
     for dom in index.counted_rectangle_domains(spec, k):
         checked += 1
-        if dom.euler_measure != 0 or dom.diag_intersections != 0:
-            failures.add({"kind": "rectangle", "e": str(dom.euler_measure)})
+        if dom.euler_quarters != 0 or dom.diag_intersections != 0:
+            failures.add({"kind": "rectangle", "e": str(Fraction(dom.euler_quarters, 4))})
     for dom in index.counted_product_domains(edges):
         checked += 1
-        if (
-            dom.euler_measure != Fraction(k, 4)
-            or dom.diag_intersections != 0
-            or dom.maslov() != 0
-        ):
+        if dom.euler_quarters != k or dom.diag_intersections != 0 or dom.maslov() != 0:
             failures.add(
                 {
                     "kind": "product",
-                    "e": str(dom.euler_measure),
+                    "e": str(Fraction(dom.euler_quarters, 4)),
                     "i": dom.diag_intersections,
                     "mu": str(dom.maslov()),
                 }
@@ -343,7 +335,10 @@ def suite_euler(spec: GridSpec, k: int, edges: index._Edges) -> dict:
 
 def suite_rigidity(edges: index._Edges) -> dict:
     report = index.verify_rigidity(edges)
-    result = _result("rigidity", report["checked"], report["violations"])
+    failures = _Failures()
+    for violation in report["violations"]:
+        failures.add(violation)
+    result = failures.result("rigidity", report["checked"])
     result["max_intersection"] = report["max_intersection"]
     return result
 

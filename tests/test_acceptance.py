@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 import time
-from fractions import Fraction
 
 from conftest import build_table, check_directed, check_exceptional, criterion
 from strandfloer.circle import (
@@ -170,12 +169,12 @@ def test_criterion_07_index_suite():
                 spec = make_spec(standard_matching(g), mode)
                 for k in range(1, 2 * g + 1):
                     for dom in counted_rectangle_domains(spec, k):
-                        assert dom.euler_measure == 0
+                        assert dom.euler_quarters == 0
                         assert dom.diag_intersections == 0
                     edges = _Edges(spec, k)
                     for dom in counted_product_domains(edges):
                         assert dom.diag_intersections == 0
-                        assert dom.euler_measure == Fraction(k, 4)
+                        assert dom.euler_quarters == k
                         assert dom.maslov() == 0
                     report = verify_rigidity(edges)
                     assert report["violations"] == []

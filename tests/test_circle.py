@@ -8,11 +8,9 @@ import pytest
 
 from strandfloer.circle import (
     PointedMatchedCircle,
-    idempotent_count,
     idempotents,
     matching_from_pairs,
     standard_matching,
-    thimble_count,
     thimble_index_sets,
     validate_surface,
 )
@@ -109,7 +107,7 @@ def test_idempotents_are_subset_enumerations():
         pmc = standard_matching(g)
         for k in range(0, 2 * g + 1):
             sets = idempotents(pmc, k)
-            assert len(sets) == math.comb(2 * g, k) == idempotent_count(g, k)
+            assert len(sets) == math.comb(2 * g, k)
             assert sets == sorted(sets)
             assert len(set(sets)) == len(sets)
             assert all(len(s) == k for s in sets)
@@ -121,7 +119,7 @@ def test_thimble_index_sets():
     for g in range(1, 7):
         for k in range(0, 2 * g + 2):
             sets = thimble_index_sets(g, k)
-            assert len(sets) == math.comb(2 * g + 1, k) == thimble_count(g, k)
+            assert len(sets) == math.comb(2 * g + 1, k)
             assert all(max(s, default=0) <= 2 * g + 1 for s in sets)
     with pytest.raises(ValueError):
         thimble_index_sets(1, 4)

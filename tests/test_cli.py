@@ -269,7 +269,9 @@ def test_trace_harness_reaches_the_wrapped_kernels(tmp_path):
     assert proc.returncode == 0, proc.stderr
     calls = json.loads(trace_path.read_text(encoding="utf-8"))["calls"]
     for name in ("kernels.gf2_eliminate", "kernels.rigidity_scan",
-                 "kernels.assoc_scan", "strands.as_csr", "grid.product_triangles"):
+                 "kernels.assoc_scan", "strands.as_csr", "grid.product_triangles",
+                 "index.maslov", "index.counted_product_domains",
+                 "index.counted_rectangle_domains"):
         assert calls.get(name, 0) > 0, name
     # The gluing graph is the one place verify pairs triangles: once per
     # label-composable grid pair that has a triangle tuple.

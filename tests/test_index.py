@@ -10,7 +10,6 @@ from strandfloer import _kernels, index
 from strandfloer.circle import matching_from_pairs, standard_matching
 from strandfloer.grid import (
     MODES,
-    Rectangle,
     Triangle,
     all_floer_generators,
     count_triangles,
@@ -21,7 +20,6 @@ from strandfloer.grid import (
 )
 from strandfloer.index import (
     Domain,
-    Piece,
     _Edges,
     counted_product_domains,
     counted_rectangle_domains,
@@ -35,24 +33,9 @@ W1 = make_spec(standard_matching(1), "wrapped")
 W2 = make_spec(standard_matching(2), "wrapped")
 
 
-def test_piece_euler_quarters():
-    assert Piece("rectangle", 4).euler_quarters == 0
-    assert Piece("triangle", 3).euler_quarters == 1
-    assert Piece("polygon", 6).euler_quarters == -2
-
-
-def test_piece_validation():
-    with pytest.raises(ValueError):
-        Piece("rectangle", 3)
-    with pytest.raises(ValueError):
-        Piece("triangle", 4)
-    with pytest.raises(ValueError):
-        Piece("polygon", 2)
-
-
 def test_rectangle_domain_is_flat():
-    dom = rectangle_domain(W1, Rectangle(1, 2, 3, 4), k=2)
-    assert dom.euler_measure == 0
+    dom = rectangle_domain(W1, k=2)
+    assert dom.euler_quarters == 0
     assert dom.diag_intersections == 0
     assert dom.maslov() == 0
 
@@ -62,23 +45,17 @@ def test_product_domain_quarter_euler_per_triangle():
     dom = product_domain(W1, tris)
     assert dom.k == 2
     assert dom.inputs == 2
-    assert dom.euler_measure == Fraction(1, 2)
+    assert dom.euler_quarters == 2
     assert dom.diag_intersections == 0
     assert dom.maslov() == 0
 
 
-def test_domain_recomputes_and_validates_stored_values():
-    pieces = (Piece("triangle", 3, triangle=Triangle(1, 3, 3)),
-              Piece("triangle", 3, triangle=Triangle(2, 2, 4)))
-    dom = Domain(W1, k=2, inputs=2, pieces=pieces)
+def test_domain_counts_its_forbidden_pair():
+    dom = Domain(W1, k=2, inputs=2, triangles=(Triangle(1, 3, 3), Triangle(2, 2, 4)))
     assert dom.diag_intersections == 1  # the forbidden pair
     assert dom.maslov() == Fraction(4 + 2 * 2 - 2 * 2, 4) == 1
     with pytest.raises(ValueError):
-        Domain(W1, k=2, inputs=2, pieces=pieces, euler_quarters=3)
-    with pytest.raises(ValueError):
-        Domain(W1, k=2, inputs=2, pieces=pieces, diag_intersections=0)
-    with pytest.raises(ValueError):
-        Domain(W1, k=2, inputs=0, pieces=pieces)
+        Domain(W1, k=2, inputs=0, triangles=dom.triangles)
 
 
 def test_glue_accumulates_ends_and_pieces():
@@ -87,11 +64,11 @@ def test_glue_accumulates_ends_and_pieces():
     ab = glue(a, b)
     assert ab.inputs == 3
     assert ab.k == 1
-    assert ab.euler_measure == Fraction(1, 2)
+    assert ab.euler_quarters == 2
     assert ab.maslov() == ab.diag_intersections  # 2e cancels (l-1)k/2 exactly
     abc = glue(ab, product_domain(W1, [Triangle(2, 3, 4)]))
     assert abc.inputs == 4
-    assert abc.euler_measure == Fraction(3, 4)
+    assert abc.euler_quarters == 3
 
 
 def test_glue_rejects_mismatched_diagrams():
@@ -108,7 +85,7 @@ def test_counted_rectangles_are_flat():
     doms = list(counted_rectangle_domains(W1, 2))
     assert len(doms) >= 3
     for dom in doms:
-        assert dom.euler_measure == 0
+        assert dom.euler_quarters == 0
         assert dom.diag_intersections == 0
 
 
@@ -116,7 +93,7 @@ def test_counted_products_have_index_zero():
     doms = list(counted_product_domains(_Edges(W1, 1)))
     assert len(doms) == 18  # one per nonzero product of the g=1, k=1 algebra
     for dom in doms:
-        assert dom.euler_measure == Fraction(1, 4)
+        assert dom.euler_quarters == 1
         assert dom.diag_intersections == 0
         assert dom.maslov() == 0
 
@@ -144,7 +121,7 @@ def test_rigidity_scan_matches_glued_domains():
     checked = max_intersection = 0
     for e1, out in enumerate(edges.prod):
         for e2 in by_left.get(out, []) + by_right.get(out, []):
-            whole = glue(edges.domain(e1), edges.domain(e2))
+            whole = glue(product_domain(W2, edges.tris[e1]), product_domain(W2, edges.tris[e2]))
             checked += 1
             max_intersection = max(max_intersection, whole.diag_intersections)
             # The scan over this one chain alone crosses exactly its pairs.

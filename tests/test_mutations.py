@@ -1,16 +1,22 @@
-"""Seeded defects in the section route: each mutant is a copy of one
-function with one check taken out, monkeypatched where its caller looks
-it up, and the suites that should see it must fail by a pinned count.
+"""Seeded defects in the section route and the grid: each mutant is a
+copy of one function with one check taken out or one rule changed,
+monkeypatched where its callers look it up, and the suites that should
+see it must fail by a pinned count.
 
-All counts are at g=2, k=3, full, on the standard matching.
+The section-route counts are at g=2, k=3, full, the grid counts at g=2,
+k=2, full, all on the standard matching.  ``rigidity`` fails 0 checks
+on both grid mutants: its chain test holds for any count of crossings
+(ROADMAP item 3).
 """
 
 from __future__ import annotations
 
 import itertools
 
-from strandfloer import strands, verify
+from strandfloer import grid, index, strands, verify
 from strandfloer.circle import standard_matching
+
+_overlap_class = grid.overlap_class
 
 
 def _resolve_every_crossing(diagram):
@@ -40,6 +46,21 @@ def _compose_every_concatenation(pmc, left, right):
     return strands.recognize(pmc, acc) if acc else frozenset()
 
 
+def _count_every_triangle_tuple(spec, tris):
+    """``count_triangles`` without the forbidden-overlap filter: a tuple
+    with a forbidden pair still counts."""
+    if tris is None:
+        return None
+    return tuple(sorted(grid.canonical_point(spec, t.c, t.r) for t in tris))
+
+
+def _overlap_class_swapped(spec, t1, t2):
+    """``overlap_class`` with the forbidden and head_to_tail classes
+    exchanged."""
+    cls = _overlap_class(spec, t1, t2)
+    return {"forbidden": "head_to_tail", "head_to_tail": "forbidden"}.get(cls, cls)
+
+
 def _failed(report) -> dict[str, int]:
     return {r["name"]: r.get("failed", 0) for r in report["suites"]}
 
@@ -61,3 +82,18 @@ def test_compose_without_inversions_add_test_is_caught(monkeypatch):
     monkeypatch.setattr(verify, "compose", _compose_every_concatenation)
     report = verify.run_suites(standard_matching(2), 3, "full", suites=["closure"])
     assert _failed(report) == {"closure": 2080}
+
+
+def test_triangle_count_without_forbidden_filter_is_caught(monkeypatch):
+    monkeypatch.setattr(index, "count_triangles", _count_every_triangle_tuple)
+    report = verify.run_suites(standard_matching(2), 2, "full", suites=["dictionary-prod", "euler"])
+    # euler fails on the same edges: a counted Domain recounts i from its
+    # triangles and finds the forbidden pair the mutant let through.
+    assert _failed(report) == {"dictionary-prod": 192, "euler": 192}
+
+
+def test_overlap_class_with_swapped_classes_is_caught(monkeypatch):
+    monkeypatch.setattr(grid, "overlap_class", _overlap_class_swapped)
+    monkeypatch.setattr(index, "overlap_class", _overlap_class_swapped)
+    report = verify.run_suites(standard_matching(2), 2, "full", suites=["dictionary-prod"])
+    assert _failed(report) == {"dictionary-prod": 1226}
