@@ -52,12 +52,6 @@ class PointedMatchedCircle:
     def n_points(self) -> int:
         return 4 * self.g
 
-    def label_of(self, position: int) -> int:
-        """Label (1..2g) of the pair containing ``position``."""
-        if not 1 <= position <= self.n_points:
-            raise ValueError(f"position {position} out of range 1..{self.n_points}")
-        return self.labels[position - 1]
-
     def positions_of(self, label: int) -> tuple[int, int]:
         """The two positions carrying ``label``."""
         if not 1 <= label <= 2 * self.g:

@@ -21,7 +21,7 @@ from __future__ import annotations
 import itertools
 from typing import NamedTuple
 
-from .circle import PointedMatchedCircle
+from .circle import PointedMatchedCircle, idempotents
 from .strands import MatchedGenerator
 
 MODES = ("wrapped", "half")
@@ -116,13 +116,6 @@ def points_for_labels(spec: GridSpec, i: int, j: int) -> list[GridPoint]:
     return sorted(out)
 
 
-def intersection_pattern(spec: GridSpec, i: int, j: int) -> int:
-    """Point count of the (i, j) curve pair, found by counting cells."""
-    if not (1 <= i <= 2 * spec.g and 1 <= j <= 2 * spec.g):
-        raise ValueError("labels out of range")
-    return len(points_for_labels(spec, i, j))
-
-
 def source_labels(spec: GridSpec, x: FloerGenerator) -> tuple[int, ...]:
     return tuple(sorted(spec.label(a) for a, _ in x))
 
@@ -148,15 +141,11 @@ def enumerate_floer_generators(spec: GridSpec, s, t) -> list[FloerGenerator]:
     return sorted(set(out))
 
 
-def floer_idempotents(spec: GridSpec, k: int) -> list[tuple[int, ...]]:
-    if not 1 <= k <= 2 * spec.g:
-        raise ValueError(f"k must be between 1 and {2 * spec.g}")
-    return [tuple(c) for c in itertools.combinations(range(1, 2 * spec.g + 1), k)]
-
-
 def all_floer_generators(spec: GridSpec, k: int) -> list[FloerGenerator]:
     """Every generator over every ordered idempotent pair, sorted."""
-    idems = floer_idempotents(spec, k)
+    if k < 1:
+        raise ValueError("the grid model needs k >= 1")
+    idems = idempotents(spec.pmc, k)
     out: list[FloerGenerator] = []
     for s in idems:
         for t in idems:
@@ -239,24 +228,6 @@ def floer_differential(spec: GridSpec, x: FloerGenerator) -> frozenset[FloerGene
 
 # ---------------------------------------------------------------------------
 # Product: triangles.
-
-
-def triangles(spec: GridSpec) -> list[Triangle]:
-    """Every triangle of the diagram: pinned (c <= m <= r, all three cells
-    allowed, not entirely diagonal) plus one flexible branch triangle per
-    pair label."""
-    out = [Triangle(lo, lo, lo, flex=p) for p, (lo, _) in enumerate(spec.pmc.pairs, 1)]
-    for c in range(1, spec.n + 1):
-        for m in range(c, spec.n + 1):
-            if not spec.allowed(c, m):
-                continue
-            for r in range(m, spec.n + 1):
-                if c == m == r:
-                    continue
-                if spec.allowed(m, r) and spec.allowed(c, r):
-                    out.append(Triangle(c, m, r))
-    out.sort()
-    return out
 
 
 def _crossing(a1, b1, a2, b2) -> int:

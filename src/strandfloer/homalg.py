@@ -84,18 +84,24 @@ class ChainComplex:
         return self.dim - 2 * self.d.rank()
 
 
-def hom_complex(table: AlgebraTable, s, t) -> ChainComplex:
-    """The summand hom(s, t) of the algebra with the restricted differential."""
-    idx = table.hom_indices(s, t)
-    pos = {gi: p for p, gi in enumerate(idx)}
+def _restricted_complex(table: AlgebraTable, basis: list[int]) -> ChainComplex:
+    """The generators ``basis`` (table indices) with table.diff restricted
+    to them; every term of a basis element's differential must be in the
+    basis."""
+    pos = {gi: p for p, gi in enumerate(basis)}
     rows = []
-    for gi in idx:
+    for gi in basis:
         mask = 0
         for gj in table.diff[gi]:
             mask |= 1 << pos[gj]
         rows.append(mask)
-    labels = tuple(table.gens[gi] for gi in idx)
-    return ChainComplex(labels, BooleanMatrix(len(idx), len(idx), rows))
+    labels = tuple(table.gens[gi] for gi in basis)
+    return ChainComplex(labels, BooleanMatrix(len(basis), len(basis), rows))
+
+
+def hom_complex(table: AlgebraTable, s, t) -> ChainComplex:
+    """The summand hom(s, t) of the algebra with the restricted differential."""
+    return _restricted_complex(table, table.hom_indices(s, t))
 
 
 @dataclass
@@ -117,10 +123,6 @@ class RightDGModule:
     @property
     def dim(self) -> int:
         return self.complex.dim
-
-    def action_row(self, x: int, a: int) -> int:
-        rows = self.actions.get(a)
-        return rows.get(x, 0) if rows is not None else 0
 
     @cached_property
     def explicit(self) -> frozenset[int]:
@@ -186,17 +188,7 @@ def projective_module(table: AlgebraTable, s) -> RightDGModule:
     sid = table.idem_id[tuple(sorted(s))]
     basis = table.by_source[sid]
     pos = {gi: p for p, gi in enumerate(basis)}
-    n = len(basis)
-
-    d_rows = []
-    for gi in basis:
-        mask = 0
-        for gj in table.diff[gi]:
-            mask |= 1 << pos[gj]
-        d_rows.append(mask)
-    labels = tuple(table.gens[gi] for gi in basis)
-    cx = ChainComplex(labels, BooleanMatrix(n, n, d_rows))
-
+    cx = _restricted_complex(table, basis)
     actions: dict[int, dict[int, int]] = {}
     for p, gi in enumerate(basis):
         for a in table.by_source[table.tgt[gi]]:
@@ -204,71 +196,6 @@ def projective_module(table: AlgebraTable, s) -> RightDGModule:
             if prod is not None:
                 actions.setdefault(a, {})[p] = 1 << pos[prod]
     return RightDGModule(table, cx, tuple(table.tgt[gi] for gi in basis), actions)
-
-
-def verify_module_axioms(mod: RightDGModule) -> list[str]:
-    """Returns a list of axiom failures (empty means the module passes).
-
-    Checked: idempotent actions are the block projections summing to the
-    identity; every action respects the source and target blocks;
-    Leibniz d(xa) = (dx)a + x(da); associativity (xa)b = x(ab),
-    vanishing products included.
-    """
-    table = mod.table
-    n = mod.dim
-    failures = []
-
-    total = [0] * n
-    for r, gi in enumerate(table.idem_gen):
-        for x in range(n):
-            expect = (1 << x) if mod.blocks[x] == r else 0
-            got = mod.action_row(x, gi)
-            if got != expect:
-                failures.append(f"idempotent {r} acts wrongly on basis {x}")
-            total[x] ^= got
-    for x in range(n):
-        if total[x] != 1 << x:
-            failures.append(f"idempotent actions do not sum to identity at {x}")
-
-    block_mask = {}
-    for y in range(n):
-        block_mask[mod.blocks[y]] = block_mask.get(mod.blocks[y], 0) | (1 << y)
-    for a, rows in mod.actions.items():
-        sa, ta = table.src[a], table.tgt[a]
-        for x, row in rows.items():
-            if mod.blocks[x] != sa and row:
-                failures.append(f"generator {a} acts outside its source block")
-                break
-            if row & ~block_mask.get(ta, 0):
-                failures.append(f"generator {a} lands outside its target block")
-                break
-
-    d = mod.complex.d
-    for a in range(len(table.gens)):
-        for x in range(n):
-            acc = 0
-            for x2 in _bits(d.rows[x]):
-                acc ^= mod.action_row(x2, a)
-            for y in _bits(mod.action_row(x, a)):
-                acc ^= d.rows[y]
-            for b in table.diff[a]:
-                acc ^= mod.action_row(x, b)
-            if acc:
-                failures.append(f"Leibniz fails at basis {x}, generator {a}")
-
-    for x in range(n):
-        for a in table.by_source[mod.blocks[x]]:
-            row_xa = mod.action_row(x, a)
-            for b in table.by_source[table.tgt[a]]:
-                acc = 0
-                for y in _bits(row_xa):
-                    acc ^= mod.action_row(y, b)
-                ab = table.prod.get((a, b))
-                if ab is not None:
-                    acc ^= mod.action_row(x, ab)
-                if acc:
-                    failures.append(f"associativity fails at ({x}, {a}, {b})")
-    return failures
 
 
 # ---------------------------------------------------------------------------

@@ -80,13 +80,6 @@ def product_domain(spec: GridSpec, tris: list[Triangle]) -> Domain:
     return Domain(spec, len(tris), 2, tuple(tris))
 
 
-def glue(d1: Domain, d2: Domain) -> Domain:
-    """Feed the outgoing end of d1 into one incoming slot of d2."""
-    if d1.spec != d2.spec or d1.k != d2.k:
-        raise ValueError("domains live on different diagrams")
-    return Domain(d1.spec, d1.k, d1.inputs + d2.inputs - 1, d1.triangles + d2.triangles)
-
-
 # ---------------------------------------------------------------------------
 # Counted-domain streams for the verification suites.
 

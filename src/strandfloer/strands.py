@@ -99,33 +99,6 @@ def target_idempotent(pmc: PointedMatchedCircle, gen: MatchedGenerator) -> Idemp
     return tuple(sorted(itertools.chain((labels[b - 1] for _, b in gen.chords), gen.dotted)))
 
 
-def is_half(pmc: PointedMatchedCircle, gen: MatchedGenerator) -> bool:
-    """No chord crossing the split between positions 2g and 2g+1."""
-    return not any(pmc.crosses_split(a, b) for a, b in gen.chords)
-
-
-def check_generator(pmc: PointedMatchedCircle, gen: MatchedGenerator) -> None:
-    """Raise ValueError unless gen is a well-formed generator for pmc."""
-    labels = pmc.labels
-    n = pmc.n_points
-    src = list(gen.dotted)
-    tgt = list(gen.dotted)
-    for a, b in gen.chords:
-        if not 1 <= a < b <= n:
-            raise ValueError(f"chord {(a, b)} out of range")
-        src.append(labels[a - 1])
-        tgt.append(labels[b - 1])
-    for p in gen.dotted:
-        if not 1 <= p <= 2 * pmc.g:
-            raise ValueError(f"dotted label {p} out of range")
-    if len(set(src)) != len(src):
-        raise ValueError("source labels repeat")
-    if len(set(tgt)) != len(tgt):
-        raise ValueError("target labels repeat")
-    if tuple(sorted(gen.chords)) != gen.chords or tuple(sorted(gen.dotted)) != gen.dotted:
-        raise ValueError("generator not canonically sorted")
-
-
 def idempotent(s: Idempotent) -> MatchedGenerator:
     """The all-dotted generator: the identity endomorphism of object s."""
     return MatchedGenerator(chords=(), dotted=tuple(sorted(s)))
@@ -543,9 +516,6 @@ class AlgebraTable:
 
     def __len__(self) -> int:
         return len(self.gens)
-
-    def hom_dim(self, s: Idempotent, t: Idempotent) -> int:
-        return len(self.hom_indices(s, t))
 
     def hom_indices(self, s: Idempotent, t: Idempotent) -> list[int]:
         sid, tid = self.idem_id[tuple(s)], self.idem_id[tuple(t)]

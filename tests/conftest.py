@@ -5,7 +5,10 @@ cache across the whole session; the biggest table (g=3, k=3, full) takes
 several seconds to build and is needed by more than one module.
 ``assoc_walk`` is the dense associativity oracle shared by the kernel
 and suite tests; ``check_exceptional`` and ``check_directed`` are the
-half-algebra properties shared by the verify and acceptance tests.
+half-algebra properties shared by the verify and acceptance tests;
+``intersection_pattern`` is the curve-pair point count of the grid, and
+``verify_module_axioms`` (with ``action_row``) the module-axiom oracle,
+each read by more than one test module.
 
 Acceptance tests wrap their body in the ``criterion`` context manager,
 which records a pass/fail line (with wall time) whether or not the body
@@ -19,6 +22,8 @@ import time
 from contextlib import contextmanager
 
 from strandfloer.circle import standard_matching
+from strandfloer.grid import GridSpec, points_for_labels
+from strandfloer.homalg import RightDGModule, _bits
 from strandfloer.strands import AlgebraTable
 
 _TABLES: dict[tuple[int, int, str], AlgebraTable] = {}
@@ -57,7 +62,7 @@ def check_exceptional(table: AlgebraTable) -> dict:
     """Half variant: hom(s,s) is one-dimensional for every s."""
     failures = []
     for s in table.idem_list:
-        d = table.hom_dim(s, s)
+        d = len(table.hom_indices(s, s))
         if d != 1:
             failures.append({"s": list(s), "dim": d})
     return {"name": "exceptional", "checked": len(table.idem_list), "failures": failures}
@@ -69,9 +74,87 @@ def check_directed(table: AlgebraTable) -> dict:
     checked = 0
     for s, t in itertools.combinations(table.idem_list, 2):
         checked += 1
-        if table.hom_dim(s, t) > 0 and table.hom_dim(t, s) > 0:
+        if table.hom_indices(s, t) and table.hom_indices(t, s):
             failures.append({"s": list(s), "t": list(t)})
     return {"name": "directed", "checked": checked, "failures": failures}
+
+
+def intersection_pattern(spec: GridSpec, i: int, j: int) -> int:
+    """Point count of the (i, j) curve pair, found by counting cells;
+    a label out of range raises ValueError."""
+    return len(points_for_labels(spec, i, j))
+
+
+def action_row(mod: RightDGModule, x: int, a: int) -> int:
+    """The bitmask of x.a in mod, 0 when a acts on x by zero."""
+    return mod.actions.get(a, {}).get(x, 0)
+
+
+def verify_module_axioms(mod: RightDGModule) -> list[str]:
+    """Returns a list of axiom failures (empty means the module passes).
+
+    Checked: idempotent actions are the block projections summing to the
+    identity; every action respects the source and target blocks;
+    Leibniz d(xa) = (dx)a + x(da); associativity (xa)b = x(ab),
+    vanishing products included.
+    """
+    table = mod.table
+    n = mod.dim
+    failures = []
+
+    total = [0] * n
+    for r, gi in enumerate(table.idem_gen):
+        for x in range(n):
+            expect = (1 << x) if mod.blocks[x] == r else 0
+            got = action_row(mod, x, gi)
+            if got != expect:
+                failures.append(f"idempotent {r} acts wrongly on basis {x}")
+            total[x] ^= got
+    for x in range(n):
+        if total[x] != 1 << x:
+            failures.append(f"idempotent actions do not sum to identity at {x}")
+
+    block_mask = {}
+    for y in range(n):
+        block_mask[mod.blocks[y]] = block_mask.get(mod.blocks[y], 0) | (1 << y)
+    for a, rows in mod.actions.items():
+        sa, ta = table.src[a], table.tgt[a]
+        for x, row in rows.items():
+            if mod.blocks[x] != sa and row:
+                failures.append(f"generator {a} acts outside its source block")
+                break
+            if row & ~block_mask.get(ta, 0):
+                failures.append(f"generator {a} lands outside its target block")
+                break
+
+    d = mod.complex.d
+    for a in range(len(table.gens)):
+        for x in range(n):
+            acc = 0
+            for x2 in _bits(d.rows[x]):
+                acc ^= action_row(mod, x2, a)
+            for y in _bits(action_row(mod, x, a)):
+                acc ^= d.rows[y]
+            for b in table.diff[a]:
+                acc ^= action_row(mod, x, b)
+            if acc:
+                failures.append(f"Leibniz fails at basis {x}, generator {a}")
+
+    for x in range(n):
+        for a in table.by_source[mod.blocks[x]]:
+            row_xa = action_row(mod, x, a)
+            for b in table.by_source[table.tgt[a]]:
+                acc = 0
+                for y in _bits(row_xa):
+                    acc ^= action_row(mod, y, b)
+                ab = table.prod.get((a, b))
+                if ab is not None:
+                    acc ^= action_row(mod, x, ab)
+                if acc:
+                    failures.append(f"associativity fails at ({x}, {a}, {b})")
+    return failures
+
+
 
 
 @contextmanager

@@ -13,7 +13,13 @@ from __future__ import annotations
 import math
 import time
 
-from conftest import build_table, check_directed, check_exceptional, criterion
+from conftest import (
+    build_table,
+    check_directed,
+    check_exceptional,
+    criterion,
+    intersection_pattern,
+)
 from strandfloer.circle import (
     idempotents,
     matching_from_pairs,
@@ -27,7 +33,6 @@ from strandfloer.grid import (
     floer_differential,
     floer_product,
     from_algebra,
-    intersection_pattern,
     make_spec,
     to_algebra,
 )

@@ -20,8 +20,6 @@ def test_standard_matching_shape():
     pmc = standard_matching(2)
     assert pmc.n_points == 8
     assert pmc.pairs == ((1, 5), (2, 6), (3, 7), (4, 8))
-    assert pmc.label_of(3) == 3
-    assert pmc.label_of(7) == 3
     assert pmc.positions_of(4) == (4, 8)
     assert pmc.labels == (1, 2, 3, 4, 1, 2, 3, 4)
 
@@ -94,10 +92,6 @@ def test_bad_circles_rejected():
 
 def test_label_position_errors():
     pmc = standard_matching(1)
-    with pytest.raises(ValueError):
-        pmc.label_of(5)
-    with pytest.raises(ValueError):
-        pmc.label_of(0)
     with pytest.raises(ValueError):
         pmc.positions_of(3)
 

@@ -10,6 +10,7 @@ import itertools
 
 import pytest
 
+from conftest import intersection_pattern
 from strandfloer.circle import matching_from_pairs, standard_matching
 from strandfloer.grid import (
     Rectangle,
@@ -20,22 +21,37 @@ from strandfloer.grid import (
     empty_rectangles,
     enumerate_floer_generators,
     floer_differential,
-    floer_idempotents,
     floer_product,
     from_algebra,
-    intersection_pattern,
     make_spec,
     overlap_class,
     points_for_labels,
     product_triangles,
     to_algebra,
-    triangles,
 )
 from strandfloer.strands import MatchedGenerator
 
 W1 = make_spec(standard_matching(1), "wrapped")
 H1 = make_spec(standard_matching(1), "half")
 W2 = make_spec(standard_matching(2), "wrapped")
+
+
+def triangles(spec) -> list[Triangle]:
+    """Every triangle of the diagram: pinned (c <= m <= r, all three cells
+    allowed, not entirely diagonal) plus one flexible branch triangle per
+    pair label."""
+    out = [Triangle(lo, lo, lo, flex=p) for p, (lo, _) in enumerate(spec.pmc.pairs, 1)]
+    for c in range(1, spec.n + 1):
+        for m in range(c, spec.n + 1):
+            if not spec.allowed(c, m):
+                continue
+            for r in range(m, spec.n + 1):
+                if c == m == r:
+                    continue
+                if spec.allowed(m, r) and spec.allowed(c, r):
+                    out.append(Triangle(c, m, r))
+    out.sort()
+    return out
 
 
 def test_spec_validation():
@@ -118,9 +134,9 @@ def test_all_floer_generators_count():
     assert len(all_floer_generators(W1, 1)) == 8
     assert len(all_floer_generators(H1, 1)) == 4
     with pytest.raises(ValueError):
-        floer_idempotents(W1, 0)
+        all_floer_generators(W1, 0)
     with pytest.raises(ValueError):
-        floer_idempotents(W1, 3)
+        all_floer_generators(W1, 3)
 
 
 def test_dictionary_roundtrip():

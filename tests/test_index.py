@@ -23,7 +23,6 @@ from strandfloer.index import (
     _Edges,
     counted_product_domains,
     counted_rectangle_domains,
-    glue,
     product_domain,
     rectangle_domain,
     verify_rigidity,
@@ -31,6 +30,13 @@ from strandfloer.index import (
 
 W1 = make_spec(standard_matching(1), "wrapped")
 W2 = make_spec(standard_matching(2), "wrapped")
+
+
+def glue(d1: Domain, d2: Domain) -> Domain:
+    """Feed the outgoing end of d1 into one incoming slot of d2."""
+    if d1.spec != d2.spec or d1.k != d2.k:
+        raise ValueError("domains live on different diagrams")
+    return Domain(d1.spec, d1.k, d1.inputs + d2.inputs - 1, d1.triangles + d2.triangles)
 
 
 def test_rectangle_domain_is_flat():

@@ -6,7 +6,14 @@ import copy
 
 import pytest
 
-from conftest import assoc_walk, build_table, check_directed, check_exceptional
+from conftest import (
+    assoc_walk,
+    build_table,
+    check_directed,
+    check_exceptional,
+    intersection_pattern,
+    verify_module_axioms,
+)
 from strandfloer import grid, homalg, index, verify
 from strandfloer.circle import matching_from_pairs, standard_matching
 from strandfloer.strands import ClosureError
@@ -127,7 +134,7 @@ def test_full_algebra_fails_both_as_a_negative_control():
 def check_module_axioms(table) -> dict:
     failures = []
     for s in table.idem_list:
-        errs = homalg.verify_module_axioms(homalg.projective_module(table, s))
+        errs = verify_module_axioms(homalg.projective_module(table, s))
         if errs:
             failures.append({"s": list(s), "errors": errs[:3]})
     return {"name": "module-axioms", "checked": len(table.idem_list), "failures": failures}
@@ -145,9 +152,9 @@ def check_patterns(g: int) -> dict:
             checked += 2
             expect_w = 3 if i < j else (2 if i == j else 1)
             expect_h = 2 if i < j else (1 if i == j else 0)
-            if grid.intersection_pattern(wrapped, i, j) != expect_w:
+            if intersection_pattern(wrapped, i, j) != expect_w:
                 failures.append({"mode": "wrapped", "i": i, "j": j})
-            if grid.intersection_pattern(half, i, j) != expect_h:
+            if intersection_pattern(half, i, j) != expect_h:
                 failures.append({"mode": "half", "i": i, "j": j})
     return {"name": "patterns", "checked": checked, "failures": failures}
 
