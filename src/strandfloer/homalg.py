@@ -30,10 +30,21 @@ indecomposable, and the 225 projective pairs need 530k rows instead of
 
 For a generator a, the row of the entry (x, y') reads M's action row
 x.a directly and N's action through its transpose
-y' -> {y : y.a contains y'}, so each row is written once as a short
-sequence of unknown ids.  The solver is generic sparse GF(2)
-reduction: weight-one rows zero a variable, weight-two rows identify two
-variables, and whatever remains goes through packed elimination.
+y' -> {y : y.a contains y'}.  The rows come in blocks: when x.a is one
+basis element x2, the rows of x over x2's block are a range of unknown
+ids, each a weight-one row, except where the transpose hits y', which
+adds f(x, y) and, with one such y, makes a weight-two row.  That pattern
+depends only on N, a and the two blocks, so N keeps it per generator
+and a block is one list of offsets fed for every such x; only the
+heavier rows are built as id lists.  At g=3 k=2 full the 225
+projective pairs have 309,820 weight-one rows, 220,108 weight-two rows
+and none heavier.
+The solver is generic sparse GF(2) reduction: weight-one rows mark a
+variable zero, weight-two rows identify two variables in a union-find,
+and heavier rows (multi-bit action rows, as in sums and rebased
+modules, or a y' hit by several y) are normalized and whatever remains
+goes through packed elimination.  Marks and merges only grow, so the
+solution does not depend on the order the rows arrive in.
 Nothing here assumes the modules are projective; the yoneda comparison
 against e_t A e_s is meaningful precisely because the two sides are
 computed by unrelated routes.
@@ -48,8 +59,10 @@ those rows.
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass
+from bisect import bisect_right
+from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import compress, filterfalse
 
 from .gf2 import BooleanMatrix
 from .strands import AlgebraTable
@@ -119,10 +132,25 @@ class RightDGModule:
     complex: ChainComplex
     blocks: tuple[int, ...]
     actions: dict[int, dict[int, int]]
+    # Per generator, this module's side of the linearity rows of maps
+    # into it, filled by _target on first use.
+    _targets: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def dim(self) -> int:
         return self.complex.dim
+
+    @cached_property
+    def block_lists(self) -> tuple[dict[int, list[int]], list[int]]:
+        """The basis of each block in order, and the position of each
+        basis element in its block's list."""
+        lists: dict[int, list[int]] = {}
+        pos = []
+        for x, b in enumerate(self.blocks):
+            blk = lists.setdefault(b, [])
+            pos.append(len(blk))
+            blk.append(x)
+        return lists, pos
 
     @cached_property
     def explicit(self) -> frozenset[int]:
@@ -205,7 +233,12 @@ def projective_module(table: AlgebraTable, s) -> RightDGModule:
 class _LinearSystem:
     """Accumulates homogeneous GF(2) rows over integer variable ids and
     reduces them: a weight-one row zeroes its variable, a weight-two row
-    merges the pair (union-find), heavier rows wait for elimination."""
+    merges the pair (union-find), heavier rows wait for elimination.
+
+    zero marks variables, and a class is zero when any member is marked:
+    feed marks the ids it is given and solve folds the marks into the
+    roots.  Marks and merges only grow, so the solution does not depend
+    on the order rows arrive in."""
 
     def __init__(self, n: int):
         self.n = n
@@ -263,6 +296,29 @@ class _LinearSystem:
             self.rows.append(row)
         return False
 
+    def feed(self, blocks):
+        """Feed blocks of rows in (see _linearity_blocks): each weight-one
+        row marks its id, each pair is merged, each listed row is added.
+        A pair with a marked end marks the other end instead."""
+        parent, zero, add = self.parent, self.zero, self.add
+        for los, oxs, zs, hits, rows in blocks:
+            for lo, ox in zip(los, oxs):
+                for z in zs:
+                    zero[lo + z] = 1
+                for p, j in hits:
+                    u = lo + p
+                    v = ox + j
+                    if zero[u] or zero[v]:
+                        zero[u] = zero[v] = 1
+                        continue
+                    while parent[u] != u:
+                        parent[u] = u = parent[parent[u]]
+                    while parent[v] != v:
+                        parent[v] = v = parent[parent[v]]
+                    parent[v] = u
+            for row in rows:
+                add(row)
+
     def settle(self):
         """Re-feed stored rows until a full pass changes nothing."""
         while self.rows:
@@ -274,13 +330,18 @@ class _LinearSystem:
                 return
 
     def solve(self) -> "_Solution":
+        find, parent, zero = self.find, self.parent, self.zero
+        # Fold the marks into the roots, before settle normalizes rows.
+        for u in compress(range(self.n), zero):
+            if parent[u] != u:
+                zero[find(u)] = 1
         self.settle()
         root_col: dict[int, int] = {}
         reps: list[int] = []
         members: list[list[int]] = []
-        for u in range(self.n):
-            r = self.find(u)
-            if self.zero[r]:
+        for u in filterfalse(zero.__getitem__, range(self.n)):
+            r = find(u)
+            if zero[r]:
                 continue
             col = root_col.get(r)
             if col is None:
@@ -331,12 +392,7 @@ def _unknown_layout(M: RightDGModule, N: RightDGModule):
     base[x] + npos[y], where npos[y] is the position of y in its block
     list n_blocks[N.blocks[y]]: ids run over x, then over y.
     """
-    n_blocks: dict[int, list[int]] = {}
-    npos = []
-    for y, b in enumerate(N.blocks):
-        blk = n_blocks.setdefault(b, [])
-        npos.append(len(blk))
-        blk.append(y)
+    n_blocks, npos = N.block_lists
     base = []
     total = 0
     for b in M.blocks:
@@ -345,22 +401,80 @@ def _unknown_layout(M: RightDGModule, N: RightDGModule):
     return base, npos, n_blocks
 
 
-def _linearity_rows(M: RightDGModule, N: RightDGModule, layout, every_generator=False):
-    """Yield the A-linearity constraints on maps f: M -> N as sequences
-    of unknown ids, one per (generator a, x, y') with a term:
+def _target(N: RightDGModule, a: int) -> tuple[dict, dict]:
+    """(into, patterns) for generator a acting on N as the target of a
+    map.  into is N's action transposed and grouped by the block of y,
+    {block: {y': [position of y in its block, for each y.a containing
+    y']}}; patterns caches _target_rows.  Built once per module and
+    generator, so actions must not change afterwards."""
+    got = N._targets.get(a)
+    if got is None:
+        npos = N.block_lists[1]
+        into: dict[int, dict[int, list[int]]] = {}
+        for y, row in N.actions.get(a, {}).items():
+            by_yp = into.setdefault(N.blocks[y], {})
+            for yp in _bits(row):
+                by_yp.setdefault(yp, []).append(npos[y])
+        got = N._targets[a] = (into, {})
+    return got
 
-        sum of f(x2, y') over x2 in x.a  +  sum of f(x, y) over y.a containing y'
+
+def _target_rows(N: RightDGModule, a: int, c: int, b: int | None) -> tuple[list, list, list]:
+    """The rows generator a writes for the keys (x, y') of one x in block
+    c with x.a a single basis element x2 in block b, or with x.a = 0 when
+    b is None, as offsets from lo = base[x2] (base[x] when b is None) and
+    ox = base[x]: (zs, hits, rows) as in a block of _linearity_blocks,
+    with each listed row a pair (ps, js) of the ids lo + p and ox + j.
+
+    Over b every y' of the block is a row, the unhit ones of weight one;
+    with b None only the y' that N's transposed action hits are rows."""
+    into, patterns = _target(N, a)
+    got = patterns.get((c, b))
+    if got is None:
+        ys_of = into.get(c, {})
+        if b is None:
+            zs = [ys[0] for ys in ys_of.values() if len(ys) == 1]
+            hits = []
+            rows = [((), ys) for ys in ys_of.values() if len(ys) > 1]
+        else:
+            blk = N.block_lists[0].get(b, ())
+            zs = [p for p, yp in enumerate(blk) if yp not in ys_of]
+            hit = [(p, ys_of[yp]) for p, yp in enumerate(blk) if yp in ys_of]
+            hits = [(p, ys[0]) for p, ys in hit if len(ys) == 1]
+            rows = [((p,), ys) for p, ys in hit if len(ys) > 1]
+            rows += [((), ys) for yp, ys in ys_of.items() if N.blocks[yp] != b]
+        got = patterns[(c, b)] = (zs, hits, rows)
+    return got
+
+
+def _linearity_blocks(M: RightDGModule, N: RightDGModule, layout, every_generator=False):
+    """Yield the A-linearity constraints on maps f: M -> N in blocks.  The
+    rows are those of the keys (generator a, x, y') with a term,
+
+        sum of f(x2, y') over x2 in x.a  +  sum of f(x, y) over y.a containing y',
+
+    each a sum of unknown ids.  A block (los, oxs, zs, hits, rows) holds,
+    for each i, the weight-one rows of the ids los[i] + z for z in zs and
+    the weight-two rows (los[i] + p, oxs[i] + j) for (p, j) in hits; then
+    the rows listed in rows, as id lists in which a repeated id cancels.
+
+    For x.a = x2 a single basis element, the rows of (x, y') over x2's
+    block are the id range from los = base[x2], zeroed, except at the y'
+    that N's transposed action y' -> {y : y.a contains y'} hits: there the
+    row also holds f(x, y), for oxs = base[x], and with one such y it is a
+    pair.  The pattern depends only on N, a and the blocks of x and x2
+    (_target_rows), so one block carries every such x.  The keys with a
+    term on N's side only (x.a = 0) make a block whose zs are the y hit
+    alone, from los = oxs = base[x].  A multi-bit x.a, a y' hit by several
+    ys and a y' outside x2's block write their rows one by one.
 
     Rows are written for the generators in M.explicit | N.explicit; the
     rest are implied (see the module docstring).  every_generator writes
     them for every non-idempotent generator instead, the test oracle.
     Idempotent generators are always left out; their rows are the block
-    structure of the unknowns (layout is _unknown_layout(M, N)).  A row
-    may repeat an id, which then cancels."""
-    base, npos, n_blocks = layout
-    m_blocks: dict[int, list[int]] = {}
-    for x, b in enumerate(M.blocks):
-        m_blocks.setdefault(b, []).append(x)
+    structure of the unknowns (layout is _unknown_layout(M, N))."""
+    base, _, n_blocks = layout
+    m_blocks = M.block_lists[0]
     empty: dict = {}
     acting = M.actions.keys() | N.actions.keys()
     if every_generator:
@@ -369,38 +483,42 @@ def _linearity_rows(M: RightDGModule, N: RightDGModule, layout, every_generator=
         gens = acting & (M.explicit | N.explicit)
     for a in sorted(gens):
         m_rows = M.actions.get(a, empty)
-        # N's action transposed and grouped by the block of y: y' -> [npos[y]].
-        into: dict[int, dict[int, list[int]]] = {}
-        for y, row in N.actions.get(a, empty).items():
-            by_yp = into.setdefault(N.blocks[y], {})
-            for yp in _bits(row):
-                by_yp.setdefault(yp, []).append(npos[y])
-        # Keys (x, y') with a term on M's side: y' in a block that x.a meets.
+        into = _target(N, a)[0]
+        rows: list[list[int]] = []
+        groups: dict[tuple[int, int], tuple[list[int], list[int]]] = {}
         for x, row_x in m_rows.items():
             ox = base[x]
+            if not row_x & (row_x - 1):
+                x2 = row_x.bit_length() - 1
+                los, oxs = groups.setdefault((M.blocks[x], M.blocks[x2]), ([], []))
+                los.append(base[x2])
+                oxs.append(ox)
+                continue
             ys_of = into.get(M.blocks[x], empty)
             offsets: dict[int, list[int]] = {}
             for x2 in _bits(row_x):
                 offsets.setdefault(M.blocks[x2], []).append(base[x2])
             for b, offs in offsets.items():
-                blk = n_blocks.get(b, ())
-                # Row of (x, y'), M's side: f(x2, y') is base[x2] + npos[y'].
-                for yp, row in zip(blk, zip(*[range(o, o + len(blk)) for o in offs])):
-                    ys = ys_of.get(yp)
-                    if ys is not None:
-                        row += tuple([ox + j for j in ys])
-                    yield row
-            for yp, ys in ys_of.items():
-                if N.blocks[yp] not in offsets:
-                    yield [ox + j for j in ys]
-        # Keys with terms on N's side only.
-        for b, ys_of in into.items():
-            tails = list(ys_of.values())
-            for x in m_blocks.get(b, ()):
-                if x not in m_rows:
-                    ox = base[x]
-                    for ys in tails:
-                        yield [ox + j for j in ys]
+                for p, yp in enumerate(n_blocks.get(b, ())):
+                    rows.append([o + p for o in offs] + [ox + j for j in ys_of.get(yp, ())])
+            rows += [
+                [ox + j for j in ys] for yp, ys in ys_of.items() if N.blocks[yp] not in offsets
+            ]
+        if rows:
+            yield (), (), (), (), rows
+        keys = [(key, los, oxs) for key, (los, oxs) in groups.items()]
+        for c in into:
+            oxs = [base[x] for x in m_blocks.get(c, ()) if x not in m_rows]
+            if oxs:
+                keys.append(((c, None), oxs, oxs))
+        for (c, b), los, oxs in keys:
+            zs, hits, listed = _target_rows(N, a, c, b)
+            rows = [
+                [lo + p for p in ps] + [ox + j for j in js]
+                for ps, js in listed
+                for lo, ox in zip(los, oxs)
+            ]
+            yield los, oxs, zs, hits, rows
 
 
 def mor_complex(M: RightDGModule, N: RightDGModule) -> MorComplex:
@@ -408,7 +526,7 @@ def mor_complex(M: RightDGModule, N: RightDGModule) -> MorComplex:
 
     One constraint row is written for every (generator in M.explicit |
     N.explicit, source basis, target basis) triple with a term (see
-    _linearity_rows); the other generators' rows are implied.  The
+    _linearity_blocks); the other generators' rows are implied.  The
     differential of each solution is re-expressed in the solution basis
     and the expansion is required to reproduce it exactly: the honest
     check that D preserves the space.
@@ -417,13 +535,15 @@ def mor_complex(M: RightDGModule, N: RightDGModule) -> MorComplex:
         raise ValueError("modules live over different algebras")
     nm = M.dim
     layout = _unknown_layout(M, N)
-    n_blocks = layout[2]
-    uid_xy = [(x, y) for x, b in enumerate(M.blocks) for y in n_blocks.get(b, ())]
+    base, _, n_blocks = layout
 
-    system = _LinearSystem(len(uid_xy))
-    add = system.add
-    for row in _linearity_rows(M, N, layout):
-        add(row)
+    def entry(u: int) -> tuple[int, int]:
+        """The matrix entry (x, y) of unknown u."""
+        x = bisect_right(base, u) - 1
+        return x, n_blocks[M.blocks[x]][u - base[x]]
+
+    system = _LinearSystem(sum(len(n_blocks.get(b, ())) for b in M.blocks))
+    system.feed(_linearity_blocks(M, N, layout))
     sol = system.solve()
 
     maps: list[list[int]] = []
@@ -431,30 +551,34 @@ def mor_complex(M: RightDGModule, N: RightDGModule) -> MorComplex:
         f_rows = [0] * nm
         for col in _bits(vec):
             for u in sol.members[col]:
-                x, y = uid_xy[u]
+                x, y = entry(u)
                 f_rows[x] |= 1 << y
         maps.append(f_rows)
-    read_at = [uid_xy[sol.reps[c]] for c in sol.free_cols]
+    read_at = [entry(sol.reps[c]) for c in sol.free_cols]
 
-    dm, dn = M.complex.d, N.complex.d
+    dn_rows = N.complex.d.rows
+    dm_terms = [(x, list(_bits(row))) for x, row in enumerate(M.complex.d.rows) if row]
     d_rows = []
     for f_rows in maps:
         g_rows = [0] * nm
-        for x in range(nm):
+        for x, x2s in dm_terms:
             acc = 0
-            for x2 in _bits(dm.rows[x]):
+            for x2 in x2s:
                 acc ^= f_rows[x2]
-            for y in _bits(f_rows[x]):
-                acc ^= dn.rows[y]
             g_rows[x] = acc
+        for x, row in enumerate(f_rows):
+            if row:
+                acc = g_rows[x]
+                for y in _bits(row):
+                    acc ^= dn_rows[y]
+                g_rows[x] = acc
         coords = 0
         for j, (xr, yr) in enumerate(read_at):
             if (g_rows[xr] >> yr) & 1:
                 coords |= 1 << j
         check = [0] * nm
         for j in _bits(coords):
-            for x in range(nm):
-                check[x] ^= maps[j][x]
+            check = [c ^ m for c, m in zip(check, maps[j])]
         if check != g_rows:
             raise ValueError("differential leaves the morphism space")
         d_rows.append(coords)

@@ -8,7 +8,8 @@ and suite tests; ``check_exceptional`` and ``check_directed`` are the
 half-algebra properties shared by the verify and acceptance tests;
 ``intersection_pattern`` is the curve-pair point count of the grid, and
 ``verify_module_axioms`` (with ``action_row``) the module-axiom oracle,
-each read by more than one test module.
+and ``block_rows`` the row-by-row reading of the linearity blocks, each
+read by more than one test module.
 
 Acceptance tests wrap their body in the ``criterion`` context manager,
 which records a pass/fail line (with wall time) whether or not the body
@@ -155,6 +156,17 @@ def verify_module_axioms(mod: RightDGModule) -> list[str]:
     return failures
 
 
+def block_rows(blocks):
+    """The rows of ``homalg._linearity_blocks``' blocks one by one, as id
+    lists: per block and per (lo, ox), the weight-one rows, then the hit
+    pairs; after them the block's listed rows."""
+    for los, oxs, zs, hits, rows in blocks:
+        for lo, ox in zip(los, oxs):
+            for z in zs:
+                yield [lo + z]
+            for p, j in hits:
+                yield [lo + p, ox + j]
+        yield from rows
 
 
 @contextmanager

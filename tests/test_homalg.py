@@ -13,7 +13,7 @@ from collections import Counter
 
 import pytest
 
-from conftest import action_row, build_table, verify_module_axioms
+from conftest import action_row, block_rows, build_table, verify_module_axioms
 from strandfloer import homalg
 from strandfloer.circle import matching_from_pairs
 from strandfloer.gf2 import BooleanMatrix
@@ -21,7 +21,7 @@ from strandfloer.homalg import (
     ChainComplex,
     RightDGModule,
     _factorizations,
-    _linearity_rows,
+    _linearity_blocks,
     _LinearSystem,
     _unknown_layout,
     hom_complex,
@@ -227,16 +227,24 @@ def _solution(rows, n: int):
 
 
 def _assert_rows_match_oracle(M: RightDGModule, N: RightDGModule) -> None:
+    """The blocks, read row by row, are the oracle's rows, and the block
+    feed solves to what the oracle's rows give one at a time."""
     want = _oracle_rows(M, N)
+    layout = _unknown_layout(M, N)
     got = []
-    for row in _linearity_rows(M, N, _unknown_layout(M, N), every_generator=True):
+    for row in block_rows(_linearity_blocks(M, N, layout, every_generator=True)):
         ids = frozenset(row)
         if len(ids) < len(row):
             ids = frozenset(u for u in row if row.count(u) % 2)
         got.append(ids)
     assert Counter(r for r in got if r) == Counter(r for r in want if r)
     n = sum(1 for x in range(M.dim) for y in range(N.dim) if M.blocks[x] == N.blocks[y])
-    assert _solution(got, n) == _solution(want, n)
+    expected = _solution(want, n)
+    assert _solution(got, n) == expected
+    system = _LinearSystem(n)
+    system.feed(_linearity_blocks(M, N, layout, every_generator=True))
+    sol = system.solve()
+    assert (sol.members, sol.reps, sol.basis, sol.free_cols) == expected
 
 
 def _mor_outcome(M: RightDGModule, N: RightDGModule, every_generator=False):
@@ -246,8 +254,8 @@ def _mor_outcome(M: RightDGModule, N: RightDGModule, every_generator=False):
         if every_generator:
             mp.setattr(
                 homalg,
-                "_linearity_rows",
-                functools.partial(_linearity_rows, every_generator=True),
+                "_linearity_blocks",
+                functools.partial(_linearity_blocks, every_generator=True),
             )
         try:
             mc = mor_complex(M, N)
@@ -355,6 +363,25 @@ def test_linearity_rows_match_oracle_on_sums_and_hand_built_modules():
     pairs = ((S, P), (Q, S), (S, S), (R, P), (P, R), (W, P), (P, W))
     for M, N in pairs + ((thin, Q), (Q, thin), (thin, thin)):
         _assert_mor_matches_oracle(M, N)
+
+
+def test_block_feed_counts_at_g3_k2_full():
+    """The rows of the 225 projective pairs, read from the blocks one by
+    one and counted before any is found redundant: every row has weight
+    one or two, so nothing is left for elimination."""
+    tab = build_table(3, 2, "full")
+    mods = [projective_module(tab, s) for s in tab.idem_list]
+    unknowns = dims = 0
+    weights: Counter = Counter()
+    for M in mods:
+        for N in mods:
+            layout = _unknown_layout(M, N)
+            unknowns += sum(len(layout[2].get(b, ())) for b in M.blocks)
+            weights.update(min(len(row), 3) for row in block_rows(_linearity_blocks(M, N, layout)))
+            dims += mor_complex(M, N).dim
+    assert unknowns == 232_047
+    assert (weights[1], weights[2], weights[3]) == (309_820, 220_108, 0)
+    assert dims == 1_745
 
 
 # -- the generating set --------------------------------------------------------

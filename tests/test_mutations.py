@@ -5,22 +5,26 @@ look it up, and the suites that should see it must fail by a pinned
 count.
 
 The section-route counts are at g=2, k=3, full, the other counts at
-g=2, k=2, full, all on the standard matching.  The last three mutants
-run every suite, and their pins name the suites that cannot see them
-with 0.  ``rigidity`` fails 0 checks on every grid mutant: its chain
-test holds for any count of crossings (ROADMAP item 2).
+g=2, k=2, full, all on the standard matching.  The mutants from the
+deleted product on run every suite, and their pins name the suites that
+cannot see them with 0; the dropped factorization is an equivalent
+mutant, pinned as such.  ``rigidity`` fails 0 checks on every grid
+mutant: its chain test holds for any count of crossings (ROADMAP item
+2).
 """
 
 from __future__ import annotations
 
 import itertools
 
+from conftest import block_rows
 from strandfloer import grid, homalg, index, strands, verify
 from strandfloer.circle import standard_matching
 
 _overlap_class = grid.overlap_class
 _build = strands.AlgebraTable.build.__func__
-_linearity_rows = homalg._linearity_rows
+_linearity_blocks = homalg._linearity_blocks
+_factorizations = homalg._factorizations
 PASSING = dict.fromkeys(verify.SUITE_NAMES, 0)
 
 
@@ -86,11 +90,26 @@ def _points_for_labels_off_by_one(spec, i, j):
     return sorted(out)
 
 
-def _linearity_rows_dropping_every_97th(M, N, layout, every_generator=False):
-    """``_linearity_rows`` without its 97th, 194th, ... row."""
-    for n, row in enumerate(_linearity_rows(M, N, layout, every_generator)):
-        if n % 97 != 96:
-            yield row
+def _linearity_blocks_dropping_every_97th(M, N, layout, every_generator=False):
+    """``_linearity_blocks`` without its 97th, 194th, ... row, counted in
+    the order ``block_rows`` reads them; the rest go on as listed rows."""
+    rows = block_rows(_linearity_blocks(M, N, layout, every_generator))
+    yield (), (), (), (), [row for n, row in enumerate(rows) if n % 97 != 96]
+
+
+def _indecomposables_only(self):
+    """``RightDGModule.explicit`` without its x.c = (x.a).b check: the
+    indecomposable generators alone."""
+    table = self.table
+    factor = _factorizations(table)
+    return frozenset(set(range(len(table.gens))) - set(table.idem_gen) - factor.keys())
+
+
+def _factorizations_dropping_one(table):
+    """``_factorizations`` without the factorization of its smallest c."""
+    factor = dict(_factorizations(table))
+    del factor[min(factor)]
+    return factor
 
 
 def _failed(report) -> dict[str, int]:
@@ -150,6 +169,32 @@ def test_points_for_labels_off_by_one_is_caught(monkeypatch):
 
 
 def test_mor_complex_missing_linearity_rows_is_caught(monkeypatch):
-    monkeypatch.setattr(homalg, "_linearity_rows", _linearity_rows_dropping_every_97th)
+    monkeypatch.setattr(homalg, "_linearity_blocks", _linearity_blocks_dropping_every_97th)
     report = verify.run_suites(standard_matching(2), 2, "full")
-    assert _failed(report) == {**PASSING, "yoneda": 14}
+    # Which rows go, and so the count, follows the order block_rows reads.
+    assert _failed(report) == {**PASSING, "yoneda": 15}
+
+
+def test_explicit_set_without_its_identity_check_blinds_yoneda(monkeypatch):
+    monkeypatch.setattr(strands.AlgebraTable, "build", classmethod(_build_dropping_a_product))
+    monkeypatch.setattr(homalg.RightDGModule, "explicit", property(_indecomposables_only))
+    report = verify.run_suites(standard_matching(2), 2, "full")
+    # With the check, e_{1,2}A adds the 13 generators c whose identity
+    # x.c = (x.a).b the deleted product breaks, and yoneda fails 5 pairs
+    # (the deleted-product mutant above).  Without it their rows are
+    # never written, and yoneda fails none.
+    assert _failed(report) == {
+        **PASSING, "leibniz": 2, "assoc": 16, "closure": 1, "dictionary-prod": 1, "yoneda": 0
+    }
+
+
+def test_dropped_factorization_is_equivalent(monkeypatch):
+    monkeypatch.setattr(homalg, "_factorizations", _factorizations_dropping_one)
+    pmc = standard_matching(2)
+    table = strands.AlgebraTable.build(pmc, 2, "full")
+    c = min(_factorizations(table))
+    assert all(c in homalg.projective_module(table, s).explicit for s in table.idem_list)
+    report = verify.run_suites(pmc, 2, "full")
+    # Equivalent: c has no factorization left, so it counts as
+    # indecomposable and every module writes its rows anyway.
+    assert _failed(report) == PASSING
