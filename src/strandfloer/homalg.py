@@ -386,19 +386,19 @@ class MorComplex:
 
 
 def _unknown_layout(M: RightDGModule, N: RightDGModule):
-    """Ids of the in-block unknowns of a map M -> N.
+    """Ids of the in-block unknowns of a map M -> N, as (base, n_blocks).
 
-    Entry (x, y), for M.blocks[x] == N.blocks[y], is unknown
-    base[x] + npos[y], where npos[y] is the position of y in its block
-    list n_blocks[N.blocks[y]]: ids run over x, then over y.
+    Entry (x, y), for M.blocks[x] == N.blocks[y], is unknown base[x] + p,
+    where p is the position of y in its block list n_blocks[N.blocks[y]]:
+    ids run over x, then over y.
     """
-    n_blocks, npos = N.block_lists
+    n_blocks = N.block_lists[0]
     base = []
     total = 0
     for b in M.blocks:
         base.append(total)
         total += len(n_blocks.get(b, ()))
-    return base, npos, n_blocks
+    return base, n_blocks
 
 
 def _target(N: RightDGModule, a: int) -> tuple[dict, dict]:
@@ -447,7 +447,7 @@ def _target_rows(N: RightDGModule, a: int, c: int, b: int | None) -> tuple[list,
     return got
 
 
-def _linearity_blocks(M: RightDGModule, N: RightDGModule, layout, every_generator=False):
+def _linearity_blocks(M: RightDGModule, N: RightDGModule, layout):
     """Yield the A-linearity constraints on maps f: M -> N in blocks.  The
     rows are those of the keys (generator a, x, y') with a term,
 
@@ -468,20 +468,16 @@ def _linearity_blocks(M: RightDGModule, N: RightDGModule, layout, every_generato
     alone, from los = oxs = base[x].  A multi-bit x.a, a y' hit by several
     ys and a y' outside x2's block write their rows one by one.
 
-    Rows are written for the generators in M.explicit | N.explicit; the
-    rest are implied (see the module docstring).  every_generator writes
-    them for every non-idempotent generator instead, the test oracle.
-    Idempotent generators are always left out; their rows are the block
+    Rows are written for the generators in M.explicit | N.explicit that
+    act on M or N; the rest are implied (see the module docstring).
+    Idempotent generators are never explicit; their rows are the block
     structure of the unknowns (layout is _unknown_layout(M, N))."""
-    base, _, n_blocks = layout
+    base, n_blocks = layout
     m_blocks = M.block_lists[0]
     empty: dict = {}
-    acting = M.actions.keys() | N.actions.keys()
-    if every_generator:
-        gens = acting - set(M.table.idem_gen)
-    else:
-        gens = acting & (M.explicit | N.explicit)
-    for a in sorted(gens):
+    for a in sorted(M.explicit | N.explicit):
+        if a not in M.actions and a not in N.actions:
+            continue
         m_rows = M.actions.get(a, empty)
         into = _target(N, a)[0]
         rows: list[list[int]] = []
@@ -535,7 +531,7 @@ def mor_complex(M: RightDGModule, N: RightDGModule) -> MorComplex:
         raise ValueError("modules live over different algebras")
     nm = M.dim
     layout = _unknown_layout(M, N)
-    base, _, n_blocks = layout
+    base, n_blocks = layout
 
     def entry(u: int) -> tuple[int, int]:
         """The matrix entry (x, y) of unknown u."""

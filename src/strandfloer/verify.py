@@ -271,10 +271,11 @@ def suite_dictionary_prod(table: AlgebraTable, edges: index._Edges) -> dict:
     """Triangle counts match the concatenation product pair by pair.
 
     The grid products are the edges of the gluing graph, each grid
-    generator translated to the algebra once.  Every composable algebra
-    pair is checked, zero products included; a grid generator the
-    dictionary cannot place, and an edge that no composable pair
-    reaches, are failures too.
+    generator translated to the algebra once.  They are compared with
+    table.prod as two sparse maps: a composable pair is wrong only if one
+    side has an entry for it, so the zero pairs are counted, not visited.
+    A grid generator the dictionary cannot place, and an edge that no
+    composable pair reaches, are failures too.
     """
     spec = edges.spec
     failures = _Failures()
@@ -282,31 +283,26 @@ def suite_dictionary_prod(table: AlgebraTable, edges: index._Edges) -> dict:
     for x, i in zip(edges.gens, alg):
         if i is None:
             failures.add({"grid": _points_json(x)})
-    grid_of = {i: x for x, i in enumerate(alg)}
-    n = len(edges.gens)
-    # Edges not yet reached by a composable pair, keyed x * n + y.
-    unseen = {x * n + y: e for e, (x, y) in enumerate(zip(edges.left, edges.right))}
-    checked = 0
-    for u in range(len(table.idem_list)):
-        for i in table.by_target[u]:
-            x = grid_of.get(i)
-            for j in table.by_source[u]:
-                checked += 1
-                y = grid_of.get(j)
-                e = None if x is None or y is None else unseen.pop(x * n + y, None)
-                got = [] if e is None else [alg[edges.prod[e]]]
-                want = table.prod.get((i, j))
-                if got != ([] if want is None else [want]):
-                    failures.add(
-                        {"left": _gen_json(table.gens[i]), "right": _gen_json(table.gens[j])}
-                    )
-    for e in unseen.values():
-        failures.add(
-            {
-                "grid_left": _points_json(edges.gens[edges.left[e]]),
-                "grid_right": _points_json(edges.gens[edges.right[e]]),
-            }
-        )
+    grid_of = {i: x for x, i in enumerate(alg) if i is not None}
+    src, tgt = table.src, table.tgt
+    n = len(table.gens)
+    # The grid product of each composable pair (i, j), keyed i * n + j.
+    grid_prod: dict[int, int | None] = {}
+    for x, y, z in zip(edges.left, edges.right, edges.prod):
+        i, j = alg[x], alg[y]
+        if grid_of.get(i) == x and grid_of.get(j) == y and tgt[i] == src[j]:
+            grid_prod[i * n + j] = alg[z]
+        else:
+            left, right = edges.gens[x], edges.gens[y]
+            failures.add({"grid_left": _points_json(left), "grid_right": _points_json(right)})
+    # -1 is no edge; an edge whose product cannot be placed holds None.
+    for (i, j), m in table.prod.items():
+        if tgt[i] == src[j] and grid_prod.pop(i * n + j, -1) != m:
+            failures.add({"left": _gen_json(table.gens[i]), "right": _gen_json(table.gens[j])})
+    for key in grid_prod:  # edges on pairs the table leaves zero
+        i, j = divmod(key, n)
+        failures.add({"left": _gen_json(table.gens[i]), "right": _gen_json(table.gens[j])})
+    checked = sum(len(t) * len(s) for t, s in zip(table.by_target, table.by_source))
     return failures.result("dictionary-prod", checked)
 
 

@@ -8,8 +8,9 @@ and suite tests; ``check_exceptional`` and ``check_directed`` are the
 half-algebra properties shared by the verify and acceptance tests;
 ``intersection_pattern`` is the curve-pair point count of the grid, and
 ``verify_module_axioms`` (with ``action_row``) the module-axiom oracle,
-and ``block_rows`` the row-by-row reading of the linearity blocks, each
-read by more than one test module.
+``block_rows`` the row-by-row reading of the linearity blocks and
+``every_generator`` the module whose linearity rows are all written out,
+each read by more than one test module.
 
 Acceptance tests wrap their body in the ``criterion`` context manager,
 which records a pass/fail line (with wall time) whether or not the body
@@ -167,6 +168,15 @@ def block_rows(blocks):
             for p, j in hits:
                 yield [lo + p, ox + j]
         yield from rows
+
+
+def every_generator(mod: RightDGModule) -> RightDGModule:
+    """A copy of mod whose explicit set is every non-idempotent
+    generator: maps into or out of it write every generator's linearity
+    rows, the oracle for the generating set.  mod itself is not touched."""
+    out = RightDGModule(mod.table, mod.complex, mod.blocks, mod.actions)
+    out.explicit = frozenset(range(len(mod.table.gens))) - set(mod.table.idem_gen)
+    return out
 
 
 @contextmanager

@@ -1,30 +1,35 @@
-"""Seeded defects in the section route, the product table, the grid and
-the morphism-complex solver: each mutant is a copy of one function with
-one check taken out or one rule changed, monkeypatched where its callers
-look it up, and the suites that should see it must fail by a pinned
-count.
+"""Seeded defects in the section route, the product table, the
+differential, the associativity scan, the grid and the morphism-complex
+solver: each mutant is a copy of one function with one check taken out
+or one rule changed, or a table edited after its build, monkeypatched
+where its callers look it up, and the suites that should see it must
+fail by a pinned count.
 
 The section-route counts are at g=2, k=3, full, the other counts at
-g=2, k=2, full, all on the standard matching.  The mutants from the
-deleted product on run every suite, and their pins name the suites that
-cannot see them with 0; the dropped factorization is an equivalent
-mutant, pinned as such.  ``rigidity`` fails 0 checks on every grid
-mutant: its chain test holds for any count of crossings (ROADMAP item
-2).
+g=2, k=2, full, all on the standard matching except the wrong label
+map, whose table has another matching.  The mutants from k=2 on run
+every suite, and their pins name the suites that cannot see them with
+0; the dropped factorization and the recognizer that accepts partial
+families are equivalent mutants, pinned as such.  ``rigidity`` fails 0
+checks on every grid mutant: its chain test holds for any count of
+crossings (ROADMAP item 2).
 """
 
 from __future__ import annotations
 
 import itertools
 
+import pytest
+
 from conftest import block_rows
-from strandfloer import grid, homalg, index, strands, verify
-from strandfloer.circle import standard_matching
+from strandfloer import _kernels, grid, homalg, index, strands, verify
+from strandfloer.circle import matching_from_pairs, standard_matching
 
 _overlap_class = grid.overlap_class
 _build = strands.AlgebraTable.build.__func__
 _linearity_blocks = homalg._linearity_blocks
 _factorizations = homalg._factorizations
+_assoc_scan = _kernels.assoc_scan
 PASSING = dict.fromkeys(verify.SUITE_NAMES, 0)
 
 
@@ -70,13 +75,86 @@ def _overlap_class_swapped(spec, t1, t2):
     return {"forbidden": "head_to_tail", "head_to_tail": "forbidden"}.get(cls, cls)
 
 
-def _build_dropping_a_product(cls, pmc, k, variant="full"):
-    """``AlgebraTable.build``, then one ``prod`` entry deleted: the first
-    pair, in index order, of two non-idempotent generators."""
-    table = _build(cls, pmc, k, variant)
+def _built_then(edit):
+    """``AlgebraTable.build`` followed by ``edit`` on the new table, as a
+    classmethod to patch in."""
+
+    def build(cls, pmc, k, variant="full"):
+        table = _build(cls, pmc, k, variant)
+        edit(table)
+        return table
+
+    return classmethod(build)
+
+
+def _drop_a_product(table):
+    """One ``prod`` entry deleted: the first pair, in index order, of two
+    non-idempotent generators."""
     idem = set(table.idem_gen)
     del table.prod[min(p for p in table.prod if not idem.intersection(p))]
-    return table
+
+
+def _flip_a_product(table):
+    """e_s.a = a becomes e_s, for the first generator a whose source and
+    target idempotents differ."""
+    a = next(i for i in range(len(table.gens)) if table.src[i] != table.tgt[i])
+    e = table.idem_gen[table.src[a]]
+    table.prod[(e, a)] = e
+
+
+def _set_differential(table, i, row):
+    table.diff = table.diff[:i] + (tuple(sorted(row)),) + table.diff[i + 1 :]
+
+
+def _flip_a_differential_entry(table):
+    """The entry (i, j) of the differential turned on: i the first
+    generator with a nonzero differential, j the next generator after its
+    terms with the same idempotents and a zero differential, so that d^2
+    stays zero and the projective modules can still be formed."""
+    i = next(i for i, row in enumerate(table.diff) if row)
+    j = next(
+        j
+        for j in range(table.diff[i][-1] + 1, len(table.gens))
+        if (table.src[j], table.tgt[j]) == (table.src[i], table.tgt[i]) and not table.diff[j]
+    )
+    _set_differential(table, i, table.diff[i] + (j,))
+
+
+def _drop_a_differential_term(table):
+    """The first nonzero differential loses its first term."""
+    i = next(i for i, row in enumerate(table.diff) if row)
+    _set_differential(table, i, table.diff[i][1:])
+
+
+def _recognize_partial_families(pmc, total):
+    """``recognize`` without its count of sections: a candidate generator
+    is accepted with any nonempty set of its sections present."""
+    labels = pmc.labels
+    groups = {}
+    for diagram in total:
+        chords = []
+        dotted = []
+        for a, b in diagram:
+            if a == b:
+                dotted.append(labels[a - 1])
+            else:
+                chords.append((a, b))
+        dotted.sort()
+        for p, q in zip(dotted, dotted[1:]):
+            if p == q:
+                raise strands.ClosureError(
+                    f"diagram {diagram} occupies both positions of pair {p}"
+                )
+        cand = strands.MatchedGenerator(chords=tuple(sorted(chords)), dotted=tuple(dotted))
+        groups.setdefault(cand, set()).add(diagram)
+    return frozenset(groups)
+
+
+def _assoc_scan_skipping_a_row(prod, rows, cols, src, tgt):
+    """``assoc_scan`` blind to one row of the product's row view: that of
+    the smallest generator p that is not an idempotent, p.p != p."""
+    skip = min(p for p in rows if prod.get((p, p)) != p)
+    return _assoc_scan(prod, {p: row for p, row in rows.items() if p != skip}, cols, src, tgt)
 
 
 def _points_for_labels_off_by_one(spec, i, j):
@@ -90,10 +168,17 @@ def _points_for_labels_off_by_one(spec, i, j):
     return sorted(out)
 
 
-def _linearity_blocks_dropping_every_97th(M, N, layout, every_generator=False):
+def _column_key_without_wildcards(spec, y):
+    """``index._column_key`` keying a branch point of a right factor by its
+    column position, not 0: it meets only the rows at that avatar, so the
+    gluing graph drops products."""
+    return tuple(a for a, _ in sorted(y, key=lambda p: spec.label(p[0])))
+
+
+def _linearity_blocks_dropping_every_97th(M, N, layout):
     """``_linearity_blocks`` without its 97th, 194th, ... row, counted in
     the order ``block_rows`` reads them; the rest go on as listed rows."""
-    rows = block_rows(_linearity_blocks(M, N, layout, every_generator))
+    rows = block_rows(_linearity_blocks(M, N, layout))
     yield (), (), (), (), [row for n, row in enumerate(rows) if n % 97 != 96]
 
 
@@ -151,11 +236,80 @@ def test_overlap_class_with_swapped_classes_is_caught(monkeypatch):
 
 
 def test_deleted_product_entry_is_caught(monkeypatch):
-    monkeypatch.setattr(strands.AlgebraTable, "build", classmethod(_build_dropping_a_product))
+    monkeypatch.setattr(strands.AlgebraTable, "build", _built_then(_drop_a_product))
     report = verify.run_suites(standard_matching(2), 2, "full")
     assert _failed(report) == {
         **PASSING, "leibniz": 2, "assoc": 16, "closure": 1, "dictionary-prod": 1, "yoneda": 5
     }
+
+
+def test_flipped_product_entry_is_caught(monkeypatch):
+    monkeypatch.setattr(strands.AlgebraTable, "build", _built_then(_flip_a_product))
+    report = verify.run_suites(standard_matching(2), 2, "full")
+    assert _failed(report) == {
+        **PASSING, "leibniz": 1, "assoc": 48, "closure": 1, "dictionary-prod": 1, "yoneda": 4
+    }
+
+
+def test_flipped_differential_entry_is_caught(monkeypatch):
+    monkeypatch.setattr(strands.AlgebraTable, "build", _built_then(_flip_a_differential_entry))
+    report = verify.run_suites(standard_matching(2), 2, "full")
+    assert _failed(report) == {
+        **PASSING, "leibniz": 10, "closure": 1, "dictionary-diff": 1, "yoneda": 3
+    }
+
+
+def test_deleted_differential_term_is_caught(monkeypatch):
+    monkeypatch.setattr(strands.AlgebraTable, "build", _built_then(_drop_a_differential_term))
+    report = verify.run_suites(standard_matching(2), 2, "full")
+    assert _failed(report) == {
+        **PASSING, "leibniz": 22, "closure": 1, "dictionary-diff": 1, "yoneda": 3
+    }
+
+
+def test_recognize_accepting_partial_families_is_equivalent(monkeypatch):
+    monkeypatch.setattr(strands, "recognize", _recognize_partial_families)
+    report = verify.run_suites(standard_matching(2), 2, "full")
+    # Equivalent: on a correct table every sum that the differential and
+    # the section route hand to recognize holds whole families, so the
+    # check the mutant drops never fires.
+    assert _failed(report) == PASSING
+
+
+def test_assoc_scan_skipping_a_row_is_caught(monkeypatch):
+    monkeypatch.setattr(strands.AlgebraTable, "build", _built_then(_flip_a_product))
+    monkeypatch.setattr(_kernels, "assoc_scan", _assoc_scan_skipping_a_row)
+    report = verify.run_suites(standard_matching(2), 2, "full")
+    # One of the flipped product's 48 failing triples is reached only
+    # through the skipped row; the other suites read no row view.
+    assert _failed(report) == {
+        **PASSING, "leibniz": 1, "assoc": 47, "closure": 1, "dictionary-prod": 1, "yoneda": 4
+    }
+
+
+@pytest.mark.parametrize("variant", ["full", "half"])
+def test_standard_grid_on_a_custom_matching_is_caught(monkeypatch, variant):
+    # The wrong label map: the grid of the standard matching against the
+    # table of another matching.
+    real = verify.grid_spec
+    monkeypatch.setattr(
+        verify, "grid_spec", lambda pmc, variant: real(standard_matching(pmc.g), variant)
+    )
+    pmc = matching_from_pairs(2, ((1, 7), (2, 8), (3, 5), (4, 6)))
+    report = verify.run_suites(pmc, 2, variant)
+    pins = {
+        "full": {"dictionary-diff": 30, "dictionary-prod": 3012},
+        "half": {"dictionary-diff": 6, "dictionary-prod": 334},
+    }
+    assert _failed(report) == {**PASSING, **pins[variant]}
+
+
+def test_visit_rule_without_branch_wildcards_is_caught(monkeypatch):
+    monkeypatch.setattr(index, "_column_key", _column_key_without_wildcards)
+    report = verify.run_suites(standard_matching(2), 2, "full")
+    # euler and rigidity check the domains of whatever edges they are
+    # given; only dictionary-prod compares the edges with the table.
+    assert _failed(report) == {**PASSING, "dictionary-prod": 848}
 
 
 def test_points_for_labels_off_by_one_is_caught(monkeypatch):
@@ -176,7 +330,7 @@ def test_mor_complex_missing_linearity_rows_is_caught(monkeypatch):
 
 
 def test_explicit_set_without_its_identity_check_blinds_yoneda(monkeypatch):
-    monkeypatch.setattr(strands.AlgebraTable, "build", classmethod(_build_dropping_a_product))
+    monkeypatch.setattr(strands.AlgebraTable, "build", _built_then(_drop_a_product))
     monkeypatch.setattr(homalg.RightDGModule, "explicit", property(_indecomposables_only))
     report = verify.run_suites(standard_matching(2), 2, "full")
     # With the check, e_{1,2}A adds the 13 generators c whose identity

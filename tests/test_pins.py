@@ -1,8 +1,10 @@
 """The benchmark's pinned outputs, read and never written: build hashes
 from ``perfbench/census.json`` and the verify-full-g3k2 counts checked
-by ``perfbench/check.py``.  The harness scripts themselves are run too,
-since ``perfbench/traced.py`` and ``perfbench/probe.py`` look src names
-up by name, and a renamed or deleted one breaks them."""
+by ``perfbench/check.py``; and the sha256 of three ``verify`` reports,
+so that a change meant to keep them byte-identical is checked to be.
+The harness scripts themselves are run too, since
+``perfbench/traced.py`` and ``perfbench/probe.py`` look src names up by
+name, and a renamed or deleted one breaks them."""
 
 from __future__ import annotations
 
@@ -24,6 +26,10 @@ PERFBENCH = REPO / "perfbench"
 CENSUS = json.loads((PERFBENCH / "census.json").read_text(encoding="utf-8"))["builds"]
 
 
+def _sha256(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
 @pytest.mark.parametrize(
     "entry",
     [e for e in CENSUS if e["g"] <= 2],
@@ -33,7 +39,7 @@ def test_build_matches_census_hash(tmp_path, entry):
     out = tmp_path / "build.json"
     argv = ["build", "-g", str(entry["g"]), "--k", str(entry["k"]), "--variant", entry["variant"]]
     assert main([*argv, "--out", str(out)]) == 0
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == entry["sha256"]
+    assert _sha256(out) == entry["sha256"]
 
 
 def test_verify_full_g3k2_meets_its_pins(tmp_path):
@@ -41,6 +47,27 @@ def test_verify_full_g3k2_meets_its_pins(tmp_path):
     out = tmp_path / "verify.json"
     assert main(["verify", "-g", "3", "--k", "2", "--out", str(out)]) == 0
     assert problems("verify-full-g3k2", out) == []
+    assert _sha256(out) == "bad36471b383e0bbd830b0b9564e80302c209888d6f4002980e91405f44dc0d6"
+
+
+@pytest.mark.parametrize(
+    "argv, sha256",
+    [
+        (
+            ["-g", "2", "--k", "3"],
+            "c0f5483a6f35993d2510174be590347b0aba95c1d5f8502efdb707bb009cc819",
+        ),
+        (
+            ["-g", "2", "--k", "2", "--matching", '{"pairs": [[1, 7], [2, 8], [3, 5], [4, 6]]}'],
+            "a68228001204ad44efcdc68a8be43a9c653915dbbaf117dcc123600825ce4031",
+        ),
+    ],
+    ids=["g2k3", "g2k2-matching"],
+)
+def test_verify_report_matches_its_hash(tmp_path, argv, sha256):
+    out = tmp_path / "verify.json"
+    assert main(["verify", *argv, "--out", str(out)]) == 0
+    assert _sha256(out) == sha256
 
 
 def _run_harness(script: str, *argv: str) -> subprocess.CompletedProcess:

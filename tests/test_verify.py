@@ -1,4 +1,5 @@
-"""The suite driver: names, skipping rules, sampling, negative controls."""
+"""The suite driver: names, skipping rules, sampling, negative controls.
+Seeded defects that run every suite live in test_mutations.py."""
 
 from __future__ import annotations
 
@@ -91,20 +92,6 @@ def test_k_zero_skips_grid_but_not_regression():
     ]
     assert "regression" not in GRID_SUITES
     assert report["ok"]
-
-
-@pytest.mark.parametrize("variant", ["full", "half"])
-def test_dictionary_suites_catch_the_standard_grid_on_a_custom_matching(monkeypatch, variant):
-    # The wrong label map: the grid of the standard matching against the
-    # table of another matching.
-    real = verify.grid_spec
-    monkeypatch.setattr(
-        verify, "grid_spec", lambda pmc, variant: real(standard_matching(pmc.g), variant)
-    )
-    pmc = matching_from_pairs(2, ((1, 7), (2, 8), (3, 5), (4, 6)))
-    report = run_suites(pmc, 2, variant, suites=["dictionary-diff", "dictionary-prod"])
-    assert [r["name"] for r in report["suites"]] == ["dictionary-diff", "dictionary-prod"]
-    assert all(r["failed"] > 0 for r in report["suites"])
 
 
 def test_sampling_is_seed_deterministic():
@@ -253,10 +240,45 @@ def _add_edge_the_algebra_does_not_compose(tab, edges):
     return tab, edges
 
 
+def _add_edge_on_a_zero_pair(tab, edges):
+    # The first composable algebra pair with no product gets an edge
+    # between the grid generators that place to its factors.
+    spec = edges.spec
+    grid_of = {verify._placed(tab, spec, x): n for n, x in enumerate(edges.gens)}
+    i, j = next(
+        (i, j)
+        for u in range(len(tab.idem_list))
+        for i in tab.by_target[u]
+        for j in tab.by_source[u]
+        if (i, j) not in tab.prod
+    )
+    x, y = grid_of[i], grid_of[j]
+    edges.left, edges.right, edges.prod = edges.left + [x], edges.right + [y], edges.prod + [x]
+    return tab, edges
+
+
+def _send_an_edge_to_an_unplaceable_tuple(tab, edges):
+    # The first edge's product becomes the empty grid tuple, which places
+    # to no generator of a k = 2 table: it fails once as a grid generator
+    # and once as the product of the edge.
+    edges.gens = edges.gens + [()]
+    edges.prod = [len(edges.gens) - 1] + edges.prod[1:]
+    return tab, edges
+
+
+_PROD_DEFECTS = [
+    (_drop_edge, 1),
+    (_flip_product, 1),
+    (_add_edge_the_algebra_does_not_compose, 1),
+    (_add_edge_on_a_zero_pair, 1),
+    (_send_an_edge_to_an_unplaceable_tuple, 2),
+]
+
+
 @pytest.mark.parametrize(
-    "mutant", [_drop_edge, _flip_product, _add_edge_the_algebra_does_not_compose]
+    "mutant, failed", _PROD_DEFECTS, ids=[mutant.__name__ for mutant, _ in _PROD_DEFECTS]
 )
-def test_dictionary_prod_counts_each_seeded_defect_once(mutant):
+def test_dictionary_prod_counts_each_seeded_defect_once(mutant, failed):
     tab = build_table(2, 2, "full")
     pairs = sum(len(t) * len(s) for t, s in zip(tab.by_target, tab.by_source))
     edges = index._Edges(verify.grid_spec(standard_matching(2), "full"), 2)
@@ -265,20 +287,7 @@ def test_dictionary_prod_counts_each_seeded_defect_once(mutant):
     }
     report = suite_dictionary_prod(*mutant(tab, copy.copy(edges)))
     assert report["checked"] == pairs
-    assert report["failed"] == 1
-
-
-def test_dictionary_prod_catches_a_visit_rule_without_branch_wildcards(monkeypatch):
-    # A branch point of a right factor keyed by its column position meets
-    # only the rows at that avatar, so the gluing graph drops products.
-    def no_wildcard(spec, y):
-        return tuple(a for a, _ in sorted(y, key=lambda p: spec.label(p[0])))
-
-    tab = build_table(2, 2, "full")
-    monkeypatch.setattr(index, "_column_key", no_wildcard)
-    edges = index._Edges(verify.grid_spec(standard_matching(2), "full"), 2)
-    report = suite_dictionary_prod(tab, edges)
-    assert report["failed"] > 0
+    assert report["failed"] == failed
 
 
 def _closure_flip_product(tab):
