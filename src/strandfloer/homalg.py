@@ -39,12 +39,13 @@ and a block is one list of offsets fed for every such x; only the
 heavier rows are built as id lists.  At g=3 k=2 full the 225
 projective pairs have 309,820 weight-one rows, 220,108 weight-two rows
 and none heavier.
-The solver is generic sparse GF(2) reduction: weight-one rows mark a
-variable zero, weight-two rows identify two variables in a union-find,
-and heavier rows (multi-bit action rows, as in sums and rebased
-modules, or a y' hit by several y) are normalized and whatever remains
-goes through packed elimination.  Marks and merges only grow, so the
-solution does not depend on the order the rows arrive in.
+The solver is generic sparse GF(2) reduction, one function: weight-one
+rows mark a variable zero and weight-two rows identify two variables in
+a union-find.  Marks and merges only grow, so the classes do not depend
+on the order the rows arrive in.  Heavier rows (multi-bit action rows,
+as in sums and rebased modules, or a y' hit by several y) are rewritten
+once over the classes that survive, and one packed elimination over
+those classes solves them exactly; the projectives send none.
 Nothing here assumes the modules are projective; the yoneda comparison
 against e_t A e_s is meaningful precisely because the two sides are
 computed by unrelated routes.
@@ -230,134 +231,82 @@ def projective_module(table: AlgebraTable, s) -> RightDGModule:
 # Morphism complexes.
 
 
-class _LinearSystem:
-    """Accumulates homogeneous GF(2) rows over integer variable ids and
-    reduces them: a weight-one row zeroes its variable, a weight-two row
-    merges the pair (union-find), heavier rows wait for elimination.
+def _solve(n: int, blocks) -> _Solution:
+    """Solve the homogeneous GF(2) rows of blocks (see _linearity_blocks)
+    over the variable ids 0..n-1.
 
-    zero marks variables, and a class is zero when any member is marked:
-    feed marks the ids it is given and solve folds the marks into the
-    roots.  Marks and merges only grow, so the solution does not depend
-    on the order rows arrive in."""
+    A weight-one row marks its variable zero and a weight-two row merges
+    the pair in a union-find, or, with a marked end, marks the other end;
+    a class is zero when any member is marked, so the surviving classes
+    are the components of the pairs that no mark reaches, whatever order
+    the rows arrive in.  Heavier rows are kept, rewritten over the
+    surviving classes and eliminated once."""
+    parent = list(range(n))
+    zero = bytearray(n)
+    heavy = []
 
-    def __init__(self, n: int):
-        self.n = n
-        self.parent = list(range(n))
-        self.zero = bytearray(n)
-        self.rows: list[frozenset[int]] = []
-        self._seen: set[frozenset[int]] = set()
-
-    def find(self, a: int) -> int:
-        parent = self.parent
+    def find(a: int) -> int:
         while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
+            parent[a] = a = parent[parent[a]]
         return a
 
-    def _normalize(self, ids) -> frozenset[int]:
-        out: set[int] = set()
-        for i in ids:
-            r = self.find(i)
-            if not self.zero[r]:
-                out.symmetric_difference_update((r,))
-        return frozenset(out)
-
-    def add(self, ids) -> bool:
-        """Feed one row, a sequence of variable ids, in; True when it
-        changed a variable's fate.
-
-        Rows of one or two ids settle through find alone; a heavier row
-        is normalized and, unless it shrinks to weight one or two, kept
-        for elimination."""
-        if len(ids) == 1:
-            r = self.find(ids[0])
-            if self.zero[r]:
-                return False
-            self.zero[r] = 1
-            return True
-        if len(ids) == 2:
-            a, b = self.find(ids[0]), self.find(ids[1])
-            if a == b or (self.zero[a] and self.zero[b]):
-                return False
-            if self.zero[a]:
-                self.zero[b] = 1
-            elif self.zero[b]:
-                self.zero[a] = 1
+    for los, oxs, zs, hits, rows in blocks:
+        for lo, ox in zip(los, oxs):
+            for z in zs:
+                zero[lo + z] = 1
+            for p, j in hits:
+                u = lo + p
+                v = ox + j
+                if zero[u] or zero[v]:
+                    zero[u] = zero[v] = 1
+                    continue
+                while parent[u] != u:
+                    parent[u] = u = parent[parent[u]]
+                while parent[v] != v:
+                    parent[v] = v = parent[parent[v]]
+                parent[v] = u
+        for row in rows:
+            if len(row) == 1:
+                zero[row[0]] = 1
+            elif len(row) == 2:
+                u, v = row
+                if zero[u] or zero[v]:
+                    zero[u] = zero[v] = 1
+                else:
+                    parent[find(v)] = find(u)
             else:
-                self.parent[b] = a
-            return True
-        row = self._normalize(ids)
-        if not row:
-            return False
-        if len(row) <= 2:
-            return self.add(tuple(row))
-        if row not in self._seen:
-            self._seen.add(row)
-            self.rows.append(row)
-        return False
+                heavy.append(row)
 
-    def feed(self, blocks):
-        """Feed blocks of rows in (see _linearity_blocks): each weight-one
-        row marks its id, each pair is merged, each listed row is added.
-        A pair with a marked end marks the other end instead."""
-        parent, zero, add = self.parent, self.zero, self.add
-        for los, oxs, zs, hits, rows in blocks:
-            for lo, ox in zip(los, oxs):
-                for z in zs:
-                    zero[lo + z] = 1
-                for p, j in hits:
-                    u = lo + p
-                    v = ox + j
-                    if zero[u] or zero[v]:
-                        zero[u] = zero[v] = 1
-                        continue
-                    while parent[u] != u:
-                        parent[u] = u = parent[parent[u]]
-                    while parent[v] != v:
-                        parent[v] = v = parent[parent[v]]
-                    parent[v] = u
-            for row in rows:
-                add(row)
-
-    def settle(self):
-        """Re-feed stored rows until a full pass changes nothing."""
-        while self.rows:
-            pending, self.rows, self._seen = self.rows, [], set()
-            changed = False
-            for row in pending:
-                changed |= self.add(row)
-            if not changed:
-                return
-
-    def solve(self) -> "_Solution":
-        find, parent, zero = self.find, self.parent, self.zero
-        # Fold the marks into the roots, before settle normalizes rows.
-        for u in compress(range(self.n), zero):
-            if parent[u] != u:
-                zero[find(u)] = 1
-        self.settle()
-        root_col: dict[int, int] = {}
-        reps: list[int] = []
-        members: list[list[int]] = []
-        for u in filterfalse(zero.__getitem__, range(self.n)):
-            r = find(u)
-            if zero[r]:
-                continue
-            col = root_col.get(r)
-            if col is None:
-                col = root_col[r] = len(reps)
-                reps.append(u)
-                members.append([])
-            members[col].append(u)
-        masks = []
-        for row in self.rows:
-            mask = 0
-            for r in row:
-                mask |= 1 << root_col[r]
+    # Fold the marks into the roots.
+    for u in compress(range(n), zero):
+        if parent[u] != u:
+            zero[find(u)] = 1
+    root_col: dict[int, int] = {}
+    reps: list[int] = []
+    members: list[list[int]] = []
+    for u in filterfalse(zero.__getitem__, range(n)):
+        r = find(u)
+        if zero[r]:
+            continue
+        col = root_col.get(r)
+        if col is None:
+            col = root_col[r] = len(reps)
+            reps.append(u)
+            members.append([])
+        members[col].append(u)
+    # A repeated id cancels and a zero class drops out.
+    masks = []
+    for row in heavy:
+        mask = 0
+        for u in row:
+            col = root_col.get(find(u))
+            if col is not None:
+                mask ^= 1 << col
+        if mask:
             masks.append(mask)
-        basis = BooleanMatrix(len(masks), len(reps), masks).nullspace()
-        free_cols = [v.bit_length() - 1 for v in basis]
-        return _Solution(members, reps, basis, free_cols)
+    basis = BooleanMatrix(len(masks), len(reps), masks).nullspace()
+    free_cols = [v.bit_length() - 1 for v in basis]
+    return _Solution(members, reps, basis, free_cols)
 
 
 @dataclass
@@ -386,11 +335,12 @@ class MorComplex:
 
 
 def _unknown_layout(M: RightDGModule, N: RightDGModule):
-    """Ids of the in-block unknowns of a map M -> N, as (base, n_blocks).
+    """Ids of the in-block unknowns of a map M -> N, as (base, n_blocks,
+    total).
 
     Entry (x, y), for M.blocks[x] == N.blocks[y], is unknown base[x] + p,
     where p is the position of y in its block list n_blocks[N.blocks[y]]:
-    ids run over x, then over y.
+    ids run over x, then over y, and total counts them.
     """
     n_blocks = N.block_lists[0]
     base = []
@@ -398,7 +348,7 @@ def _unknown_layout(M: RightDGModule, N: RightDGModule):
     for b in M.blocks:
         base.append(total)
         total += len(n_blocks.get(b, ()))
-    return base, n_blocks
+    return base, n_blocks, total
 
 
 def _target(N: RightDGModule, a: int) -> tuple[dict, dict]:
@@ -472,7 +422,7 @@ def _linearity_blocks(M: RightDGModule, N: RightDGModule, layout):
     act on M or N; the rest are implied (see the module docstring).
     Idempotent generators are never explicit; their rows are the block
     structure of the unknowns (layout is _unknown_layout(M, N))."""
-    base, n_blocks = layout
+    base, n_blocks, _ = layout
     m_blocks = M.block_lists[0]
     empty: dict = {}
     for a in sorted(M.explicit | N.explicit):
@@ -531,16 +481,14 @@ def mor_complex(M: RightDGModule, N: RightDGModule) -> MorComplex:
         raise ValueError("modules live over different algebras")
     nm = M.dim
     layout = _unknown_layout(M, N)
-    base, n_blocks = layout
+    base, n_blocks, total = layout
 
     def entry(u: int) -> tuple[int, int]:
         """The matrix entry (x, y) of unknown u."""
         x = bisect_right(base, u) - 1
         return x, n_blocks[M.blocks[x]][u - base[x]]
 
-    system = _LinearSystem(sum(len(n_blocks.get(b, ())) for b in M.blocks))
-    system.feed(_linearity_blocks(M, N, layout))
-    sol = system.solve()
+    sol = _solve(total, _linearity_blocks(M, N, layout))
 
     maps: list[list[int]] = []
     for vec in sol.basis:

@@ -341,8 +341,10 @@ def suite_rigidity(edges: index._Edges) -> dict:
 
 def suite_yoneda(table: AlgebraTable) -> dict:
     """H*Mor(e_s A, e_t A) = H*(e_t A e_s) for every ordered pair of
-    idempotents, with one projective module built per idempotent.  A
-    morphism complex that cannot be formed counts as a failure.
+    idempotents, with one projective module built per idempotent.  A pair
+    whose source module, target module or either complex cannot be formed
+    (a differential that does not square to zero, say) counts as one
+    failure.
 
     Each Mor is solved from the linearity rows of a generating set: the
     indecomposable generators, plus every decomposable c = a.b whose
@@ -351,19 +353,29 @@ def suite_yoneda(table: AlgebraTable) -> dict:
     that is not associative writes the rows it needs and the solution is
     the one every generator's rows give.  The table-level associativity
     check is still `assoc`."""
-    modules = [homalg.projective_module(table, s) for s in table.idem_list]
+    def projective(s):
+        """e_s A, or the text of the error that stops it being formed."""
+        try:
+            return homalg.projective_module(table, s)
+        except ValueError as err:
+            return str(err)
+
+    modules = [projective(s) for s in table.idem_list]
     failures = _Failures()
     checked = 0
     for s, M in zip(table.idem_list, modules):
         for t, N in zip(table.idem_list, modules):
             checked += 1
-            try:
-                mor_rank = homalg.mor_complex(M, N).homology_rank()
-            except ValueError as err:
-                failures.add({"s": list(s), "t": list(t), "error": str(err)})
-                continue
-            hom_rank = homalg.hom_complex(table, t, s).homology_rank()
-            if mor_rank != hom_rank:
+            error = next((m for m in (M, N) if isinstance(m, str)), None)
+            if error is None:
+                try:
+                    mor_rank = homalg.mor_complex(M, N).homology_rank()
+                    hom_rank = homalg.hom_complex(table, t, s).homology_rank()
+                except ValueError as err:
+                    error = str(err)
+            if error is not None:
+                failures.add({"s": list(s), "t": list(t), "error": error})
+            elif mor_rank != hom_rank:
                 failures.add({"s": list(s), "t": list(t), "mor": mor_rank, "hom": hom_rank})
     return failures.result("yoneda", checked)
 

@@ -20,7 +20,7 @@ from strandfloer.homalg import (
     RightDGModule,
     _factorizations,
     _linearity_blocks,
-    _LinearSystem,
+    _solve,
     _unknown_layout,
     hom_complex,
     mor_complex,
@@ -216,11 +216,8 @@ def _oracle_rows(M: RightDGModule, N: RightDGModule) -> list[frozenset[int]]:
     return out
 
 
-def _solution(rows, n: int):
-    system = _LinearSystem(n)
-    for row in rows:
-        system.add(tuple(row))
-    sol = system.solve()
+def _solution(n: int, blocks):
+    sol = _solve(n, blocks)
     return sol.members, sol.reps, sol.basis, sol.free_cols
 
 
@@ -238,12 +235,9 @@ def _assert_rows_match_oracle(M: RightDGModule, N: RightDGModule) -> None:
         got.append(ids)
     assert Counter(r for r in got if r) == Counter(r for r in want if r)
     n = sum(1 for x in range(M.dim) for y in range(N.dim) if M.blocks[x] == N.blocks[y])
-    expected = _solution(want, n)
-    assert _solution(got, n) == expected
-    system = _LinearSystem(n)
-    system.feed(_linearity_blocks(M, N, layout))
-    sol = system.solve()
-    assert (sol.members, sol.reps, sol.basis, sol.free_cols) == expected
+    expected = _solution(n, [((), (), (), (), [list(r) for r in want])])
+    assert _solution(n, [((), (), (), (), [list(r) for r in got])]) == expected
+    assert _solution(n, _linearity_blocks(M, N, layout)) == expected
 
 
 def _mor_outcome(M: RightDGModule, N: RightDGModule):
@@ -356,22 +350,70 @@ def test_linearity_rows_match_oracle_on_sums_and_hand_built_modules():
         _assert_mor_matches_oracle(M, N)
 
 
+def _echelon(vectors) -> list[int]:
+    """The reduced echelon rows of the span of vectors, sorted: equal
+    lists, equal spans."""
+    rows: list[int] = []
+    for v in vectors:
+        for r in rows:
+            v = min(v, v ^ r)
+        if v:
+            rows = [min(r, r ^ v) for r in rows] + [v]
+    return sorted(rows)
+
+
+def _assert_solve_spans_oracle_kernel(M: RightDGModule, N: RightDGModule) -> int:
+    """_solve on the blocks of the modules' own explicit sets, expanded
+    over the unknowns, spans the kernel of every generator's oracle rows.
+    Returns how many listed rows of weight three or more it was fed."""
+    n = sum(1 for x in range(M.dim) for y in range(N.dim) if M.blocks[x] == N.blocks[y])
+    blocks = list(_linearity_blocks(M, N, _unknown_layout(M, N)))
+    sol = _solve(n, blocks)
+    got = []
+    for vec in sol.basis:
+        got.append(sum(1 << u for col in _bits(vec) for u in sol.members[col]))
+    masks = [sum(1 << u for u in row) for row in _oracle_rows(M, N)]
+    want = BooleanMatrix(len(masks), n, masks).nullspace()
+    assert _echelon(got) == _echelon(want)
+    return sum(len(row) >= 3 for *_, rows in blocks for row in rows)
+
+
+def test_solve_spans_the_oracle_kernel():
+    for k in (1, 2):
+        tab = build_table(1, k, "full")
+        mods = [projective_module(tab, s) for s in tab.idem_list]
+        for M in mods:
+            for N in mods:
+                _assert_solve_spans_oracle_kernel(M, N)
+    tab = build_table(2, 2, "full")
+    P = projective_module(tab, (1, 2))
+    block = max(set(P.blocks), key=P.blocks.count)
+    x0, x1 = [x for x in range(P.dim) if P.blocks[x] == block][:2]
+    R = _rebased(P, x0, x1)
+    # The rebased pairs send heavy rows, so the elimination runs.
+    assert sum(_assert_solve_spans_oracle_kernel(M, N) for M, N in ((R, P), (P, R), (R, R)))
+
+
 def test_block_feed_counts_at_g3_k2_full():
     """The rows of the 225 projective pairs, read from the blocks one by
     one and counted before any is found redundant: every row has weight
-    one or two, so nothing is left for elimination."""
+    one or two, so nothing is left for elimination, and no block lists a
+    row."""
     tab = build_table(3, 2, "full")
     mods = [projective_module(tab, s) for s in tab.idem_list]
-    unknowns = dims = 0
+    unknowns = dims = listed = 0
     weights: Counter = Counter()
     for M in mods:
         for N in mods:
             layout = _unknown_layout(M, N)
             unknowns += sum(len(layout[1].get(b, ())) for b in M.blocks)
-            weights.update(min(len(row), 3) for row in block_rows(_linearity_blocks(M, N, layout)))
+            blocks = list(_linearity_blocks(M, N, layout))
+            listed += sum(len(rows) for *_, rows in blocks)
+            weights.update(min(len(row), 3) for row in block_rows(blocks))
             dims += mor_complex(M, N).dim
     assert unknowns == 232_047
     assert (weights[1], weights[2], weights[3]) == (309_820, 220_108, 0)
+    assert listed == 0
     assert dims == 1_745
 
 

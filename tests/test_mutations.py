@@ -126,6 +126,14 @@ def _drop_a_differential_term(table):
     _set_differential(table, i, table.diff[i][1:])
 
 
+def _differential_not_squaring_to_zero(table):
+    """The first term of the first nonzero differential replaced by the
+    generator itself (at g=2 k=2 full, d(2) = 1 becomes d(2) = 2), so
+    that d^2 of it is d of it, not zero."""
+    i = next(i for i, row in enumerate(table.diff) if row)
+    _set_differential(table, i, (i,) + table.diff[i][1:])
+
+
 def _recognize_partial_families(pmc, total):
     """``recognize`` without its count of sections: a candidate generator
     is accepted with any nonempty set of its sections present."""
@@ -265,6 +273,19 @@ def test_deleted_differential_term_is_caught(monkeypatch):
     assert _failed(report) == {
         **PASSING, "leibniz": 22, "closure": 1, "dictionary-diff": 1, "yoneda": 3
     }
+
+
+def test_differential_not_squaring_to_zero_is_caught(monkeypatch):
+    monkeypatch.setattr(
+        strands.AlgebraTable, "build", _built_then(_differential_not_squaring_to_zero)
+    )
+    report = verify.run_suites(standard_matching(2), 2, "full")
+    # The projective holding the broken generator cannot be formed, and
+    # yoneda counts the 11 of 36 pairs that need it, the rest still run.
+    assert _failed(report) == {
+        **PASSING, "d2": 1, "leibniz": 31, "closure": 1, "dictionary-diff": 1, "yoneda": 11
+    }
+    assert next(r for r in report["suites"] if r["name"] == "yoneda")["checked"] == 36
 
 
 def test_recognize_accepting_partial_families_is_equivalent(monkeypatch):

@@ -1,7 +1,8 @@
 """The benchmark's pinned outputs, read and never written: build hashes
-from ``perfbench/census.json`` and the verify-full-g3k2 counts checked
-by ``perfbench/check.py``; and the sha256 of three ``verify`` reports,
-so that a change meant to keep them byte-identical is checked to be.
+from ``perfbench/census.json`` and the counts of the two verify
+workloads checked by ``perfbench/check.py``; and the sha256 of four
+``verify`` reports, so that a change meant to keep them byte-identical
+is checked to be.
 The harness scripts themselves are run too, since
 ``perfbench/traced.py`` and ``perfbench/probe.py`` look src names up by
 name, and a renamed or deleted one breaks them."""
@@ -24,6 +25,7 @@ from strandfloer.verify import SUITE_NAMES
 REPO = Path(__file__).resolve().parents[1]
 PERFBENCH = REPO / "perfbench"
 CENSUS = json.loads((PERFBENCH / "census.json").read_text(encoding="utf-8"))["builds"]
+WORKLOADS = json.loads((PERFBENCH / "workloads.json").read_text(encoding="utf-8"))["workloads"]
 
 
 def _sha256(path: Path) -> str:
@@ -42,12 +44,27 @@ def test_build_matches_census_hash(tmp_path, entry):
     assert _sha256(out) == entry["sha256"]
 
 
-def test_verify_full_g3k2_meets_its_pins(tmp_path):
+@pytest.mark.parametrize(
+    "workload, sha256",
+    [
+        (
+            "verify-full-g3k2",
+            "bad36471b383e0bbd830b0b9564e80302c209888d6f4002980e91405f44dc0d6",
+        ),
+        (
+            "verify-half-g3k3",
+            "894cbadf94b2a787c69ae94ba49cb40e90f3df2440f39ee047c791dd3b182ea0",
+        ),
+    ],
+    ids=["verify-full-g3k2", "verify-half-g3k3"],
+)
+def test_verify_workload_meets_its_pins(tmp_path, workload, sha256):
     problems = runpy.run_path(str(PERFBENCH / "check.py"))["problems"]
+    argv = WORKLOADS[workload]["argv"]
     out = tmp_path / "verify.json"
-    assert main(["verify", "-g", "3", "--k", "2", "--out", str(out)]) == 0
-    assert problems("verify-full-g3k2", out) == []
-    assert _sha256(out) == "bad36471b383e0bbd830b0b9564e80302c209888d6f4002980e91405f44dc0d6"
+    assert main([*argv, "--out", str(out)]) == 0
+    assert problems(workload, out) == []
+    assert _sha256(out) == sha256
 
 
 @pytest.mark.parametrize(
