@@ -105,8 +105,8 @@ def assoc_scan(prod, rows, cols, src, tgt):
 def rigidity_scan(prod, tris, attach):
     """Scan all glued chains.  ``prod[e]`` is the product generator of
     edge e, ``tris[e]`` its triangles and ``attach`` maps a generator to
-    the edges taking it as their left (or right) factor.  Returns
-    (chains, violations, max_cross).
+    the edges taking it as a factor.  Returns (chains, violations,
+    max_cross).
     """
     chains = 0
     violations = 0

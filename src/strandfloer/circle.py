@@ -140,15 +140,3 @@ def idempotents(pmc: PointedMatchedCircle, k: int) -> list[Idempotent]:
         raise ValueError(f"k must lie in 0..{2 * pmc.g}, got {k}")
     return [tuple(c) for c in itertools.combinations(range(1, 2 * pmc.g + 1), k)]
 
-
-def thimble_index_sets(g: int, k: int) -> list[Idempotent]:
-    """Index sets of the k-fold thimble generators: k-subsets of 1..2g+1.
-
-    The plane curve presenting the once-bounded genus-g surface has 2g+1
-    critical values, one thimble each; products of k distinct thimbles are
-    indexed by these subsets.
-    """
-    n = 2 * g + 1
-    if not 0 <= k <= n:
-        raise ValueError(f"k must lie in 0..{n}, got {k}")
-    return [tuple(c) for c in itertools.combinations(range(1, n + 1), k)]

@@ -142,9 +142,9 @@ def enumerate_floer_generators(spec: GridSpec, s, t) -> list[FloerGenerator]:
 
 
 def all_floer_generators(spec: GridSpec, k: int) -> list[FloerGenerator]:
-    """Every generator over every ordered idempotent pair, sorted."""
-    if k < 1:
-        raise ValueError("the grid model needs k >= 1")
+    """Every generator over every ordered idempotent pair, sorted.  At
+    k = 0 that is the empty tuple alone; k > 2g raises from
+    ``idempotents``."""
     idems = idempotents(spec.pmc, k)
     out: list[FloerGenerator] = []
     for s in idems:

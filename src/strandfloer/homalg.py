@@ -213,18 +213,23 @@ def _factorizations(table: AlgebraTable) -> dict[int, tuple[int, int]]:
 
 def projective_module(table: AlgebraTable, s) -> RightDGModule:
     """e_s A with right multiplication: basis is every generator with
-    source s, graded into blocks by target idempotent."""
+    source s, graded into blocks by target idempotent.  The actions are
+    read from the composable product entries whose left factor is in the
+    basis, filled in (basis position, acting generator) order."""
     sid = table.idem_id[tuple(sorted(s))]
     basis = table.by_source[sid]
     pos = {gi: p for p, gi in enumerate(basis)}
     cx = _restricted_complex(table, basis)
+    tgt, src = table.tgt, table.src
+    entries = sorted(
+        (pos[gi], a, c)
+        for (gi, a), c in table.prod.items()
+        if src[gi] == sid and tgt[gi] == src[a]
+    )
     actions: dict[int, dict[int, int]] = {}
-    for p, gi in enumerate(basis):
-        for a in table.by_source[table.tgt[gi]]:
-            prod = table.prod.get((gi, a))
-            if prod is not None:
-                actions.setdefault(a, {})[p] = 1 << pos[prod]
-    return RightDGModule(table, cx, tuple(table.tgt[gi] for gi in basis), actions)
+    for p, a, c in entries:
+        actions.setdefault(a, {})[p] = 1 << pos[c]
+    return RightDGModule(table, cx, tuple(tgt[gi] for gi in basis), actions)
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,8 @@ half-algebra properties shared by the verify and acceptance tests;
 ``intersection_pattern`` is the curve-pair point count of the grid, and
 ``verify_module_axioms`` (with ``action_row``) the module-axiom oracle,
 ``block_rows`` the row-by-row reading of the linearity blocks and
-``every_generator`` the module whose linearity rows are all written out,
+``every_generator`` the module whose linearity rows are all written out
+and ``thimble_index_sets`` the thimble count of acceptance criterion 10,
 each read by more than one test module.
 
 Acceptance tests wrap their body in the ``criterion`` context manager,
@@ -58,6 +59,19 @@ def assoc_walk(table: AlgebraTable) -> tuple[int, list[tuple[int, int, int]], in
                 if left != right:
                     bad.append((i, j, l))
     return checked, bad, sides
+
+
+def thimble_index_sets(g: int, k: int) -> list[tuple[int, ...]]:
+    """Index sets of the k-fold thimble generators: k-subsets of 1..2g+1.
+
+    The plane curve presenting the once-bounded genus-g surface has 2g+1
+    critical values, one thimble each; products of k distinct thimbles are
+    indexed by these subsets.
+    """
+    n = 2 * g + 1
+    if not 0 <= k <= n:
+        raise ValueError(f"k must lie in 0..{n}, got {k}")
+    return [tuple(c) for c in itertools.combinations(range(1, n + 1), k)]
 
 
 def check_exceptional(table: AlgebraTable) -> dict:

@@ -19,12 +19,12 @@ from conftest import (
     check_exceptional,
     criterion,
     intersection_pattern,
+    thimble_index_sets,
 )
 from strandfloer.circle import (
     idempotents,
     matching_from_pairs,
     standard_matching,
-    thimble_index_sets,
     validate_surface,
 )
 from strandfloer.gf2 import BooleanMatrix

@@ -6,12 +6,12 @@ import math
 
 import pytest
 
+from conftest import thimble_index_sets
 from strandfloer.circle import (
     PointedMatchedCircle,
     idempotents,
     matching_from_pairs,
     standard_matching,
-    thimble_index_sets,
     validate_surface,
 )
 

@@ -133,8 +133,8 @@ def test_enumerate_floer_generators():
 def test_all_floer_generators_count():
     assert len(all_floer_generators(W1, 1)) == 8
     assert len(all_floer_generators(H1, 1)) == 4
-    with pytest.raises(ValueError):
-        all_floer_generators(W1, 0)
+    assert all_floer_generators(W1, 0) == [()]
+    assert all_floer_generators(H1, 0) == [()]
     with pytest.raises(ValueError):
         all_floer_generators(W1, 3)
 

@@ -93,6 +93,23 @@ def test_projective_module_shape():
     assert mod.actions[idem_index][0] in (1, 2, 4, 8, 16)
 
 
+def test_projective_module_ignores_a_non_composable_product_key():
+    clean = build_table(2, 2, "full")
+    tab = copy.copy(clean)
+    n = len(tab.gens)
+    a, b = next((a, b) for a in range(n) for b in range(n) if tab.tgt[a] != tab.src[b])
+    # The value a lies in e_s A for s the source of a, so a module that
+    # read this key would gain an action entry rather than fail.
+    tab.prod = {**tab.prod, (a, b): a}
+    for s in tab.idem_list:
+        got = projective_module(tab, s).actions
+        want = projective_module(clean, s).actions
+        # Insertion order too: the linearity rows are emitted in it.
+        assert [(g, list(x.items())) for g, x in got.items()] == [
+            (g, list(x.items())) for g, x in want.items()
+        ]
+
+
 def test_axiom_checker_catches_corruption():
     tab = build_table(1, 1, "full")
     mod = projective_module(tab, (1,))

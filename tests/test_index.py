@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from strandfloer import _kernels, index
+from strandfloer import _kernels, index, verify
 from strandfloer.circle import matching_from_pairs, standard_matching
 from strandfloer.grid import (
     MODES,
@@ -115,6 +115,39 @@ def test_rigidity_scan_frozen_counts():
     assert report["violations"] == []
     assert report["checked"] == 26906  # 13453 chains per association order
     assert report["max_intersection"] >= 1  # nonvacuous: crossings do occur
+
+
+@pytest.mark.parametrize("variant", ["full", "half"])
+@pytest.mark.parametrize("g", [1, 2])
+def test_one_rigidity_sweep_equals_both_association_orders(monkeypatch, g, variant):
+    """verify_rigidity's one sweep over one attach map gives the chains of
+    two sweeps, one per association order: the sum of their counts and
+    the max of their crossings.  An edge with equal factors (every
+    e * e = e) heads a list under both orders, so listing it once in the
+    attach map loses chains."""
+    spec = verify.grid_spec(standard_matching(g), variant)
+    scan = _kernels.rigidity_scan
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return scan(*args)
+
+    monkeypatch.setattr(_kernels, "rigidity_scan", counted)
+    for k in range(2 * g + 1):
+        edges = _Edges(spec, k)
+        by_left: dict[int, list[int]] = {}
+        by_right: dict[int, list[int]] = {}
+        for e, (x, y) in enumerate(zip(edges.left, edges.right)):
+            by_left.setdefault(x, []).append(e)
+            by_right.setdefault(y, []).append(e)
+        sweeps = [scan(edges.prod, edges.tris, attach) for attach in (by_left, by_right)]
+        calls.clear()
+        report = verify_rigidity(edges)
+        assert len(calls) == 1
+        assert report["checked"] == sweeps[0][0] + sweeps[1][0]
+        assert report["max_intersection"] == max(sweeps[0][2], sweeps[1][2])
+        assert report["violations"] == []
 
 
 def test_rigidity_scan_matches_glued_domains():

@@ -1,4 +1,4 @@
-"""The suite driver: names, skipping rules, sampling, negative controls.
+"""The suite driver: names, k = 0, sampling, negative controls.
 Seeded defects that run every suite live in test_mutations.py."""
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from strandfloer import grid, homalg, index, verify
 from strandfloer.circle import matching_from_pairs, standard_matching
 from strandfloer.strands import ClosureError
 from strandfloer.verify import (
-    GRID_SUITES,
     SUITE_NAMES,
     run_suites,
     suite_assoc,
@@ -46,7 +45,6 @@ def test_suite_names_are_stable():
         "rigidity",
         "yoneda",
     )
-    assert GRID_SUITES < set(SUITE_NAMES)
 
 
 def test_unknown_suite_rejected():
@@ -83,15 +81,31 @@ def test_custom_matching_runs_grid_suites():
     assert report["ok"]
 
 
-def test_k_zero_skips_grid_but_not_regression():
-    report = run_suites(standard_matching(1), 0, "full")
-    assert report["skipped"] == [
-        {"name": name, "reason": "grid model needs k >= 1"}
-        for name in SUITE_NAMES
-        if name in GRID_SUITES
-    ]
-    assert "regression" not in GRID_SUITES
-    assert report["ok"]
+# Every suite's count at k = 0: one generator on each side, the empty
+# tuple (the idempotent of the empty set), whose one product e * e = e is
+# a gluing-graph edge with equal factors, so rigidity sees it twice.
+K_ZERO_CHECKED = {
+    "regression": 1,
+    "d2": 1,
+    "leibniz": 1,
+    "assoc": 1,
+    "closure": 2,
+    "dictionary-diff": 1,
+    "dictionary-prod": 1,
+    "euler": 1,
+    "rigidity": 2,
+    "yoneda": 1,
+}
+
+
+def test_k_zero_runs_every_suite():
+    g2_custom = matching_from_pairs(2, ((1, 7), (2, 8), (3, 5), (4, 6)))
+    for pmc in (standard_matching(1), standard_matching(2), standard_matching(3), g2_custom):
+        for variant in ("full", "half"):
+            report = run_suites(pmc, 0, variant)
+            assert report["skipped"] == []
+            assert report["ok"]
+            assert {r["name"]: r["checked"] for r in report["suites"]} == K_ZERO_CHECKED
 
 
 def test_sampling_is_seed_deterministic():
