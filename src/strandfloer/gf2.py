@@ -18,7 +18,7 @@ class BooleanMatrix:
     list of python ints, bit j of rows[i] being entry (i, j).
     """
 
-    __slots__ = ("nrows", "ncols", "rows", "_rank")
+    __slots__ = ("nrows", "ncols", "rows")
 
     def __init__(self, nrows: int, ncols: int, rows: list[int]):
         if len(rows) != nrows:
@@ -30,7 +30,6 @@ class BooleanMatrix:
         self.nrows = nrows
         self.ncols = ncols
         self.rows = tuple(rows)
-        self._rank: int | None = None
 
     def __eq__(self, other) -> bool:
         return (
@@ -60,15 +59,11 @@ class BooleanMatrix:
         return BooleanMatrix(self.nrows, other.ncols, out)
 
     def rank(self) -> int:
-        if self._rank is None:
-            self._rank, _ = self.rref()
-        return self._rank
+        return self.rref()[0]
 
     def rref(self) -> tuple[int, list[int]]:
         """Rank and pivot columns of the reduced row echelon form."""
-        rank, pivots = _kernels.gf2_eliminate(list(self.rows), self.ncols)
-        self._rank = rank
-        return rank, pivots
+        return _kernels.gf2_eliminate(list(self.rows), self.ncols)
 
     def nullspace(self) -> list[int]:
         """Basis of the right kernel {x : A x = 0}.
@@ -79,8 +74,7 @@ class BooleanMatrix:
         column, which is therefore its highest set bit.
         """
         reduced = list(self.rows)
-        rank, pivots = _kernels.gf2_eliminate(reduced, self.ncols)
-        self._rank = rank
+        _, pivots = _kernels.gf2_eliminate(reduced, self.ncols)
         pivot_set = set(pivots)
         free_cols = [c for c in range(self.ncols) if c not in pivot_set]
         basis = []

@@ -387,7 +387,8 @@ class AlgebraTable:
     Generators get stable indices in (source, target, chords, dotted)
     order; the differential is a tuple of sorted index tuples and the
     product a dict of nonzero (i, j) -> index entries over composable
-    pairs.  Tables are immutable once built.
+    pairs, of which there are ``composable_pairs``: pairs where i ends on
+    the idempotent where j starts.  Tables are immutable once built.
 
     The product is computed by the matched rule in the module docstring.
     For each middle idempotent u, right factors are grouped by their
@@ -421,6 +422,7 @@ class AlgebraTable:
         self.idem_gen: list[int] = [self.index[idempotent(s)] for s in idem_list]
         self.diff: tuple[tuple[int, ...], ...] = ()
         self.prod: dict[tuple[int, int], int] = {}
+        self.composable_pairs = sum(len(t) * len(s) for t, s in zip(self.by_target, self.by_source))
 
     # -- construction ------------------------------------------------------
 
@@ -436,7 +438,7 @@ class AlgebraTable:
     def _check_size(self):
         """Refuse, before the product table is allocated, a table whose
         composable pairs would not fit in memory."""
-        pairs = sum(len(t) * len(s) for t, s in zip(self.by_target, self.by_source))
+        pairs = self.composable_pairs
         need, budget = pairs * BYTES_PER_PAIR, memory_budget()
         if need > budget:
             raise SizeError(
@@ -513,9 +515,6 @@ class AlgebraTable:
         self.prod = prod
 
     # -- lookups -----------------------------------------------------------
-
-    def __len__(self) -> int:
-        return len(self.gens)
 
     def hom_indices(self, s: Idempotent, t: Idempotent) -> list[int]:
         sid, tid = self.idem_id[tuple(s)], self.idem_id[tuple(t)]

@@ -10,10 +10,16 @@ failures, of which failures keeps at most MAX_EXAMPLES.  The grid
 suites read the grid model of the table's own matching, so they run on
 every admissible matching and at every k, k = 0 included, where the
 grid model has the empty tuple as its one generator.
+
+leibniz, closure and assoc check every composable pair or triple, or
+with a sample size a seeded draw of that many composable chains, all
+drawn by one sampler: the first generator uniform, each next one uniform
+among those that start where the previous one ends.
 """
 
 from __future__ import annotations
 
+import functools
 import random
 from fractions import Fraction
 
@@ -32,7 +38,6 @@ from .strands import (
     AlgebraTable,
     ClosureError,
     MatchedGenerator,
-    Sections,
     compose,
     differential,
     product,  # unused here; perfbench/traced.py wraps verify.product by name
@@ -127,23 +132,33 @@ def suite_leibniz(table: AlgebraTable, sample: int | None = None, seed: int = 0)
             if p is not None:
                 acc.symmetric_difference_update((p,))
         if acc:
-            failures.add({"left": _gen_json(table.gens[i]), "right": _gen_json(table.gens[j])})
+            failures.add(_pair_json(table, i, j))
     return failures.result("leibniz", checked)
 
 
-def _composable_pairs(table: AlgebraTable, sample: int | None, seed: int):
-    if sample is None:
-        for u in range(len(table.idem_list)):
-            for i in table.by_target[u]:
-                for j in table.by_source[u]:
-                    yield i, j
-        return
+def _sampled_chains(table: AlgebraTable, length: int, sample: int, seed: int):
+    """``sample`` seeded composable chains of ``length`` generators: the
+    first uniform over all generators, each next one uniform among those
+    that start where the previous one ends."""
     rng = random.Random(seed)
     n = len(table.gens)
     for _ in range(sample):
-        i = rng.randrange(n)
-        pool = table.by_source[table.tgt[i]]
-        yield i, pool[rng.randrange(len(pool))]
+        chain = [rng.randrange(n)]
+        while len(chain) < length:
+            pool = table.by_source[table.tgt[chain[-1]]]
+            chain.append(pool[rng.randrange(len(pool))])
+        yield chain
+
+
+def _composable_pairs(table: AlgebraTable, sample: int | None, seed: int):
+    """Every composable pair (i, j), or ``sample`` seeded ones."""
+    if sample is not None:
+        return _sampled_chains(table, 2, sample, seed)
+    return ((i, j) for t, s in zip(table.by_target, table.by_source) for i in t for j in s)
+
+
+def _pair_json(table: AlgebraTable, i: int, j: int) -> dict:
+    return {"left": _gen_json(table.gens[i]), "right": _gen_json(table.gens[j])}
 
 
 def _triple_json(table: AlgebraTable, i: int, j: int, l: int) -> dict:
@@ -158,7 +173,7 @@ def suite_assoc(table: AlgebraTable, sample: int | None = None, seed: int = 0) -
     """(ab)c = a(bc).  Exhaustive runs check every composable triple, but
     visit only those with a nonzero side (``_kernels.assoc_scan``); the
     rest hold trivially and are counted.  The sampled path draws
-    composable triples from a seeded generator."""
+    composable triples as leibniz and closure draw pairs."""
     failures = _Failures()
     if sample is None:
         rows, cols = table.as_csr()
@@ -170,14 +185,7 @@ def suite_assoc(table: AlgebraTable, sample: int | None = None, seed: int = 0) -
             for j in range(len(table.gens))
         )
         return failures.result("assoc", checked)
-    rng = random.Random(seed)
-    n = len(table.gens)
-    for _ in range(sample):
-        i = rng.randrange(n)
-        pool = table.by_source[table.tgt[i]]
-        j = pool[rng.randrange(len(pool))]
-        pool2 = table.by_source[table.tgt[j]]
-        l = pool2[rng.randrange(len(pool2))]
+    for i, j, l in _sampled_chains(table, 3, sample, seed):
         ij = table.prod.get((i, j))
         jl = table.prod.get((j, l))
         left = None if ij is None else table.prod.get((ij, l))
@@ -206,29 +214,21 @@ def suite_closure(table: AlgebraTable, sample: int | None = None, seed: int = 0)
             continue
         if got != sorted(table.diff[i]):
             failures.add({"generator": _gen_json(gen)})
-    records: dict[int, Sections] = {}
 
-    def record(i: int) -> Sections:
-        if i not in records:
-            records[i] = sections(pmc, table.gens[i])
-        return records[i]
+    @functools.cache
+    def sections_of(i: int):
+        return sections(pmc, table.gens[i])
 
     for i, j in _composable_pairs(table, sample, seed):
         checked += 1
         try:
-            got = [table.index[t] for t in compose(pmc, record(i), record(j))]
+            got = [table.index[t] for t in compose(pmc, sections_of(i), sections_of(j))]
         except ClosureError as err:
-            failures.add(
-                {
-                    "left": _gen_json(table.gens[i]),
-                    "right": _gen_json(table.gens[j]),
-                    "error": str(err),
-                }
-            )
+            failures.add({**_pair_json(table, i, j), "error": str(err)})
             continue
         want = table.prod.get((i, j))
         if got != ([] if want is None else [want]):
-            failures.add({"left": _gen_json(table.gens[i]), "right": _gen_json(table.gens[j])})
+            failures.add(_pair_json(table, i, j))
     return failures.result("closure", checked)
 
 
@@ -296,12 +296,10 @@ def suite_dictionary_prod(table: AlgebraTable, edges: index._Edges) -> dict:
     # -1 is no edge; an edge whose product cannot be placed holds None.
     for (i, j), m in table.prod.items():
         if tgt[i] == src[j] and grid_prod.pop(i * n + j, -1) != m:
-            failures.add({"left": _gen_json(table.gens[i]), "right": _gen_json(table.gens[j])})
+            failures.add(_pair_json(table, i, j))
     for key in grid_prod:  # edges on pairs the table leaves zero
-        i, j = divmod(key, n)
-        failures.add({"left": _gen_json(table.gens[i]), "right": _gen_json(table.gens[j])})
-    checked = sum(len(t) * len(s) for t, s in zip(table.by_target, table.by_source))
-    return failures.result("dictionary-prod", checked)
+        failures.add(_pair_json(table, *divmod(key, n)))
+    return failures.result("dictionary-prod", table.composable_pairs)
 
 
 def suite_euler(spec: GridSpec, k: int, edges: index._Edges) -> dict:
@@ -392,8 +390,8 @@ def run_suites(
 ) -> dict:
     """Build once, run the requested suites, report one dict per suite.
     The algebra table is built once for all suites, and the grid's gluing
-    graph once for dictionary-prod, euler and rigidity; it is dropped
-    after the last of them.
+    graph once, just before the first of dictionary-prod, euler and
+    rigidity runs; it is dropped after the last of them.
 
     The overall report is {"suites": [...], "skipped": [], "ok": bool}.
     Every suite runs at every k, so "skipped" is always empty; the key
@@ -409,6 +407,8 @@ def run_suites(
     results = []
     edges = None  # the gluing graph, built once for dictionary-prod, euler and rigidity
     for n, name in enumerate(chosen):
+        if name in _GRAPH_SUITES and edges is None:
+            edges = index._Edges(spec, k)
         if name == "regression":
             results.append(suite_regression())
         elif name == "d2":
@@ -422,13 +422,10 @@ def run_suites(
         elif name == "dictionary-diff":
             results.append(suite_dictionary_diff(table))
         elif name == "dictionary-prod":
-            edges = edges or index._Edges(spec, k)
             results.append(suite_dictionary_prod(table, edges))
         elif name == "euler":
-            edges = edges or index._Edges(spec, k)
             results.append(suite_euler(spec, k, edges))
         elif name == "rigidity":
-            edges = edges or index._Edges(spec, k)
             results.append(suite_rigidity(edges))
         elif name == "yoneda":
             results.append(suite_yoneda(table))

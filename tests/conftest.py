@@ -8,10 +8,13 @@ and suite tests; ``check_exceptional`` and ``check_directed`` are the
 half-algebra properties shared by the verify and acceptance tests;
 ``intersection_pattern`` is the curve-pair point count of the grid, and
 ``verify_module_axioms`` (with ``action_row``) the module-axiom oracle,
-``block_rows`` the row-by-row reading of the linearity blocks and
-``every_generator`` the module whose linearity rows are all written out
-and ``thimble_index_sets`` the thimble count of acceptance criterion 10,
-each read by more than one test module.
+``block_rows`` the row-by-row reading of the linearity blocks,
+``every_generator`` the module whose linearity rows are all written out,
+``thimble_index_sets`` the thimble count of acceptance criterion 10,
+``ADMISSIBLE_G2`` the admissible genus-2 matchings, ``reflected``,
+``opposite_map`` and ``opposite_mismatches`` the orientation-reversal
+identity A(-Z) = A(Z)^op, and ``graph_suite_counts`` the algebra-side
+counts of euler and rigidity, each read by more than one test module.
 
 Acceptance tests wrap their body in the ``criterion`` context manager,
 which records a pass/fail line (with wall time) whether or not the body
@@ -24,10 +27,17 @@ import itertools
 import time
 from contextlib import contextmanager
 
-from strandfloer.circle import standard_matching
+from collections import Counter
+
+from strandfloer.circle import (
+    PointedMatchedCircle,
+    matching_from_pairs,
+    standard_matching,
+    validate_surface,
+)
 from strandfloer.grid import GridSpec, points_for_labels
 from strandfloer.homalg import RightDGModule, _bits
-from strandfloer.strands import AlgebraTable
+from strandfloer.strands import AlgebraTable, MatchedGenerator
 
 _TABLES: dict[tuple[int, int, str], AlgebraTable] = {}
 _ACCEPTANCE: list[tuple[int, str, bool, float]] = []
@@ -59,6 +69,68 @@ def assoc_walk(table: AlgebraTable) -> tuple[int, list[tuple[int, int, int]], in
                 if left != right:
                     bad.append((i, j, l))
     return checked, bad, sides
+
+
+def matchings(points):
+    """Every perfect matching of the points, as tuples of pairs."""
+    if not points:
+        yield ()
+        return
+    a, rest = points[0], points[1:]
+    for i, b in enumerate(rest):
+        for m in matchings(rest[:i] + rest[i + 1 :]):
+            yield ((a, b),) + m
+
+
+# 21 of the 105 matchings of eight points are admissible: the genus-2
+# count of one-face chord diagrams with four chords (Harer-Zagier).
+ADMISSIBLE_G2 = [
+    pmc
+    for pmc in (matching_from_pairs(2, m) for m in matchings(tuple(range(1, 9))))
+    if validate_surface(pmc).valid
+]
+
+
+def reflected(pmc: PointedMatchedCircle) -> PointedMatchedCircle:
+    """-Z: the circle read the other way round, position p at 4g + 1 - p."""
+    n1 = pmc.n_points + 1
+    return matching_from_pairs(pmc.g, [(n1 - b, n1 - a) for a, b in pmc.pairs])
+
+
+def opposite_map(table: AlgebraTable, op: AlgebraTable) -> list[int]:
+    """phi from the generators of table, over Z, to those of op, the table
+    of -Z with the same k and variant: chord (a, b) goes to
+    (4g + 1 - b, 4g + 1 - a), and a dotted label to the label of its
+    reflected lower position.  A generator phi sends outside op raises
+    KeyError."""
+    pmc, n1 = table.pmc, table.pmc.n_points + 1
+    out = []
+    for gen in table.gens:
+        chords = tuple(sorted((n1 - b, n1 - a) for a, b in gen.chords))
+        dotted = (op.pmc.labels[n1 - pmc.positions_of(p)[0] - 1] for p in gen.dotted)
+        out.append(op.index[MatchedGenerator(chords, tuple(sorted(dotted)))])
+    return out
+
+
+def opposite_mismatches(table: AlgebraTable, op: AlgebraTable) -> int:
+    """The product entries on which A(-Z) and A(Z)^op differ under phi:
+    the symmetric difference of op.prod and {(phi b, phi a): phi c for
+    every a.b = c of table}, as sets of entries."""
+    phi = opposite_map(table, op)
+    mapped = {((phi[j], phi[i]), phi[m]) for (i, j), m in table.prod.items()}
+    return len(mapped.symmetric_difference(op.prod.items()))
+
+
+def graph_suite_counts(table: AlgebraTable) -> tuple[int, int]:
+    """What euler and rigidity should check on the grid of the table's
+    matching, read off the table alone: one empty rectangle per
+    differential entry plus one product domain per product entry, and
+    per product entry a.b = m the entries with m as a factor, left or
+    right."""
+    left = Counter(i for i, _ in table.prod)
+    right = Counter(j for _, j in table.prod)
+    euler = sum(len(row) for row in table.diff) + len(table.prod)
+    return euler, sum(left[m] + right[m] for m in table.prod.values())
 
 
 def thimble_index_sets(g: int, k: int) -> list[tuple[int, ...]]:

@@ -8,6 +8,7 @@ import itertools
 
 import pytest
 
+from conftest import ADMISSIBLE_G2, matchings
 from strandfloer import index
 from strandfloer.circle import matching_from_pairs, validate_surface
 from strandfloer.strands import AlgebraTable
@@ -26,31 +27,11 @@ from strandfloer.verify import (
 )
 
 
-def _matchings(points):
-    """Every perfect matching of the points, as tuples of pairs."""
-    if not points:
-        yield ()
-        return
-    a, rest = points[0], points[1:]
-    for i, b in enumerate(rest):
-        for m in _matchings(rest[:i] + rest[i + 1 :]):
-            yield ((a, b),) + m
-
-
-# 21 of the 105 matchings of eight points are admissible: the genus-2
-# count of one-face chord diagrams with four chords (Harer-Zagier).
-ADMISSIBLE_G2 = [
-    pmc
-    for pmc in (matching_from_pairs(2, m) for m in _matchings(tuple(range(1, 9))))
-    if validate_surface(pmc).valid
-]
-
-
 # 1,485 of the 10,395 matchings of twelve points are admissible; every
-# 50th of them, in the enumeration order of _matchings, is sampled.
+# 50th of them, in the enumeration order of matchings, is sampled.
 ADMISSIBLE_G3 = [
     pmc
-    for pmc in (matching_from_pairs(3, m) for m in _matchings(tuple(range(1, 13))))
+    for pmc in (matching_from_pairs(3, m) for m in matchings(tuple(range(1, 13))))
     if validate_surface(pmc).valid
 ]
 SAMPLE_G3 = ADMISSIBLE_G3[::50]

@@ -1,9 +1,10 @@
 """Seeded defects in the section route, the product table, the
 differential, the associativity scan, the grid and the morphism-complex
 solver: each mutant is a copy of one function with one check taken out
-or one rule changed, or a table edited after its build, monkeypatched
-where its callers look it up, and the suites that should see it must
-fail by a pinned count.
+or one rule changed (written out, or for the dotted-label builder mutant
+compiled from the function's own source with one expression replaced),
+or a table edited after its build, monkeypatched where its callers look
+it up, and the suites that should see it must fail by a pinned count.
 
 The section-route counts are at g=2, k=3, full, the other counts at
 g=2, k=2, full, all on the standard matching except the wrong label
@@ -17,11 +18,13 @@ crossings (ROADMAP item 2).
 
 from __future__ import annotations
 
+import inspect
 import itertools
+import textwrap
 
 import pytest
 
-from conftest import block_rows
+from conftest import block_rows, graph_suite_counts, opposite_mismatches, reflected
 from strandfloer import _kernels, grid, homalg, index, strands, verify
 from strandfloer.circle import matching_from_pairs, standard_matching
 
@@ -205,6 +208,16 @@ def _factorizations_dropping_one(table):
     return factor
 
 
+def _rewritten(func, old, new):
+    """A copy of func compiled from its own source with the one
+    occurrence of old replaced by new, in its module's globals."""
+    source = textwrap.dedent(inspect.getsource(func))
+    assert source.count(old) == 1
+    namespace = {}
+    exec(source.replace(old, new), vars(inspect.getmodule(func)), namespace)
+    return namespace[func.__name__]
+
+
 def _failed(report) -> dict[str, int]:
     return {r["name"]: r.get("failed", 0) for r in report["suites"]}
 
@@ -341,6 +354,41 @@ def test_points_for_labels_off_by_one_is_caught(monkeypatch):
     # from_algebra and never lists the grid's; euler and rigidity check
     # the domains of whatever generators they are given.
     assert _failed(report) == {**PASSING, "dictionary-prod": 1874}
+    # Against what the table predicts, euler and rigidity see it too.
+    checked = {r["name"]: r["checked"] for r in report["suites"]}
+    assert (checked["euler"], checked["rigidity"]) == (626, 1232)
+    table = strands.AlgebraTable.build(standard_matching(2), 2, "full")
+    assert graph_suite_counts(table) == (2544, 26906)
+
+
+def test_dotted_left_label_meeting_its_lower_position_only_is_caught(monkeypatch):
+    # In ``_build_products``' choices a dotted left label meets the lower
+    # position of its pair only, not either position.
+    mutant = _rewritten(
+        strands.AlgebraTable._build_products,
+        "(0, *pmc.positions_of(p))",
+        "(0, pmc.positions_of(p)[0])",
+    )
+    monkeypatch.setattr(strands.AlgebraTable, "_build_products", mutant)
+    pmc = standard_matching(2)
+    report = verify.run_suites(pmc, 2, "full")
+    assert _failed(report) == {
+        **PASSING,
+        "leibniz": 97,
+        "assoc": 2048,
+        "closure": 231,
+        "dictionary-prod": 231,
+        "yoneda": 36,
+    }
+    # The mutant breaks A(-Z) = A(Z)^op, which needs no second route.
+    mismatches = [
+        opposite_mismatches(
+            strands.AlgebraTable.build(pmc, k, "full"),
+            strands.AlgebraTable.build(reflected(pmc), k, "full"),
+        )
+        for k in (1, 2, 3)
+    ]
+    assert mismatches == [12, 442, 2058]
 
 
 def test_mor_complex_missing_linearity_rows_is_caught(monkeypatch):

@@ -14,7 +14,14 @@ import itertools
 
 import pytest
 
-from conftest import assoc_walk, build_table
+from conftest import (
+    ADMISSIBLE_G2,
+    assoc_walk,
+    build_table,
+    opposite_map,
+    opposite_mismatches,
+    reflected,
+)
 from strandfloer import _kernels, strands
 from strandfloer.circle import (
     idempotents,
@@ -23,6 +30,7 @@ from strandfloer.circle import (
     validate_surface,
 )
 from strandfloer.strands import (
+    VARIANTS,
     AlgebraTable,
     ClosureError,
     MatchedGenerator,
@@ -99,13 +107,13 @@ def test_generator_counts_match_permanent_oracle():
 
 
 def test_frozen_generator_counts():
-    assert len(build_table(1, 1, "full")) == 8
-    assert len(build_table(1, 2, "full")) == 7
-    assert len(build_table(2, 2, "full")) == 274
-    assert len(build_table(2, 3, "full")) == 656
-    assert len(build_table(2, 4, "full")) == 277
-    assert len(build_table(1, 1, "half")) == 4
-    assert len(build_table(2, 2, "half")) == 58
+    assert len(build_table(1, 1, "full").gens) == 8
+    assert len(build_table(1, 2, "full").gens) == 7
+    assert len(build_table(2, 2, "full").gens) == 274
+    assert len(build_table(2, 3, "full").gens) == 656
+    assert len(build_table(2, 4, "full").gens) == 277
+    assert len(build_table(1, 1, "half").gens) == 4
+    assert len(build_table(2, 2, "half").gens) == 58
 
 
 def test_genus_one_dimension_table():
@@ -252,7 +260,7 @@ def test_table_frozen_entry_counts():
 def test_table_rows_agree_with_direct_operations():
     tab = build_table(2, 2, "full")
     pmc = tab.pmc
-    for i in range(0, len(tab), 17):
+    for i in range(0, len(tab.gens), 17):
         want = {tab.index[t] for t in differential(pmc, tab.gens[i])}
         assert set(tab.diff[i]) == want
     pairs = sorted(tab.prod)[::97]
@@ -379,3 +387,47 @@ def test_product_builder_raises_instead_of_dropping(monkeypatch):
     monkeypatch.setattr(strands, "_packed_crossings", one_section_crossed)
     with pytest.raises(ClosureError, match="some sections"):
         AlgebraTable.build(pmc, 2, "full")
+
+
+# -- symmetries that need no second implementation ---------------------------
+
+SYMMETRY_CASES = [
+    (standard_matching(1), range(3), VARIANTS),
+    *((pmc, range(5), VARIANTS) for pmc in ADMISSIBLE_G2),
+    (standard_matching(3), (2,), ("full",)),
+]
+
+
+def test_reflection_gives_the_opposite_algebra_and_half_is_a_subalgebra():
+    """A(-Z) = A(Z)^op under the reflection phi, and the half table is the
+    full table restricted to the half generators.  Each table is built
+    once: the reflection of an admissible g=2 matching is another one."""
+    tables = {}
+
+    def table(pmc, k, variant):
+        if (pmc, k, variant) not in tables:
+            tables[pmc, k, variant] = AlgebraTable.build(pmc, k, variant)
+        return tables[pmc, k, variant]
+
+    for pmc, ks, variants in SYMMETRY_CASES:
+        for k, variant in itertools.product(ks, variants):
+            tab, op = table(pmc, k, variant), table(reflected(pmc), k, variant)
+            phi = opposite_map(tab, op)
+            assert sorted(phi) == list(range(len(op.gens))), (pmc, k, variant)
+            for i, row in enumerate(tab.diff):
+                assert op.diff[phi[i]] == tuple(sorted(phi[x] for x in row)), (pmc, k, i)
+            assert opposite_mismatches(tab, op) == 0, (pmc, k, variant)
+        if "half" not in variants:
+            continue
+        for k in ks:
+            full, half = table(pmc, k, "full"), table(pmc, k, "half")
+            emb = [full.index[gen] for gen in half.gens]
+            # Equal rows and product maps also show that d and the product
+            # of half generators stay among them: every image is in emb.
+            for i, row in enumerate(half.diff):
+                assert full.diff[emb[i]] == tuple(emb[x] for x in row), (pmc, k, i)
+            inside = set(emb)
+            restricted = {ij: m for ij, m in full.prod.items() if inside.issuperset(ij)}
+            assert restricted == {
+                (emb[i], emb[j]): emb[m] for (i, j), m in half.prod.items()
+            }, (pmc, k)

@@ -12,20 +12,23 @@ from conftest import (
     build_table,
     check_directed,
     check_exceptional,
+    graph_suite_counts,
     intersection_pattern,
     verify_module_axioms,
 )
 from strandfloer import grid, homalg, index, verify
 from strandfloer.circle import matching_from_pairs, standard_matching
-from strandfloer.strands import ClosureError
+from strandfloer.strands import AlgebraTable, ClosureError
 from strandfloer.verify import (
     SUITE_NAMES,
     run_suites,
     suite_assoc,
     suite_closure,
     suite_dictionary_prod,
+    suite_euler,
     suite_leibniz,
     suite_regression,
+    suite_rigidity,
     suite_yoneda,
 )
 
@@ -108,6 +111,27 @@ def test_k_zero_runs_every_suite():
             assert {r["name"]: r["checked"] for r in report["suites"]} == K_ZERO_CHECKED
 
 
+@pytest.mark.parametrize("variant", ["full", "half"])
+@pytest.mark.parametrize(
+    "pmc, ks",
+    [
+        (standard_matching(1), range(3)),
+        (standard_matching(2), range(5)),
+        (matching_from_pairs(2, ((1, 7), (2, 8), (3, 5), (4, 6))), range(5)),
+    ],
+    ids=["standard-g1", "standard-g2", "custom-g2"],
+)
+def test_euler_and_rigidity_check_what_the_algebra_predicts(pmc, ks, variant):
+    # The grid suites count domains the gluing graph gives them; the table
+    # says how many there should be.
+    for k in ks:
+        table = AlgebraTable.build(pmc, k, variant)
+        spec = verify.grid_spec(pmc, variant)
+        edges = index._Edges(spec, k)
+        checked = suite_euler(spec, k, edges)["checked"], suite_rigidity(edges)["checked"]
+        assert checked == graph_suite_counts(table), (k, checked)
+
+
 def test_sampling_is_seed_deterministic():
     tab = build_table(2, 2, "full")
     a = suite_leibniz(tab, sample=500, seed=9)
@@ -117,6 +141,55 @@ def test_sampling_is_seed_deterministic():
     c = suite_assoc(tab, sample=300, seed=4)
     assert c["checked"] == 300
     assert c["failures"] == []
+
+
+def _every_tenth_product_deleted():
+    """The g=2 k=2 full table with its 0th, 10th, 20th, ... product entry,
+    in key order, deleted."""
+    tab = copy.copy(build_table(2, 2, "full"))
+    tab.prod = {ij: m for n, (ij, m) in enumerate(sorted(tab.prod.items())) if n % 10}
+    return tab
+
+
+def _gen(chords, dotted=()):
+    return {"chords": [list(c) for c in chords], "dotted": list(dotted)}
+
+
+# A passing sampled report cannot show which pairs were drawn; a failing
+# one can, so these pin the draw of seed 7: its failure counts and first
+# five examples.
+SAMPLED_PINS = {
+    "leibniz": (5000, 103, [
+        {"left": _gen([(1, 5)], [4]), "right": _gen([(4, 5), (5, 7)])},
+        {"left": _gen([(2, 3), (3, 4)]), "right": _gen([(3, 7), (4, 5)])},
+        {"left": _gen([(2, 4), (3, 5)]), "right": _gen([(4, 7)], [1])},
+        {"left": _gen([], [3, 4]), "right": _gen([(3, 8), (4, 5)])},
+        {"left": _gen([(1, 5)], [3]), "right": _gen([(3, 4)], [1])},
+    ]),
+    "assoc": (5000, 38, [
+        {"a": _gen([(1, 4), (6, 7)]), "b": _gen([], [3, 4]), "c": _gen([(4, 5), (7, 8)])},
+        {"a": _gen([(1, 3), (4, 6)]), "b": _gen([(3, 8)], [2]), "c": _gen([(6, 7)], [4])},
+        {"a": _gen([], [2, 4]), "b": _gen([(2, 6), (4, 7)]), "c": _gen([(6, 7), (7, 8)])},
+        {"a": _gen([(1, 3), (2, 5)]), "b": _gen([(5, 8)], [3]), "c": _gen([(3, 7)], [4])},
+        {"a": _gen([(4, 7)], [1]), "b": _gen([(1, 5)], [3]), "c": _gen([(5, 6)], [3])},
+    ]),
+    "closure": (5274, 106, [
+        {"left": _gen([(1, 4), (6, 7)]), "right": _gen([], [3, 4])},
+        {"left": _gen([(1, 2), (2, 8)]), "right": _gen([(2, 6)], [4])},
+        {"left": _gen([(2, 3), (3, 4)]), "right": _gen([(3, 7), (4, 5)])},
+        {"left": _gen([(5, 6), (7, 8)]), "right": _gen([(6, 7)], [4])},
+        {"left": _gen([(2, 3), (3, 8)]), "right": _gen([(3, 6)], [4])},
+    ]),
+}
+
+
+@pytest.mark.parametrize("suite", [suite_leibniz, suite_assoc, suite_closure])
+def test_sampled_draw_is_pinned_by_a_failing_table(suite):
+    report = suite(_every_tenth_product_deleted(), sample=5000, seed=7)
+    checked, failed, examples = SAMPLED_PINS[report["name"]]
+    assert report == {
+        "name": report["name"], "checked": checked, "failures": examples, "failed": failed
+    }
 
 
 def test_half_algebra_is_exceptional_and_directed():
