@@ -325,18 +325,27 @@ def _packed_crossings(pmc: PointedMatchedCircle, u: Idempotent, middle, outer) -
     it meets the other factor) and its outer position outer[t].  A chord
     fixes middle[t]; a dotted label has middle[t] = outer[t] = 0 and is a
     horizontal strand at either position of its pair.  Middle choices y
-    are numbered as in itertools.product over the pair positions; choice
-    number c owns the C(k, 2) bits from c * C(k, 2), one per label pair
-    t1 < t2, set when the two strands cross.  Returns (packed masks,
-    bitmask of the choices consistent with the fixed middles).
+    are numbered as in itertools.product over the pair positions: digit t
+    of choice number c, most significant first, is the index of y[t] in
+    its pair.  Only the consistent choices are enumerated: a chord fixes
+    its label's digit, and only dotted labels branch.  Choice c owns the
+    C(k, 2) bits from c * C(k, 2), one per label pair t1 < t2, set when
+    the two strands cross.  Returns (packed masks, bitmask of the
+    consistent choices).
     """
     k = len(u)
     width = k * (k - 1) // 2
+    options = [
+        ((pmc.positions_of(p).index(m), m),) if m else tuple(enumerate(pmc.positions_of(p)))
+        for p, m in zip(u, middle)
+    ]
     packed = consistent = 0
-    for c, ys in enumerate(itertools.product(*(pmc.positions_of(p) for p in u))):
-        if any(m and m != y for m, y in zip(middle, ys)):
-            continue
+    for picks in itertools.product(*options):
+        c = 0
+        for digit, _ in picks:
+            c = 2 * c + digit
         consistent |= 1 << c
+        ys = [y for _, y in picks]
         ends = [o or y for o, y in zip(outer, ys)]
         bit = c * width
         for t1 in range(k):
@@ -354,19 +363,21 @@ def _factor(pmc: PointedMatchedCircle, gen: MatchedGenerator, u: Idempotent, lef
     Returns (signature, packed, consistent, own, outer): per label of u
     the chord's middle position or 0 when dotted, the packed crossing
     masks with their consistent choices, and per label the code bit of
-    the chord on it and its outer position (both 0 when dotted).
+    the chord on it and its outer position (both 0 when dotted).  Every
+    field is an int or a tuple of ints: the builder keeps these records
+    for a whole middle idempotent, and the cyclic collector stops
+    tracking such tuples at its first pass, where lists would stay
+    tracked and make each of its full passes walk the product table.
     """
     labels = pmc.labels
     n = pmc.n_points
     on_label = {labels[(b if left else a) - 1]: (a, b) for a, b in gen.chords}
-    middle, outer, own = [], [], []
-    for p in u:
-        a, b = on_label.get(p, (0, 0))
-        middle.append(b if left else a)
-        outer.append(a if left else b)
-        own.append(1 << ((a - 1) * n + b - 1) if a else 0)
+    strands = [on_label.get(p, (0, 0)) for p in u]
+    middle = tuple(b if left else a for a, b in strands)
+    outer = tuple(a if left else b for a, b in strands)
+    own = tuple(1 << ((a - 1) * n + b - 1) if a else 0 for a, b in strands)
     packed, consistent = _packed_crossings(pmc, u, middle, outer)
-    return tuple(middle), packed, consistent, own, outer
+    return middle, packed, consistent, own, outer
 
 
 def _crossed_everywhere(crossed: int, consistent: int, width: int) -> bool:
@@ -397,11 +408,15 @@ class AlgebraTable:
     chord.  A pair's sections compose for every consistent y, and since
     a label pair crosses in the composite exactly when it crosses in one
     factor, the pair survives at y exactly when its two crossing masks
-    at y share no bit.  Each factor packs its masks for all y into one
-    int, so one AND tests every y of a pair; the composite is found by
-    its integer code (one bit per chord, one per dotted label).  A pair
-    that survives at some y and not at others, or whose composite is not
-    a generator of the table, raises ClosureError.
+    at y share no bit.  Each factor packs its masks for its consistent y
+    into one int, so one AND tests every y of a pair, and only a pair
+    with several shared y needs its blocks read one by one; the
+    composite is found by its integer code (one bit per chord, one per
+    dotted label).  A pair that survives at some y and not at others, or
+    whose composite is not a generator of the table, raises ClosureError.
+    The factor records held through a middle idempotent's pass are
+    tuples of ints, which the cyclic collector stops tracking, so its
+    full passes do not keep re-walking the growing product dict.
     """
 
     def __init__(self, pmc, k, variant, gens, idem_list):
@@ -455,9 +470,10 @@ class AlgebraTable:
 
     def _build_products(self):
         pmc = self.pmc
+        gens = self.gens
         n = pmc.n_points
-        codes = [_generator_code(pmc, g) for g in self.gens]
-        by_code = {code: m for m, code in enumerate(codes)}
+        codes = [_generator_code(pmc, g) for g in gens]
+        lookup = {code: m for m, code in enumerate(codes)}.get
         prod: dict[tuple[int, int], int] = {}
         for u_id, u in enumerate(self.idem_list):
             k = len(u)
@@ -465,11 +481,11 @@ class AlgebraTable:
             dots = [1 << (n * n + p - 1) for p in u]
             lefts: dict[tuple[int, ...], list] = {}
             for i in self.by_target[u_id]:
-                sig, packed, consistent, own, outer = _factor(pmc, self.gens[i], u, left=True)
+                sig, packed, consistent, own, outer = _factor(pmc, gens[i], u, left=True)
                 lefts.setdefault(sig, []).append((i, packed, consistent, codes[i], own, outer))
             rights: dict[tuple[int, ...], list] = {}
             for j in self.by_source[u_id]:
-                sig, packed, consistent, own, outer = _factor(pmc, self.gens[j], u, left=False)
+                sig, packed, consistent, own, outer = _factor(pmc, gens[j], u, left=False)
                 rights.setdefault(sig, []).append((j, packed, consistent, codes[j], own, outer))
             for ends, lgroup in lefts.items():
                 # Right factors whose chord starts meet the left's chord ends
@@ -487,30 +503,34 @@ class AlgebraTable:
                     cc = [t for t in range(k) if ends[t] and starts[t]]
                     dup = sum(dots[t] for t in range(k) if not (ends[t] and starts[t]))
                     rows = [
-                        (j, m2, c2, code - sum(own[t] for t in cc), [outer[t] - 1 for t in cc])
+                        (j, m2, c2, code - sum(own[t] for t in cc), tuple(outer[t] - 1 for t in cc))
                         for j, m2, c2, code, own, outer in rgroup
                     ]
                     for i, m1, c1, code, own, outer in lgroup:
                         base = code - sum(own[t] for t in cc) - dup
                         # Joined chord (x, z) has code bit (x - 1) * n + z - 1.
-                        heads = [1 << ((outer[t] - 1) * n) for t in cc]
+                        heads = tuple(1 << ((outer[t] - 1) * n) for t in cc)
                         for j, m2, c2, rcode, tails in rows:
                             crossed = m1 & m2
                             if crossed:
-                                if not _crossed_everywhere(crossed, c1 & c2, width):
+                                # The AND has bits only in blocks of choices
+                                # consistent for both, so with one such
+                                # choice the pair crosses everywhere.
+                                shared = c1 & c2
+                                if shared & (shared - 1) and not _crossed_everywhere(
+                                    crossed, shared, width
+                                ):
                                     raise ClosureError(
-                                        f"{self.gens[i]} * {self.gens[j]} vanishes on some"
+                                        f"{gens[i]} * {gens[j]} vanishes on some"
                                         " sections of its family and not on others"
                                     )
                                 continue
                             comp = base + rcode
                             for head, tail in zip(heads, tails):
                                 comp += head << tail
-                            m = by_code.get(comp)
+                            m = lookup(comp)
                             if m is None:
-                                raise ClosureError(
-                                    f"{self.gens[i]} * {self.gens[j]} is not in the table"
-                                )
+                                raise ClosureError(f"{gens[i]} * {gens[j]} is not in the table")
                             prod[(i, j)] = m
         self.prod = prod
 

@@ -2,7 +2,9 @@
 from ``perfbench/census.json`` and the counts of the two verify
 workloads checked by ``perfbench/check.py``; and the sha256 of four
 ``verify`` reports, so that a change meant to keep them byte-identical
-is checked to be.
+is checked to be; and the sha256 of three product tables in insertion
+order, which ``homalg._factorizations`` reads to pick, for each product,
+the first factorization it meets.
 The harness scripts themselves are run too, since
 ``perfbench/traced.py`` and ``perfbench/probe.py`` look src names up by
 name, and a renamed or deleted one breaks them."""
@@ -19,7 +21,9 @@ from pathlib import Path
 
 import pytest
 
+from strandfloer.circle import matching_from_pairs, standard_matching
 from strandfloer.cli import main
+from strandfloer.strands import AlgebraTable
 from strandfloer.verify import SUITE_NAMES
 
 REPO = Path(__file__).resolve().parents[1]
@@ -86,6 +90,29 @@ def test_verify_report_matches_its_hash(tmp_path, argv, sha256):
     out = tmp_path / "verify.json"
     assert main(["verify", *argv, "--out", str(out)]) == 0
     assert _sha256(out) == sha256
+
+
+@pytest.mark.parametrize(
+    "pmc, k, variant, sha256",
+    [
+        (
+            standard_matching(2), 3, "full",
+            "a1d7a668406250b113cfa2c3916dcccdab892880a0aebe7fca5692afd3c5384e",
+        ),
+        (
+            matching_from_pairs(2, ((1, 7), (2, 8), (3, 5), (4, 6))), 4, "half",
+            "9f984696a21e8490131d29213d165664120dd047089e0a28762ea75555497922",
+        ),
+        (
+            standard_matching(3), 2, "full",
+            "a363ca76dca29c227bd8b1c94aabf03e3979296fb43690fd010f73e111912b99",
+        ),
+    ],
+    ids=["g2k3-full", "g2k4-half-matching", "g3k2-full"],
+)
+def test_product_table_keeps_its_insertion_order(pmc, k, variant, sha256):
+    prod = AlgebraTable.build(pmc, k, variant).prod
+    assert hashlib.sha256(repr(list(prod.items())).encode()).hexdigest() == sha256
 
 
 def _run_harness(script: str, *argv: str) -> subprocess.CompletedProcess:

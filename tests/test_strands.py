@@ -10,6 +10,7 @@ out here rather than taken from the library.
 from __future__ import annotations
 
 import copy
+import gc
 import itertools
 
 import pytest
@@ -387,6 +388,68 @@ def test_product_builder_raises_instead_of_dropping(monkeypatch):
     monkeypatch.setattr(strands, "_packed_crossings", one_section_crossed)
     with pytest.raises(ClosureError, match="some sections"):
         AlgebraTable.build(pmc, 2, "full")
+
+
+def _packed_crossings_oracle(pmc, u, middle, outer):
+    """The crossing masks over all 2^k middle choices, skipping the ones
+    that a chord rules out."""
+    k = len(u)
+    width = k * (k - 1) // 2
+    packed = consistent = 0
+    for c, ys in enumerate(itertools.product(*(pmc.positions_of(p) for p in u))):
+        if any(m and m != y for m, y in zip(middle, ys)):
+            continue
+        consistent |= 1 << c
+        ends = [o or y for o, y in zip(outer, ys)]
+        bit = c * width
+        for t1 in range(k):
+            for t2 in range(t1 + 1, k):
+                if (ends[t1] - ends[t2]) * (ys[t1] - ys[t2]) < 0:
+                    packed |= 1 << bit
+                bit += 1
+    return packed, consistent
+
+
+FACTOR_CASES = [
+    *((standard_matching(1), k, variant) for k in range(3) for variant in VARIANTS),
+    *(
+        (pmc, k, variant)
+        for pmc in (ORACLE_CASES["standard-g2"][0], ORACLE_CASES["custom-g2"][0])
+        for k in range(5)
+        for variant in VARIANTS
+    ),
+    *((standard_matching(3), k, "full") for k in range(3)),
+]
+
+
+def _factors(pmc, k, variant):
+    """(u, left, record) for every generator as a left factor over its
+    target and as a right factor over its source."""
+    for gen in enumerate_generators(pmc, k, variant):
+        for u, left in ((target_idempotent(pmc, gen), True), (source_idempotent(pmc, gen), False)):
+            yield u, left, strands._factor(pmc, gen, u, left)
+
+
+def test_packed_crossings_match_the_all_choices_oracle():
+    for pmc, k, variant in FACTOR_CASES:
+        for u, left, (middle, packed, consistent, _, outer) in _factors(pmc, k, variant):
+            want = _packed_crossings_oracle(pmc, u, middle, outer)
+            assert (packed, consistent) == want, (pmc.pairs, k, variant, u, left, middle)
+
+
+def test_factor_records_are_ints_the_collector_drops():
+    """The builder holds a record per factor for a whole middle idempotent;
+    records of ints and int tuples leave the cyclic collector's lists at
+    its first pass, so they do not make it walk the product table."""
+    records = [rec for _, _, rec in _factors(standard_matching(2), 3, "full")]
+    gc.collect()
+    for rec in records:
+        for field in rec:
+            if isinstance(field, tuple):
+                assert all(type(x) is int for x in field), rec
+            else:
+                assert type(field) is int, rec
+        assert not any(gc.is_tracked(field) for field in rec), rec
 
 
 # -- symmetries that need no second implementation ---------------------------
