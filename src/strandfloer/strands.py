@@ -48,6 +48,7 @@ from __future__ import annotations
 
 import itertools
 import os
+from operator import lshift
 from typing import Iterable, NamedTuple
 
 from .circle import Idempotent, PointedMatchedCircle
@@ -495,22 +496,34 @@ class AlgebraTable:
                     rgroup = rights.get(starts)
                     if rgroup is None:
                         continue
-                    # Labels with a chord on both sides join into one chord;
-                    # every other label keeps the chord or dotted label it
-                    # has on either side, so the composite code is the sum
-                    # of the two codes, less those chords and the dotted
-                    # bits counted once too often.
+                    # Labels cc with a chord on both sides join into one
+                    # chord; every other label keeps the chord or dotted
+                    # label it has on either side, so the composite code is
+                    # the sum of the two codes, less the chords on cc and
+                    # the dotted bits counted once too often, plus the
+                    # joined chords.  Joined chord (x, z) has code bit
+                    # (x - 1) * n + z - 1: the left's head 1 << (x - 1) * n
+                    # shifted by the right's tail z - 1.  Right factors are
+                    # numbered by their tails, and the joined bits are summed
+                    # once for each pair of distinct heads and tails.
                     cc = [t for t in range(k) if ends[t] and starts[t]]
                     dup = sum(dots[t] for t in range(k) if not (ends[t] and starts[t]))
+                    tails: dict[tuple[int, ...], int] = {}
                     rows = [
-                        (j, m2, c2, code - sum(own[t] for t in cc), tuple(outer[t] - 1 for t in cc))
+                        (
+                            j, m2, c2, code - sum(own[t] for t in cc),
+                            tails.setdefault(tuple(outer[t] - 1 for t in cc), len(tails)),
+                        )
                         for j, m2, c2, code, own, outer in rgroup
                     ]
+                    joins: dict[tuple[int, ...], list[int]] = {}
                     for i, m1, c1, code, own, outer in lgroup:
                         base = code - sum(own[t] for t in cc) - dup
-                        # Joined chord (x, z) has code bit (x - 1) * n + z - 1.
                         heads = tuple(1 << ((outer[t] - 1) * n) for t in cc)
-                        for j, m2, c2, rcode, tails in rows:
+                        joined = joins.get(heads)
+                        if joined is None:
+                            joined = joins[heads] = [sum(map(lshift, heads, zs)) for zs in tails]
+                        for j, m2, c2, rcode, tid in rows:
                             crossed = m1 & m2
                             if crossed:
                                 # The AND has bits only in blocks of choices
@@ -525,10 +538,7 @@ class AlgebraTable:
                                         " sections of its family and not on others"
                                     )
                                 continue
-                            comp = base + rcode
-                            for head, tail in zip(heads, tails):
-                                comp += head << tail
-                            m = lookup(comp)
+                            m = lookup(base + rcode + joined[tid])
                             if m is None:
                                 raise ClosureError(f"{gens[i]} * {gens[j]} is not in the table")
                             prod[(i, j)] = m
