@@ -410,14 +410,16 @@ class AlgebraTable:
     a label pair crosses in the composite exactly when it crosses in one
     factor, the pair survives at y exactly when its two crossing masks
     at y share no bit.  Each factor packs its masks for its consistent y
-    into one int, so one AND tests every y of a pair, and only a pair
-    with several shared y needs its blocks read one by one; the
-    composite is found by its integer code (one bit per chord, one per
-    dotted label).  A pair that survives at some y and not at others, or
-    whose composite is not a generator of the table, raises ClosureError.
-    The factor records held through a middle idempotent's pass are
-    tuples of ints, which the cyclic collector stops tracking, so its
-    full passes do not keep re-walking the growing product dict.
+    into one int, so one AND tests every y of a pair; the composite is
+    found by its integer code (one bit per chord, one per dotted label).
+    A pair that survives at some y and not at others, or whose composite
+    is not a generator of the table, raises ClosureError.  The factor
+    records held through a middle idempotent's pass are tuples of ints,
+    which the cyclic collector stops tracking, so its full passes do not
+    keep re-walking the growing product dict.  The loop over groups makes
+    no tuple per combination or per pair: dropped by the thousand, such
+    tuples fill the tuple free lists with blocks scattered over partly
+    used pools, which raises the peak memory of a build.
     """
 
     def __init__(self, pmc, k, variant, gens, idem_list):
@@ -432,7 +434,9 @@ class AlgebraTable:
         self.tgt = [self.idem_id[target_idempotent(pmc, g)] for g in gens]
         self.by_source: list[list[int]] = [[] for _ in idem_list]
         self.by_target: list[list[int]] = [[] for _ in idem_list]
-        for i, g in enumerate(gens):
+        # Every field holds the index's own int objects, one per generator,
+        # so that a table does not keep further copies of each index.
+        for i in self.index.values():
             self.by_source[self.src[i]].append(i)
             self.by_target[self.tgt[i]].append(i)
         self.idem_gen: list[int] = [self.index[idempotent(s)] for s in idem_list]
@@ -474,20 +478,28 @@ class AlgebraTable:
         gens = self.gens
         n = pmc.n_points
         codes = [_generator_code(pmc, g) for g in gens]
-        lookup = {code: m for m, code in enumerate(codes)}.get
+        # Products hold the index's ints too (see __init__).
+        lookup = dict(zip(codes, self.index.values())).get
         prod: dict[tuple[int, int], int] = {}
         for u_id, u in enumerate(self.idem_list):
             k = len(u)
             width = k * (k - 1) // 2
             dots = [1 << (n * n + p - 1) for p in u]
+            # A joined chord (x, z) has code bit (x - 1) * n + z - 1: the
+            # left's head 1 << (x - 1) * n shifted by the right's tail z - 1.
+            # Heads and tails are kept per label of u, 0 where the factor is
+            # dotted, so that they are made once per factor here and not
+            # once per combination below.
             lefts: dict[tuple[int, ...], list] = {}
             for i in self.by_target[u_id]:
                 sig, packed, consistent, own, outer = _factor(pmc, gens[i], u, left=True)
-                lefts.setdefault(sig, []).append((i, packed, consistent, codes[i], own, outer))
+                heads = tuple(1 << ((x - 1) * n) if x else 0 for x in outer)
+                lefts.setdefault(sig, []).append((i, packed, consistent, codes[i], own, heads))
             rights: dict[tuple[int, ...], list] = {}
             for j in self.by_source[u_id]:
                 sig, packed, consistent, own, outer = _factor(pmc, gens[j], u, left=False)
-                rights.setdefault(sig, []).append((j, packed, consistent, codes[j], own, outer))
+                tails = tuple(z - 1 if z else 0 for z in outer)
+                rights.setdefault(sig, []).append((j, packed, consistent, codes[j], own, tails))
             for ends, lgroup in lefts.items():
                 # Right factors whose chord starts meet the left's chord ends
                 # label by label; a dotted label on either side meets anything.
@@ -501,44 +513,25 @@ class AlgebraTable:
                     # label it has on either side, so the composite code is
                     # the sum of the two codes, less the chords on cc and
                     # the dotted bits counted once too often, plus the
-                    # joined chords.  Joined chord (x, z) has code bit
-                    # (x - 1) * n + z - 1: the left's head 1 << (x - 1) * n
-                    # shifted by the right's tail z - 1.  Right factors are
-                    # numbered by their tails, and the joined bits are summed
-                    # once for each pair of distinct heads and tails.
+                    # joined chords: the sum over all labels of head << tail,
+                    # less the heads of labels lone (a chord on the left
+                    # only, whose tail is 0).
                     cc = [t for t in range(k) if ends[t] and starts[t]]
+                    lone = [t for t in range(k) if ends[t] and not starts[t]]
                     dup = sum(dots[t] for t in range(k) if not (ends[t] and starts[t]))
-                    tails: dict[tuple[int, ...], int] = {}
-                    rows = [
-                        (
-                            j, m2, c2, code - sum(own[t] for t in cc),
-                            tails.setdefault(tuple(outer[t] - 1 for t in cc), len(tails)),
-                        )
-                        for j, m2, c2, code, own, outer in rgroup
-                    ]
-                    joins: dict[tuple[int, ...], list[int]] = {}
-                    for i, m1, c1, code, own, outer in lgroup:
-                        base = code - sum(own[t] for t in cc) - dup
-                        heads = tuple(1 << ((outer[t] - 1) * n) for t in cc)
-                        joined = joins.get(heads)
-                        if joined is None:
-                            joined = joins[heads] = [sum(map(lshift, heads, zs)) for zs in tails]
-                        for j, m2, c2, rcode, tid in rows:
+                    rcodes = [code - sum(own[t] for t in cc) for _, _, _, code, own, _ in rgroup]
+                    for i, m1, c1, code, own, heads in lgroup:
+                        base = code - sum(own[t] for t in cc) - sum(heads[t] for t in lone) - dup
+                        for (j, m2, c2, _, _, tails), rcode in zip(rgroup, rcodes):
                             crossed = m1 & m2
                             if crossed:
-                                # The AND has bits only in blocks of choices
-                                # consistent for both, so with one such
-                                # choice the pair crosses everywhere.
-                                shared = c1 & c2
-                                if shared & (shared - 1) and not _crossed_everywhere(
-                                    crossed, shared, width
-                                ):
+                                if not _crossed_everywhere(crossed, c1 & c2, width):
                                     raise ClosureError(
                                         f"{gens[i]} * {gens[j]} vanishes on some"
                                         " sections of its family and not on others"
                                     )
                                 continue
-                            m = lookup(base + rcode + joined[tid])
+                            m = lookup(base + rcode + sum(map(lshift, heads, tails)))
                             if m is None:
                                 raise ClosureError(f"{gens[i]} * {gens[j]} is not in the table")
                             prod[(i, j)] = m

@@ -38,8 +38,7 @@ def _sha256(path: Path) -> str:
 
 @pytest.mark.parametrize(
     "entry",
-    # g=3 k=3 full (5 s) is left to the benchmark, which checks it on every run.
-    [e for e in CENSUS if (e["g"], e["k"], e["variant"]) != (3, 3, "full")],
+    CENSUS,
     ids=lambda e: f"g{e['g']}k{e['k']}-{e['variant']}",
 )
 def test_build_matches_census_hash(tmp_path, entry):

@@ -452,6 +452,17 @@ def test_factor_records_are_ints_the_collector_drops():
         assert not any(gc.is_tracked(field) for field in rec), rec
 
 
+def test_table_fields_share_the_index_ints():
+    """Past the small-int cache, every generator index a table holds is
+    the index dict's own int object, not one more copy per field."""
+    table = AlgebraTable.build(standard_matching(2), 3, "full")
+    own = {id(i) for i in table.index.values()}
+    held = [i for row in (*table.by_source, *table.by_target, *table.diff) for i in row]
+    held += [i for pair in table.prod for i in pair] + list(table.prod.values())
+    assert len(table.gens) > 256 and max(held) > 256
+    assert all(id(i) in own for i in held)
+
+
 # -- symmetries that need no second implementation ---------------------------
 
 SYMMETRY_CASES = [
