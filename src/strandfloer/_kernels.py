@@ -2,7 +2,7 @@
 composite-domain sweep, all in plain Python.
 
 Bit-matrix rows are Python ints, bit c being column c; the product table
-stays the dict it is built as.
+is read as it is built, one dict per left factor.
 """
 
 from __future__ import annotations
@@ -45,15 +45,15 @@ def gf2_eliminate(rows: list[int], ncols: int) -> tuple[int, list[int]]:
 # ---------------------------------------------------------------------------
 # Associativity walk over a product table.
 #
-# prod maps composable pairs (i, j) to the index of their nonzero product;
-# rows[i] lists (j, prod[i, j]) and cols[j] lists (i, prod[i, j]).  A
+# prod[i] maps each j with a nonzero product to its index, so prod[p] is
+# the row of p; cols[q] lists the left factors i with prod[i][q] set.  A
 # composable triple (i, j, l) whose two sides (ij)l and i(jl) are both
 # zero holds trivially, so the walk reaches only the triples with a
 # nonzero side: (ij)l is nonzero only for l in the row of ij, and i(jl)
 # only for i in the column of jl.
 
 
-def assoc_scan(prod, rows, cols, src, tgt):
+def assoc_scan(prod, cols, src, tgt):
     """Walk the composable triples with a nonzero side.  ``src`` and
     ``tgt`` give each generator's idempotent ids, so that a triple is
     composable when tgt[i] == src[j] and tgt[j] == src[l].  Returns
@@ -62,31 +62,34 @@ def assoc_scan(prod, rows, cols, src, tgt):
     """
     visits = 0
     bad = []
-    for (i, j), p in prod.items():
-        row = rows.get(p)
-        if row is None or tgt[i] != src[j]:
-            continue
-        visits += len(row)
-        t = tgt[j]
-        for l, left in row:
-            if src[l] != t:
+    for i, row_i in enumerate(prod):
+        for j, p in row_i.items():
+            if tgt[i] != src[j]:
                 continue
-            q = prod.get((j, l))
-            if q is None or prod.get((i, q)) != left:
-                bad.append((i, j, l))
+            row = prod[p]
+            visits += len(row)
+            row_j = prod[j]
+            t = tgt[j]
+            for l, left in row.items():
+                if src[l] != t:
+                    continue
+                q = row_j.get(l)
+                if q is None or row_i.get(q) != left:
+                    bad.append((i, j, l))
     # Triples whose left side is nonzero were settled above.
-    for (j, l), q in prod.items():
-        col = cols.get(q)
-        if col is None or tgt[j] != src[l]:
-            continue
-        visits += len(col)
+    for j, row_j in enumerate(prod):
         s = src[j]
-        for i, _ in col:
-            if tgt[i] != s:
+        for l, q in row_j.items():
+            if tgt[j] != src[l]:
                 continue
-            p = prod.get((i, j))
-            if p is None or (p, l) not in prod:
-                bad.append((i, j, l))
+            col = cols[q]
+            visits += len(col)
+            for i in col:
+                if tgt[i] != s:
+                    continue
+                p = prod[i].get(j)
+                if p is None or l not in prod[p]:
+                    bad.append((i, j, l))
     bad.sort()
     return visits, bad
 

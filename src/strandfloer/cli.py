@@ -13,7 +13,8 @@ import contextlib
 import json
 import sys
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Sequence
+from itertools import islice
+from typing import Iterable, Iterator
 
 from . import verify
 from .circle import (
@@ -139,17 +140,16 @@ def _emit(cfg: RunConfig, chunks: Iterable[str]):
 _BATCH = 1 << 15
 
 
-def _items(key: str, items: Sequence, fmt: Callable[..., str]) -> Iterator[str]:
+def _items(key: str, texts: Iterable[str]) -> Iterator[str]:
     """The member '  "key": [...]' of the top-level object, laid out as
-    json.dumps(..., indent=2) lays it out, with fmt(item) the text of each
-    item; the items are joined a batch at a time."""
-    if not items:
-        yield f'  "{key}": []'
-        return
-    yield f'  "{key}": [\n'
-    for lo in range(0, len(items), _BATCH):
-        yield (",\n" if lo else "") + ",\n".join([fmt(x) for x in items[lo : lo + _BATCH]])
-    yield "\n  ]"
+    json.dumps(..., indent=2) lays it out, from the text of each item;
+    the items are joined a batch at a time."""
+    texts = iter(texts)
+    sep = f'  "{key}": [\n'
+    while batch := list(islice(texts, _BATCH)):
+        yield sep + ",\n".join(batch)
+        sep = ",\n"
+    yield "\n  ]" if sep == ",\n" else f'  "{key}": []'
 
 
 def _json_list(values, indent: str) -> str:
@@ -180,23 +180,29 @@ def _build_text(cfg: RunConfig, table: AlgebraTable) -> Iterator[str]:
             f'      "source": {table.src[i]},\n      "target": {table.tgt[i]}\n    }}'
         )
 
-    yield from _items("generators", range(len(table.gens)), generator)
+    yield from _items("generators", map(generator, range(len(table.gens))))
     yield ",\n"
-    # A generator index as an item of a row: formatted once, not per row.
+    # A generator index as an item of an entry: formatted once, not per
+    # entry.  Entries [i, j] and [i, j, m] come in (i, j) order: rows in
+    # index order, each row sorted.
     num = [f"      {i}" for i in range(len(table.gens))]
-    diff = [(i, j) for i, row in enumerate(table.diff) for j in sorted(row)]
-    yield from _items("differential", diff, lambda e: f"    [\n{num[e[0]]},\n{num[e[1]]}\n    ]")
-    yield ",\n"
-    prod = table.prod
-    yield from _items(
-        "product",
-        sorted(prod),
-        lambda e: f"    [\n{num[e[0]]},\n{num[e[1]]},\n{num[prod[e]]}\n    ]",
+    diff = (
+        f"    [\n{num[i]},\n{num[j]}\n    ]"
+        for i, row in enumerate(table.diff)
+        for j in sorted(row)
     )
+    yield from _items("differential", diff)
+    yield ",\n"
+    prod = (
+        f"    [\n{num[i]},\n{num[j]},\n{num[row[j]]}\n    ]"
+        for i, row in enumerate(table.prod)
+        for j in sorted(row)
+    )
+    yield from _items("product", prod)
     yield ",\n"
     ids = table.idem_id
     dims = sorted((ids[s], ids[t], d) for (s, t), d in table.dims_table().items())
-    yield from _items("dims", dims, lambda e: "    " + _json_list(e, "      "))
+    yield from _items("dims", ("    " + _json_list(e, "      ") for e in dims))
     yield "\n}\n"
 
 

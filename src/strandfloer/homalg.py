@@ -180,7 +180,7 @@ class RightDGModule:
         return frozenset(out)
 
 
-# Per table, (the prod dict it was read from, its factorizations); a
+# Per table, (the prod rows it was read from, its factorizations); a
 # table whose prod is replaced gets a fresh pass.
 _FACTORIZATION_CACHE: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
@@ -191,22 +191,21 @@ def _factorizations(table: AlgebraTable) -> dict[int, tuple[int, int]]:
     smaller total chord length than c.  The lengths come from
     table.gens, not from the product, so the induction on length that
     lets mor_complex skip c stays well-founded on a corrupt table; a
-    generator with no such factorization is indecomposable."""
+    generator with no such factorization is indecomposable.  The first
+    factorization found is kept, reading the rows by left factor index
+    and each row in the order the builder wrote it."""
     cached = _FACTORIZATION_CACHE.get(table)
     if cached is not None and cached[0] is table.prod:
         return cached[1]
     length = [sum(end - start for start, end in gen.chords) for gen in table.gens]
     idem = set(table.idem_gen)
     out: dict[int, tuple[int, int]] = {}
-    for (a, b), c in table.prod.items():
-        if (
-            c not in out
-            and a not in idem
-            and b not in idem
-            and length[a] < length[c]
-            and length[b] < length[c]
-        ):
-            out[c] = (a, b)
+    for a, row in enumerate(table.prod):
+        if a in idem:
+            continue
+        for b, c in row.items():
+            if c not in out and b not in idem and length[a] < length[c] and length[b] < length[c]:
+                out[c] = (a, b)
     _FACTORIZATION_CACHE[table] = (table.prod, out)
     return out
 
@@ -214,21 +213,20 @@ def _factorizations(table: AlgebraTable) -> dict[int, tuple[int, int]]:
 def projective_module(table: AlgebraTable, s) -> RightDGModule:
     """e_s A with right multiplication: basis is every generator with
     source s, graded into blocks by target idempotent.  The actions are
-    read from the composable product entries whose left factor is in the
-    basis, filled in (basis position, acting generator) order."""
+    read from the rows of the basis generators, composable entries
+    only, filled in (basis position, acting generator) order."""
     sid = table.idem_id[tuple(sorted(s))]
     basis = table.by_source[sid]
     pos = {gi: p for p, gi in enumerate(basis)}
     cx = _restricted_complex(table, basis)
     tgt, src = table.tgt, table.src
-    entries = sorted(
-        (pos[gi], a, c)
-        for (gi, a), c in table.prod.items()
-        if src[gi] == sid and tgt[gi] == src[a]
-    )
     actions: dict[int, dict[int, int]] = {}
-    for p, a, c in entries:
-        actions.setdefault(a, {})[p] = 1 << pos[c]
+    for p, gi in enumerate(basis):
+        t = tgt[gi]
+        row = table.prod[gi]
+        for a in sorted(row):
+            if src[a] == t:
+                actions.setdefault(a, {})[p] = 1 << pos[row[a]]
     return RightDGModule(table, cx, tuple(tgt[gi] for gi in basis), actions)
 
 

@@ -67,10 +67,11 @@ class SizeError(Exception):
 
 
 # Peak RSS per composable pair of a whole ``build`` run, table and output
-# together, measured with Python 3.11: 11.1 bytes at g=3 k=3 full (136 MB
-# for 12,866,332 pairs) and 3.2 at g=3 k=4 full (885 MB for 287,492,375).
+# together, measured with Python 3.11: 5.8 bytes at g=3 k=3 full (71 MB
+# for 12,866,332 pairs) and 1.24 at g=3 k=4 full (340 MB for 287,492,375).
 # The figure falls as k grows, because a smaller share of the pairs has a
-# product; the estimate takes the larger one, rounded up, so it errs high.
+# product.  The estimate keeps 12, the larger figure rounded up from when
+# each product had a tuple key, so it errs high by about a factor of two.
 BYTES_PER_PAIR = 12
 
 
@@ -398,9 +399,11 @@ class AlgebraTable:
 
     Generators get stable indices in (source, target, chords, dotted)
     order; the differential is a tuple of sorted index tuples and the
-    product a dict of nonzero (i, j) -> index entries over composable
-    pairs, of which there are ``composable_pairs``: pairs where i ends on
-    the idempotent where j starts.  Tables are immutable once built.
+    product a list of rows, one dict per generator: ``prod[i][j] = m``
+    for each nonzero product over the composable pairs, of which there
+    are ``composable_pairs``: pairs where i ends on the idempotent where
+    j starts.  Keys and values are the ``index`` dict's own ints, so the
+    table holds no object per product.  Tables are immutable once built.
 
     The product is computed by the matched rule in the module docstring.
     For each middle idempotent u, right factors are grouped by their
@@ -416,7 +419,7 @@ class AlgebraTable:
     is not a generator of the table, raises ClosureError.  The factor
     records held through a middle idempotent's pass are tuples of ints,
     which the cyclic collector stops tracking, so its full passes do not
-    keep re-walking the growing product dict.  The loop over groups makes
+    keep re-walking the growing product rows.  The loop over groups makes
     no tuple per combination or per pair: dropped by the thousand, such
     tuples fill the tuple free lists with blocks scattered over partly
     used pools, which raises the peak memory of a build.
@@ -441,7 +444,7 @@ class AlgebraTable:
             self.by_target[self.tgt[i]].append(i)
         self.idem_gen: list[int] = [self.index[idempotent(s)] for s in idem_list]
         self.diff: tuple[tuple[int, ...], ...] = ()
-        self.prod: dict[tuple[int, int], int] = {}
+        self.prod: list[dict[int, int]] = [{} for _ in gens]
         self.composable_pairs = sum(len(t) * len(s) for t, s in zip(self.by_target, self.by_source))
 
     # -- construction ------------------------------------------------------
@@ -480,7 +483,7 @@ class AlgebraTable:
         codes = [_generator_code(pmc, g) for g in gens]
         # Products hold the index's ints too (see __init__).
         lookup = dict(zip(codes, self.index.values())).get
-        prod: dict[tuple[int, int], int] = {}
+        prod = self.prod
         for u_id, u in enumerate(self.idem_list):
             k = len(u)
             width = k * (k - 1) // 2
@@ -521,6 +524,7 @@ class AlgebraTable:
                     dup = sum(dots[t] for t in range(k) if not (ends[t] and starts[t]))
                     rcodes = [code - sum(own[t] for t in cc) for _, _, _, code, own, _ in rgroup]
                     for i, m1, c1, code, own, heads in lgroup:
+                        row = prod[i]
                         base = code - sum(own[t] for t in cc) - sum(heads[t] for t in lone) - dup
                         for (j, m2, c2, _, _, tails), rcode in zip(rgroup, rcodes):
                             crossed = m1 & m2
@@ -534,8 +538,7 @@ class AlgebraTable:
                             m = lookup(base + rcode + sum(map(lshift, heads, tails)))
                             if m is None:
                                 raise ClosureError(f"{gens[i]} * {gens[j]} is not in the table")
-                            prod[(i, j)] = m
-        self.prod = prod
+                            row[j] = m
 
     # -- lookups -----------------------------------------------------------
 
@@ -551,15 +554,14 @@ class AlgebraTable:
         return dims
 
     def as_csr(self):
-        """The row and column views of the product, (rows, cols): rows[i]
-        lists (j, m) and cols[j] lists (i, m) for every product
-        (i, j) -> m.  Built afresh on each call, with no cache, so they
-        always match ``prod``.  (The name is older than the views;
-        perfbench/traced.py looks it up.)
+        """The row and column views of the product, (rows, cols): rows is
+        ``prod`` itself, and cols[j] lists, in index order, every i with
+        prod[i][j] set.  The column view is built afresh on each call,
+        with no cache, so it always matches ``prod``.  (The name is older
+        than the views; perfbench/traced.py looks it up.)
         """
-        rows: dict[int, list[tuple[int, int]]] = {}
-        cols: dict[int, list[tuple[int, int]]] = {}
-        for (i, j), m in self.prod.items():
-            rows.setdefault(i, []).append((j, m))
-            cols.setdefault(j, []).append((i, m))
-        return rows, cols
+        cols: list[list[int]] = [[] for _ in self.prod]
+        for i, row in enumerate(self.prod):
+            for j in row:
+                cols[j].append(i)
+        return self.prod, cols

@@ -115,20 +115,22 @@ def suite_leibniz(table: AlgebraTable, sample: int | None = None, seed: int = 0)
     """d(ab) = (da)b + a(db) over composable pairs, exhaustively or on a
     seeded sample."""
     pairs = _composable_pairs(table, sample, seed)
+    prod = table.prod
     failures = _Failures()
     checked = 0
     for i, j in pairs:
         checked += 1
         acc: set[int] = set()
-        m = table.prod.get((i, j))
+        row = prod[i]
+        m = row.get(j)
         if m is not None:
             acc.symmetric_difference_update(table.diff[m])
         for x in table.diff[i]:
-            p = table.prod.get((x, j))
+            p = prod[x].get(j)
             if p is not None:
                 acc.symmetric_difference_update((p,))
         for y in table.diff[j]:
-            p = table.prod.get((i, y))
+            p = row.get(y)
             if p is not None:
                 acc.symmetric_difference_update((p,))
         if acc:
@@ -176,8 +178,8 @@ def suite_assoc(table: AlgebraTable, sample: int | None = None, seed: int = 0) -
     composable triples as leibniz and closure draw pairs."""
     failures = _Failures()
     if sample is None:
-        rows, cols = table.as_csr()
-        _, bad = _kernels.assoc_scan(table.prod, rows, cols, table.src, table.tgt)
+        prod, cols = table.as_csr()
+        _, bad = _kernels.assoc_scan(prod, cols, table.src, table.tgt)
         for i, j, l in bad:
             failures.add(_triple_json(table, i, j, l))
         checked = sum(
@@ -185,11 +187,12 @@ def suite_assoc(table: AlgebraTable, sample: int | None = None, seed: int = 0) -
             for j in range(len(table.gens))
         )
         return failures.result("assoc", checked)
+    prod = table.prod
     for i, j, l in _sampled_chains(table, 3, sample, seed):
-        ij = table.prod.get((i, j))
-        jl = table.prod.get((j, l))
-        left = None if ij is None else table.prod.get((ij, l))
-        right = None if jl is None else table.prod.get((i, jl))
+        ij = prod[i].get(j)
+        jl = prod[j].get(l)
+        left = None if ij is None else prod[ij].get(l)
+        right = None if jl is None else prod[i].get(jl)
         if left != right:
             failures.add(_triple_json(table, i, j, l))
     return failures.result("assoc", sample)
@@ -226,7 +229,7 @@ def suite_closure(table: AlgebraTable, sample: int | None = None, seed: int = 0)
         except ClosureError as err:
             failures.add({**_pair_json(table, i, j), "error": str(err)})
             continue
-        want = table.prod.get((i, j))
+        want = table.prod[i].get(j)
         if got != ([] if want is None else [want]):
             failures.add(_pair_json(table, i, j))
     return failures.result("closure", checked)
@@ -294,9 +297,10 @@ def suite_dictionary_prod(table: AlgebraTable, edges: index._Edges) -> dict:
             left, right = edges.gens[x], edges.gens[y]
             failures.add({"grid_left": _points_json(left), "grid_right": _points_json(right)})
     # -1 is no edge; an edge whose product cannot be placed holds None.
-    for (i, j), m in table.prod.items():
-        if tgt[i] == src[j] and grid_prod.pop(i * n + j, -1) != m:
-            failures.add(_pair_json(table, i, j))
+    for i, row in enumerate(table.prod):
+        for j, m in row.items():
+            if tgt[i] == src[j] and grid_prod.pop(i * n + j, -1) != m:
+                failures.add(_pair_json(table, i, j))
     for key in grid_prod:  # edges on pairs the table leaves zero
         failures.add(_pair_json(table, *divmod(key, n)))
     return failures.result("dictionary-prod", table.composable_pairs)

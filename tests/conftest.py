@@ -13,8 +13,10 @@ half-algebra properties shared by the verify and acceptance tests;
 ``thimble_index_sets`` the thimble count of acceptance criterion 10,
 ``ADMISSIBLE_G2`` the admissible genus-2 matchings, ``reflected``,
 ``opposite_map`` and ``opposite_mismatches`` the orientation-reversal
-identity A(-Z) = A(Z)^op, and ``graph_suite_counts`` the algebra-side
-counts of euler and rigidity, each read by more than one test module.
+identity A(-Z) = A(Z)^op, ``graph_suite_counts`` the algebra-side
+counts of euler and rigidity, and ``product_pairs`` and ``set_products``
+the product table as one {(i, j): m} map, each read by more than one
+test module.
 
 Acceptance tests wrap their body in the ``criterion`` context manager,
 which records a pass/fail line (with wall time) whether or not the body
@@ -50,6 +52,20 @@ def build_table(g: int, k: int, variant: str = "full") -> AlgebraTable:
     return _TABLES[key]
 
 
+def product_pairs(table: AlgebraTable) -> dict[tuple[int, int], int]:
+    """The product entries as one map {(i, j): m}, rows in index order."""
+    return {(i, j): m for i, row in enumerate(table.prod) for j, m in row.items()}
+
+
+def set_products(table: AlgebraTable, pairs: dict[tuple[int, int], int]) -> None:
+    """Give table fresh product rows holding exactly the entries of
+    pairs; each row keeps the order its entries have in pairs."""
+    rows: list[dict[int, int]] = [{} for _ in table.gens]
+    for (i, j), m in pairs.items():
+        rows[i][j] = m
+    table.prod = rows
+
+
 def assoc_walk(table: AlgebraTable) -> tuple[int, list[tuple[int, int, int]], int]:
     """The dense associativity oracle: every composable triple (i, j, l)
     by dict lookups.  Returns (triples, failing triples in order, nonzero
@@ -59,12 +75,12 @@ def assoc_walk(table: AlgebraTable) -> tuple[int, list[tuple[int, int, int]], in
     bad = []
     for i in range(len(table.gens)):
         for j in table.by_source[table.tgt[i]]:
-            ij = prod.get((i, j))
+            ij = prod[i].get(j)
             for l in table.by_source[table.tgt[j]]:
                 checked += 1
-                jl = prod.get((j, l))
-                left = None if ij is None else prod.get((ij, l))
-                right = None if jl is None else prod.get((i, jl))
+                jl = prod[j].get(l)
+                left = None if ij is None else prod[ij].get(l)
+                right = None if jl is None else prod[i].get(jl)
                 sides += (left is not None) + (right is not None)
                 if left != right:
                     bad.append((i, j, l))
@@ -117,8 +133,8 @@ def opposite_mismatches(table: AlgebraTable, op: AlgebraTable) -> int:
     the symmetric difference of op.prod and {(phi b, phi a): phi c for
     every a.b = c of table}, as sets of entries."""
     phi = opposite_map(table, op)
-    mapped = {((phi[j], phi[i]), phi[m]) for (i, j), m in table.prod.items()}
-    return len(mapped.symmetric_difference(op.prod.items()))
+    mapped = {((phi[j], phi[i]), phi[m]) for (i, j), m in product_pairs(table).items()}
+    return len(mapped.symmetric_difference(product_pairs(op).items()))
 
 
 def graph_suite_counts(table: AlgebraTable) -> tuple[int, int]:
@@ -127,10 +143,11 @@ def graph_suite_counts(table: AlgebraTable) -> tuple[int, int]:
     differential entry plus one product domain per product entry, and
     per product entry a.b = m the entries with m as a factor, left or
     right."""
-    left = Counter(i for i, _ in table.prod)
-    right = Counter(j for _, j in table.prod)
-    euler = sum(len(row) for row in table.diff) + len(table.prod)
-    return euler, sum(left[m] + right[m] for m in table.prod.values())
+    pairs = product_pairs(table)
+    left = Counter(i for i, _ in pairs)
+    right = Counter(j for _, j in pairs)
+    euler = sum(len(row) for row in table.diff) + len(pairs)
+    return euler, sum(left[m] + right[m] for m in pairs.values())
 
 
 def thimble_index_sets(g: int, k: int) -> list[tuple[int, ...]]:
@@ -235,7 +252,7 @@ def verify_module_axioms(mod: RightDGModule) -> list[str]:
                 acc = 0
                 for y in _bits(row_xa):
                     acc ^= action_row(mod, y, b)
-                ab = table.prod.get((a, b))
+                ab = table.prod[a].get(b)
                 if ab is not None:
                     acc ^= action_row(mod, x, ab)
                 if acc:

@@ -74,7 +74,7 @@ def _grid_matches_algebra(g: int, k: int, variant: str) -> None:
         for i in table.by_target[u]:
             for j in table.by_source[u]:
                 out = list(floer_product(spec, mapped[i], mapped[j]))
-                want = table.prod.get((i, j))
+                want = table.prod[i].get(j)
                 if want is None:
                     assert out == []
                 else:

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from strandfloer import strands, verify
+from strandfloer import cli, strands, verify
 from strandfloer.circle import idempotents, standard_matching
 from strandfloer.cli import ConfigError, _meta, build_config, main, make_parser
 from strandfloer.strands import AlgebraTable
@@ -91,7 +91,9 @@ def _payload(argv):
             for i, gen in enumerate(table.gens)
         ],
         "differential": sorted([i, j] for i, row in enumerate(table.diff) for j in row),
-        "product": sorted([i, j, m] for (i, j), m in table.prod.items()),
+        "product": sorted(
+            [i, j, m] for i, row in enumerate(table.prod) for j, m in row.items()
+        ),
         "dims": sorted([ids[s], ids[t], d] for (s, t), d in table.dims_table().items()),
     }
 
@@ -108,6 +110,18 @@ def test_build_writes_the_bytes_of_json_dumps(capsys, argv):
     out, err = capsys.readouterr()
     assert out == json.dumps(_payload(argv), indent=2) + "\n"
     assert err == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["-g", "2", "--k", "2"],
+    ["-g", "1", "--k", "0"],
+    ["-g", "2", "--k", "3", "--variant", "half"],
+])
+def test_build_bytes_hold_across_batch_boundaries(monkeypatch, capsys, argv):
+    # Batches of 7 items join chunks inside every list longer than 7.
+    monkeypatch.setattr(cli, "_BATCH", 7)
+    assert main(["build", *argv]) == 0
+    assert capsys.readouterr().out == json.dumps(_payload(argv), indent=2) + "\n"
 
 
 def test_oversized_build_exits_two_before_building(monkeypatch, capsys):

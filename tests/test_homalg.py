@@ -12,7 +12,15 @@ from collections import Counter
 
 import pytest
 
-from conftest import action_row, block_rows, build_table, every_generator, verify_module_axioms
+from conftest import (
+    action_row,
+    block_rows,
+    build_table,
+    every_generator,
+    product_pairs,
+    set_products,
+    verify_module_axioms,
+)
 from strandfloer.circle import matching_from_pairs
 from strandfloer.gf2 import BooleanMatrix
 from strandfloer.homalg import (
@@ -100,7 +108,7 @@ def test_projective_module_ignores_a_non_composable_product_key():
     a, b = next((a, b) for a in range(n) for b in range(n) if tab.tgt[a] != tab.src[b])
     # The value a lies in e_s A for s the source of a, so a module that
     # read this key would gain an action entry rather than fail.
-    tab.prod = {**tab.prod, (a, b): a}
+    set_products(tab, {**product_pairs(tab), (a, b): a})
     for s in tab.idem_list:
         got = projective_module(tab, s).actions
         want = projective_module(clean, s).actions
@@ -446,11 +454,11 @@ def test_explicit_set_of_a_clean_projective_is_the_indecomposables(g, k, variant
     length = [sum(end - start for start, end in gen.chords) for gen in tab.gens]
     factor = _factorizations(tab)
     for c, (a, b) in factor.items():
-        assert tab.prod[(a, b)] == c and not idem & {a, b}
+        assert tab.prod[a][b] == c and not idem & {a, b}
         assert max(length[a], length[b]) < length[c]
     # Chord lengths add, so on a clean table every product of two
     # non-idempotents is a usable factorization.
-    assert factor.keys() == {c for ab, c in tab.prod.items() if not idem & set(ab)}
+    assert factor.keys() == {c for ab, c in product_pairs(tab).items() if not idem & set(ab)}
     indecomposable = set(range(len(tab.gens))) - idem - factor.keys()
     assert len(indecomposable) == size
     for s in tab.idem_list:
@@ -460,23 +468,28 @@ def test_explicit_set_of_a_clean_projective_is_the_indecomposables(g, k, variant
 def test_factorizations_skip_a_factor_no_shorter_than_its_product():
     tab = copy.copy(build_table(2, 2, "full"))
     idem = set(tab.idem_gen)
-    ways = Counter(c for ab, c in tab.prod.items() if not idem & set(ab))
+    pairs = product_pairs(tab)
+    ways = Counter(c for ab, c in pairs.items() if not idem & set(ab))
     c = min(c for c, n in ways.items() if n > 1)
     first = _factorizations(tab)[c]
-    # Replacing prod gives a fresh pass.  The corrupt entry c.c = c, put
-    # first, would make c its own justification; the dropped one was the
-    # chosen factorization.
-    tab.prod = {(c, c): c, **{ab: m for ab, m in tab.prod.items() if ab != first}}
+    # Replacing prod gives a fresh pass.  The corrupt entry c.c = c, read
+    # first (row c comes before the rows of the other factorizations),
+    # would make c its own justification; the dropped one was the chosen
+    # factorization.
+    rest = [ab for ab, m in pairs.items() if m == c and ab != first and not idem & set(ab)]
+    assert c < min(a for a, _ in rest)
+    set_products(tab, {(c, c): c, **{ab: m for ab, m in pairs.items() if ab != first}})
     a, b = _factorizations(tab)[c]
-    assert tab.prod[(a, b)] == c and c not in (a, b)
+    assert tab.prod[a][b] == c and c not in (a, b)
 
 
 def test_reduced_rows_match_oracle_when_a_sole_factorization_is_dropped():
     tab = copy.copy(build_table(2, 2, "full"))
     idem = set(tab.idem_gen)
-    ways = Counter(c for ab, c in tab.prod.items() if not idem & set(ab))
+    pairs = product_pairs(tab)
+    ways = Counter(c for ab, c in pairs.items() if not idem & set(ab))
     c = min(c for c, n in ways.items() if n == 1)
-    tab.prod = {ab: m for ab, m in tab.prod.items() if m != c or idem & set(ab)}
+    set_products(tab, {ab: m for ab, m in pairs.items() if m != c or idem & set(ab)})
     assert c not in _factorizations(tab)
     mods = [projective_module(tab, s) for s in tab.idem_list]
     assert all(c in M.explicit for M in mods)

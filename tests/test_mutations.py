@@ -24,7 +24,13 @@ import textwrap
 
 import pytest
 
-from conftest import block_rows, graph_suite_counts, opposite_mismatches, reflected
+from conftest import (
+    block_rows,
+    graph_suite_counts,
+    opposite_mismatches,
+    product_pairs,
+    reflected,
+)
 from strandfloer import _kernels, grid, homalg, index, strands, verify
 from strandfloer.circle import matching_from_pairs, standard_matching
 
@@ -94,7 +100,8 @@ def _drop_a_product(table):
     """One ``prod`` entry deleted: the first pair, in index order, of two
     non-idempotent generators."""
     idem = set(table.idem_gen)
-    del table.prod[min(p for p in table.prod if not idem.intersection(p))]
+    i, j = min(p for p in product_pairs(table) if not idem.intersection(p))
+    del table.prod[i][j]
 
 
 def _flip_a_product(table):
@@ -102,7 +109,7 @@ def _flip_a_product(table):
     target idempotents differ."""
     a = next(i for i in range(len(table.gens)) if table.src[i] != table.tgt[i])
     e = table.idem_gen[table.src[a]]
-    table.prod[(e, a)] = e
+    table.prod[e][a] = e
 
 
 def _set_differential(table, i, row):
@@ -161,11 +168,13 @@ def _recognize_partial_families(pmc, total):
     return frozenset(groups)
 
 
-def _assoc_scan_skipping_a_row(prod, rows, cols, src, tgt):
-    """``assoc_scan`` blind to one row of the product's row view: that of
-    the smallest generator p that is not an idempotent, p.p != p."""
-    skip = min(p for p in rows if prod.get((p, p)) != p)
-    return _assoc_scan(prod, {p: row for p, row in rows.items() if p != skip}, cols, src, tgt)
+def _assoc_scan_skipping_a_row(prod, cols, src, tgt):
+    """``assoc_scan`` blind to one row where its first pass reads the row
+    of a product: that of the smallest generator p with a nonempty row
+    that is not an idempotent, p.p != p."""
+    skip = min(p for p, row in enumerate(prod) if row and row.get(p) != p)
+    blind = "row = {} if p == skip else prod[p]"
+    return _rewritten(_assoc_scan, "row = prod[p]", blind, skip=skip)(prod, cols, src, tgt)
 
 
 def _points_for_labels_off_by_one(spec, i, j):
@@ -208,13 +217,14 @@ def _factorizations_dropping_one(table):
     return factor
 
 
-def _rewritten(func, old, new):
+def _rewritten(func, old, new, **names):
     """A copy of func compiled from its own source with the one
-    occurrence of old replaced by new, in its module's globals."""
+    occurrence of old replaced by new, in its module's globals and any
+    further names given."""
     source = textwrap.dedent(inspect.getsource(func))
     assert source.count(old) == 1
     namespace = {}
-    exec(source.replace(old, new), vars(inspect.getmodule(func)), namespace)
+    exec(source.replace(old, new), {**vars(inspect.getmodule(func)), **names}, namespace)
     return namespace[func.__name__]
 
 

@@ -21,7 +21,9 @@ from conftest import (
     build_table,
     opposite_map,
     opposite_mismatches,
+    product_pairs,
     reflected,
+    set_products,
 )
 from strandfloer import _kernels, strands
 from strandfloer.circle import (
@@ -161,7 +163,7 @@ def test_unit_algebra_when_k_is_zero():
     tab = build_table(1, 0, "full")
     assert tab.gens == [MatchedGenerator(chords=(), dotted=())]
     assert tab.diff == ((),)
-    assert tab.prod == {(0, 0): 0}
+    assert tab.prod == [{0: 0}]
 
 
 # -- section expansion -------------------------------------------------------
@@ -242,8 +244,8 @@ def test_unit_idempotents_act_as_identity():
     for i, gen in enumerate(tab.gens):
         e_src = tab.idem_gen[tab.src[i]]
         e_tgt = tab.idem_gen[tab.tgt[i]]
-        assert tab.prod.get((e_src, i)) == i
-        assert tab.prod.get((i, e_tgt)) == i
+        assert tab.prod[e_src].get(i) == i
+        assert tab.prod[i].get(e_tgt) == i
 
 
 # -- tables -------------------------------------------------------------------
@@ -251,10 +253,10 @@ def test_unit_idempotents_act_as_identity():
 
 def test_table_frozen_entry_counts():
     tab = build_table(2, 2, "full")
-    assert len(tab.prod) == 2438
+    assert sum(map(len, tab.prod)) == 2438
     assert sum(len(row) for row in tab.diff) == 106
     half = build_table(2, 2, "half")
-    assert len(half.prod) == 192
+    assert sum(map(len, half.prod)) == 192
     assert sum(len(row) for row in half.diff) == 10
 
 
@@ -264,15 +266,15 @@ def test_table_rows_agree_with_direct_operations():
     for i in range(0, len(tab.gens), 17):
         want = {tab.index[t] for t in differential(pmc, tab.gens[i])}
         assert set(tab.diff[i]) == want
-    pairs = sorted(tab.prod)[::97]
+    pairs = sorted(product_pairs(tab))[::97]
     for i, j in pairs:
         (term,) = list(product(pmc, tab.gens[i], tab.gens[j]))
-        assert tab.index[term] == tab.prod[(i, j)]
+        assert tab.index[term] == tab.prod[i][j]
 
 
 def test_table_product_respects_idempotent_grading():
     tab = build_table(2, 2, "full")
-    for (i, j), m in tab.prod.items():
+    for (i, j), m in product_pairs(tab).items():
         assert tab.tgt[i] == tab.src[j]
         assert tab.src[m] == tab.src[i]
         assert tab.tgt[m] == tab.tgt[j]
@@ -284,8 +286,8 @@ def test_table_index_and_hom_lookups():
     assert [tab.gens[i] for i in tab.hom_indices((2,), (1,))] == [
         MatchedGenerator(chords=((2, 3),), dotted=())
     ]
-    assert tab.prod.get((0, 0)) == 0
-    assert tab.prod.get((1, 1)) is None
+    assert tab.prod[0].get(0) == 0
+    assert tab.prod[1].get(1) is None
 
 
 ASSOC_CASES = [
@@ -298,34 +300,36 @@ ASSOC_CASES = [
 
 def _assoc_mutants(table):
     """The clean product, a flipped entry on either side of an
-    idempotent, and one deleted product."""
-    yield "clean", table.prod
+    idempotent, and one deleted product, each as {(i, j): m}."""
+    pairs = product_pairs(table)
+    yield "clean", pairs
     a = next((i for i in range(len(table.gens)) if table.src[i] != table.tgt[i]), None)
     if a is not None:
         # e_s a = a becomes e_s: then (e_s a) e_t = e_s e_t = 0 while
         # e_s (a e_t) = e_s.  Its source stays s, its target does not.
         e = table.idem_gen[table.src[a]]
-        yield "flipped-left", {**table.prod, (e, a): e}
+        yield "flipped-left", {**pairs, (e, a): e}
         # a e_t = a becomes e_t, which moves the source instead.
         e = table.idem_gen[table.tgt[a]]
-        yield "flipped-right", {**table.prod, (a, e): e}
+        yield "flipped-right", {**pairs, (a, e): e}
     idem = set(table.idem_gen)
-    plain = [ij for ij in table.prod if not idem & set(ij)]
+    plain = [ij for ij in pairs if not idem & set(ij)]
     if plain:
-        prod = dict(table.prod)
-        del prod[min(plain)]
-        yield "deleted", prod
+        pairs = dict(pairs)
+        del pairs[min(plain)]
+        yield "deleted", pairs
 
 
 def test_assoc_scan_matches_python_walk():
     failing = {}
     for pmc, k, variant in ASSOC_CASES:
         table = copy.copy(AlgebraTable.build(pmc, k, variant))
-        for name, prod in _assoc_mutants(table):
-            table.prod = prod
+        for name, pairs in _assoc_mutants(table):
+            set_products(table, pairs)
             checked, bad, sides = assoc_walk(table)
-            rows, cols = table.as_csr()
-            visits, got = _kernels.assoc_scan(prod, rows, cols, table.src, table.tgt)
+            prod, cols = table.as_csr()
+            assert prod is table.prod
+            visits, got = _kernels.assoc_scan(prod, cols, table.src, table.tgt)
             assert got == bad, (pmc.g, k, variant, name)
             if name == "clean":
                 # Each nonzero side is reached once, by the row or the column pass.
@@ -363,7 +367,7 @@ def test_product_table_matches_section_oracle_on_every_pair(case):
                 for i in tab.by_target[u]:
                     for j in tab.by_source[u]:
                         got = [tab.index[t] for t in compose(pmc, records[i], records[j])]
-                        want = tab.prod.get((i, j))
+                        want = tab.prod[i].get(j)
                         assert got == ([] if want is None else [want]), (k, variant, i, j)
 
 
@@ -454,13 +458,20 @@ def test_factor_records_are_ints_the_collector_drops():
 
 def test_table_fields_share_the_index_ints():
     """Past the small-int cache, every generator index a table holds is
-    the index dict's own int object, not one more copy per field."""
+    the index dict's own int object, not one more copy per field.  The
+    product is one plain dict per left factor, keyed and valued by those
+    ints, so the table holds no key object per product."""
     table = AlgebraTable.build(standard_matching(2), 3, "full")
     own = {id(i) for i in table.index.values()}
     held = [i for row in (*table.by_source, *table.by_target, *table.diff) for i in row]
-    held += [i for pair in table.prod for i in pair] + list(table.prod.values())
+    assert len(table.prod) == len(table.gens)
+    assert all(type(row) is dict for row in table.prod)
+    held += [i for row in table.prod for entry in row.items() for i in entry]
     assert len(table.gens) > 256 and max(held) > 256
     assert all(id(i) in own for i in held)
+    # Products are the entries of the rows, not the rows.
+    assert sum(map(len, build_table(2, 2, "full").prod)) == 2438
+    assert sum(map(len, build_table(2, 2, "half").prod)) == 192
 
 
 # -- symmetries that need no second implementation ---------------------------
@@ -501,7 +512,7 @@ def test_reflection_gives_the_opposite_algebra_and_half_is_a_subalgebra():
             for i, row in enumerate(half.diff):
                 assert full.diff[emb[i]] == tuple(emb[x] for x in row), (pmc, k, i)
             inside = set(emb)
-            restricted = {ij: m for ij, m in full.prod.items() if inside.issuperset(ij)}
+            restricted = {ij: m for ij, m in product_pairs(full).items() if inside.issuperset(ij)}
             assert restricted == {
-                (emb[i], emb[j]): emb[m] for (i, j), m in half.prod.items()
+                (emb[i], emb[j]): emb[m] for (i, j), m in product_pairs(half).items()
             }, (pmc, k)
