@@ -3,7 +3,8 @@ export the quiver.
 
 All outputs are deterministic for a fixed (config, seed).
 
-Exit codes: 0 success, 1 verification failure, 2 invalid input.
+Exit codes: 0 success, 1 verification failure, 2 invalid input, an
+unwritable output, a table too large to build or a run out of memory.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import argparse
 import contextlib
 import json
 import sys
+from collections import Counter
 from dataclasses import dataclass
 from itertools import islice
 from typing import Iterable, Iterator
@@ -23,7 +25,7 @@ from .circle import (
     standard_matching,
     validate_surface,
 )
-from .strands import AlgebraTable, SizeError
+from .strands import VARIANTS, AlgebraTable, SizeError
 
 SCHEMA = 1
 
@@ -184,13 +186,10 @@ def _build_text(cfg: RunConfig, table: AlgebraTable) -> Iterator[str]:
     yield ",\n"
     # A generator index as an item of an entry: formatted once, not per
     # entry.  Entries [i, j] and [i, j, m] come in (i, j) order: rows in
-    # index order, each row sorted.
+    # index order, differential rows as stored (sorted), product rows
+    # sorted here.
     num = [f"      {i}" for i in range(len(table.gens))]
-    diff = (
-        f"    [\n{num[i]},\n{num[j]}\n    ]"
-        for i, row in enumerate(table.diff)
-        for j in sorted(row)
-    )
+    diff = (f"    [\n{num[i]},\n{num[j]}\n    ]" for i, row in enumerate(table.diff) for j in row)
     yield from _items("differential", diff)
     yield ",\n"
     prod = (
@@ -200,8 +199,8 @@ def _build_text(cfg: RunConfig, table: AlgebraTable) -> Iterator[str]:
     )
     yield from _items("product", prod)
     yield ",\n"
-    ids = table.idem_id
-    dims = sorted((ids[s], ids[t], d) for (s, t), d in table.dims_table().items())
+    # Hom-space dimensions: generators counted by (source, target) id.
+    dims = sorted((s, t, d) for (s, t), d in Counter(zip(table.src, table.tgt)).items())
     yield from _items("dims", ("    " + _json_list(e, "      ") for e in dims))
     yield "\n}\n"
 
@@ -272,7 +271,7 @@ def make_parser() -> argparse.ArgumentParser:
         p.set_defaults(fn=fn)
         p.add_argument("--genus", "-g", type=int, default=1)
         p.add_argument("--k", type=int, default=1)
-        p.add_argument("--variant", choices=("full", "half"), default="full")
+        p.add_argument("--variant", choices=VARIANTS, default="full")
         p.add_argument("--matching", help="inline JSON or a path to a JSON file")
         p.add_argument("--out", help="output path (default stdout)")
         p.add_argument("--seed", type=int, default=0)
@@ -295,6 +294,12 @@ def main(argv=None) -> int:
     except (OSError, SizeError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
+    except MemoryError:
+        pass
+    # Out of memory: reported once the handler has dropped the traceback,
+    # and with it the partly built table, so that printing has memory.
+    print(f"error: out of memory at g={cfg.g} k={cfg.k} {cfg.variant}", file=sys.stderr)
+    return 2
 
 
 if __name__ == "__main__":

@@ -36,9 +36,14 @@ z and x' -> y' -> z' the signs of (x - x')(y - y') and (y - y')(z - z')
 multiply to the sign of (x - x')(z - z'): the pair crosses in the
 composite exactly when it crosses in one factor.  Inversions therefore
 add, and the section pair survives, exactly when no label pair crosses
-in both factors.  The product is the composite when that holds for every
-consistent y, zero when it fails for every one, and a ClosureError
-otherwise.
+in both factors.  That holds for every consistent y or for none, so the
+product is the composite or zero.  Two consistent choices of y differ
+only at labels t dotted on both sides, and such a t crosses nothing in
+both factors: it is a horizontal strand at its middle position y_t in
+both, while any other label s runs x_s -> y_s -> z_s with x_s <= y_s <=
+z_s, crossing t on the left only if x_s < y_t < y_s and on the right
+only if y_s < y_t < z_s.  Every other label pair has the same strands
+at every y.
 
 The "half" variant keeps only generators with no chord crossing the split
 between positions 2g and 2g+1; the "full" variant keeps everything.
@@ -320,7 +325,7 @@ def _generator_code(pmc: PointedMatchedCircle, gen: MatchedGenerator) -> int:
     return code
 
 
-def _packed_crossings(pmc: PointedMatchedCircle, u: Idempotent, middle, outer) -> tuple[int, int]:
+def _packed_crossings(pmc: PointedMatchedCircle, u: Idempotent, middle, outer) -> int:
     """Crossing masks of one factor's sections over the middle idempotent u.
 
     The strand of label u[t] runs between its middle position y[t] (where
@@ -330,10 +335,10 @@ def _packed_crossings(pmc: PointedMatchedCircle, u: Idempotent, middle, outer) -
     are numbered as in itertools.product over the pair positions: digit t
     of choice number c, most significant first, is the index of y[t] in
     its pair.  Only the consistent choices are enumerated: a chord fixes
-    its label's digit, and only dotted labels branch.  Choice c owns the
-    C(k, 2) bits from c * C(k, 2), one per label pair t1 < t2, set when
-    the two strands cross.  Returns (packed masks, bitmask of the
-    consistent choices).
+    its label's digit, and only dotted labels branch, so the AND of two
+    factors' masks sets bits only at choices that both allow.  Choice c
+    owns the C(k, 2) bits from c * C(k, 2), one per label pair t1 < t2,
+    set when the two strands cross.
     """
     k = len(u)
     width = k * (k - 1) // 2
@@ -341,12 +346,11 @@ def _packed_crossings(pmc: PointedMatchedCircle, u: Idempotent, middle, outer) -
         ((pmc.positions_of(p).index(m), m),) if m else tuple(enumerate(pmc.positions_of(p)))
         for p, m in zip(u, middle)
     ]
-    packed = consistent = 0
+    packed = 0
     for picks in itertools.product(*options):
         c = 0
         for digit, _ in picks:
             c = 2 * c + digit
-        consistent |= 1 << c
         ys = [y for _, y in picks]
         ends = [o or y for o, y in zip(outer, ys)]
         bit = c * width
@@ -355,21 +359,21 @@ def _packed_crossings(pmc: PointedMatchedCircle, u: Idempotent, middle, outer) -
                 if (ends[t1] - ends[t2]) * (ys[t1] - ys[t2]) < 0:
                     packed |= 1 << bit
                 bit += 1
-    return packed, consistent
+    return packed
 
 
 def _factor(pmc: PointedMatchedCircle, gen: MatchedGenerator, u: Idempotent, left: bool):
     """What the product builder needs of gen as a left factor (u its
     target) or a right factor (u its source).
 
-    Returns (signature, packed, consistent, own, outer): per label of u
-    the chord's middle position or 0 when dotted, the packed crossing
-    masks with their consistent choices, and per label the code bit of
-    the chord on it and its outer position (both 0 when dotted).  Every
-    field is an int or a tuple of ints: the builder keeps these records
-    for a whole middle idempotent, and the cyclic collector stops
-    tracking such tuples at its first pass, where lists would stay
-    tracked and make each of its full passes walk the product table.
+    Returns (signature, packed, own, outer): per label of u the chord's
+    middle position or 0 when dotted, the packed crossing masks, and per
+    label the code bit of the chord on it and its outer position (both 0
+    when dotted).  Every field is an int or a tuple of ints: the builder
+    keeps these records for a whole middle idempotent, and the cyclic
+    collector stops tracking such tuples at its first pass, where lists
+    would stay tracked and make each of its full passes walk the product
+    table.
     """
     labels = pmc.labels
     n = pmc.n_points
@@ -378,20 +382,7 @@ def _factor(pmc: PointedMatchedCircle, gen: MatchedGenerator, u: Idempotent, lef
     middle = tuple(b if left else a for a, b in strands)
     outer = tuple(a if left else b for a, b in strands)
     own = tuple(1 << ((a - 1) * n + b - 1) if a else 0 for a, b in strands)
-    packed, consistent = _packed_crossings(pmc, u, middle, outer)
-    return middle, packed, consistent, own, outer
-
-
-def _crossed_everywhere(crossed: int, consistent: int, width: int) -> bool:
-    """Whether every consistent middle choice has a label pair crossing in
-    both factors: its block of the AND of the packed masks is nonzero."""
-    block = (1 << width) - 1
-    while consistent:
-        c = consistent.bit_length() - 1
-        if not (crossed >> (c * width)) & block:
-            return False
-        consistent ^= 1 << c
-    return True
+    return middle, _packed_crossings(pmc, u, middle, outer), own, outer
 
 
 class AlgebraTable:
@@ -412,17 +403,17 @@ class AlgebraTable:
     chord.  A pair's sections compose for every consistent y, and since
     a label pair crosses in the composite exactly when it crosses in one
     factor, the pair survives at y exactly when its two crossing masks
-    at y share no bit.  Each factor packs its masks for its consistent y
-    into one int, so one AND tests every y of a pair; the composite is
-    found by its integer code (one bit per chord, one per dotted label).
-    A pair that survives at some y and not at others, or whose composite
-    is not a generator of the table, raises ClosureError.  The factor
-    records held through a middle idempotent's pass are tuples of ints,
-    which the cyclic collector stops tracking, so its full passes do not
-    keep re-walking the growing product rows.  The loop over groups makes
-    no tuple per combination or per pair: dropped by the thousand, such
-    tuples fill the tuple free lists with blocks scattered over partly
-    used pools, which raises the peak memory of a build.
+    at y share no bit.  It survives at every y or at none (the module
+    docstring gives the argument), so a product is zero exactly when the
+    AND of the two factors' packed masks is nonzero.  The composite is
+    found by its integer code (one bit per chord, one per dotted label);
+    one that is not a generator of the table raises ClosureError.  The
+    factor records held through a middle idempotent's pass are tuples of
+    ints, which the cyclic collector stops tracking, so its full passes
+    do not keep re-walking the growing product rows.  The loop over
+    groups makes no tuple per combination or per pair: dropped by the
+    thousand, such tuples fill the tuple free lists with blocks scattered
+    over partly used pools, which raises the peak memory of a build.
     """
 
     def __init__(self, pmc, k, variant, gens, idem_list):
@@ -486,7 +477,6 @@ class AlgebraTable:
         prod = self.prod
         for u_id, u in enumerate(self.idem_list):
             k = len(u)
-            width = k * (k - 1) // 2
             dots = [1 << (n * n + p - 1) for p in u]
             # A joined chord (x, z) has code bit (x - 1) * n + z - 1: the
             # left's head 1 << (x - 1) * n shifted by the right's tail z - 1.
@@ -495,14 +485,14 @@ class AlgebraTable:
             # once per combination below.
             lefts: dict[tuple[int, ...], list] = {}
             for i in self.by_target[u_id]:
-                sig, packed, consistent, own, outer = _factor(pmc, gens[i], u, left=True)
+                sig, packed, own, outer = _factor(pmc, gens[i], u, left=True)
                 heads = tuple(1 << ((x - 1) * n) if x else 0 for x in outer)
-                lefts.setdefault(sig, []).append((i, packed, consistent, codes[i], own, heads))
+                lefts.setdefault(sig, []).append((i, packed, codes[i], own, heads))
             rights: dict[tuple[int, ...], list] = {}
             for j in self.by_source[u_id]:
-                sig, packed, consistent, own, outer = _factor(pmc, gens[j], u, left=False)
+                sig, packed, own, outer = _factor(pmc, gens[j], u, left=False)
                 tails = tuple(z - 1 if z else 0 for z in outer)
-                rights.setdefault(sig, []).append((j, packed, consistent, codes[j], own, tails))
+                rights.setdefault(sig, []).append((j, packed, codes[j], own, tails))
             for ends, lgroup in lefts.items():
                 # Right factors whose chord starts meet the left's chord ends
                 # label by label; a dotted label on either side meets anything.
@@ -522,18 +512,12 @@ class AlgebraTable:
                     cc = [t for t in range(k) if ends[t] and starts[t]]
                     lone = [t for t in range(k) if ends[t] and not starts[t]]
                     dup = sum(dots[t] for t in range(k) if not (ends[t] and starts[t]))
-                    rcodes = [code - sum(own[t] for t in cc) for _, _, _, code, own, _ in rgroup]
-                    for i, m1, c1, code, own, heads in lgroup:
+                    rcodes = [code - sum(own[t] for t in cc) for _, _, code, own, _ in rgroup]
+                    for i, m1, code, own, heads in lgroup:
                         row = prod[i]
                         base = code - sum(own[t] for t in cc) - sum(heads[t] for t in lone) - dup
-                        for (j, m2, c2, _, _, tails), rcode in zip(rgroup, rcodes):
-                            crossed = m1 & m2
-                            if crossed:
-                                if not _crossed_everywhere(crossed, c1 & c2, width):
-                                    raise ClosureError(
-                                        f"{gens[i]} * {gens[j]} vanishes on some"
-                                        " sections of its family and not on others"
-                                    )
+                        for (j, m2, _, _, tails), rcode in zip(rgroup, rcodes):
+                            if m1 & m2:
                                 continue
                             m = lookup(base + rcode + sum(map(lshift, heads, tails)))
                             if m is None:
@@ -545,13 +529,6 @@ class AlgebraTable:
     def hom_indices(self, s: Idempotent, t: Idempotent) -> list[int]:
         sid, tid = self.idem_id[tuple(s)], self.idem_id[tuple(t)]
         return [i for i in self.by_source[sid] if self.tgt[i] == tid]
-
-    def dims_table(self) -> dict[tuple[Idempotent, Idempotent], int]:
-        dims: dict[tuple[Idempotent, Idempotent], int] = {}
-        for i in range(len(self.gens)):
-            key = (self.idem_list[self.src[i]], self.idem_list[self.tgt[i]])
-            dims[key] = dims.get(key, 0) + 1
-        return dims
 
     def as_csr(self):
         """The row and column views of the product, (rows, cols): rows is

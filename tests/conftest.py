@@ -14,8 +14,9 @@ half-algebra properties shared by the verify and acceptance tests;
 ``ADMISSIBLE_G2`` the admissible genus-2 matchings, ``reflected``,
 ``opposite_map`` and ``opposite_mismatches`` the orientation-reversal
 identity A(-Z) = A(Z)^op, ``graph_suite_counts`` the algebra-side
-counts of euler and rigidity, and ``product_pairs`` and ``set_products``
-the product table as one {(i, j): m} map, each read by more than one
+counts of euler and rigidity, ``product_pairs`` and ``set_products``
+the product table as one {(i, j): m} map, and ``dims_table`` the
+hom-space dimensions by idempotent pair, each read by more than one
 test module.
 
 Acceptance tests wrap their body in the ``criterion`` context manager,
@@ -64,6 +65,14 @@ def set_products(table: AlgebraTable, pairs: dict[tuple[int, int], int]) -> None
     for (i, j), m in pairs.items():
         rows[i][j] = m
     table.prod = rows
+
+
+def dims_table(table: AlgebraTable) -> dict[tuple[tuple[int, ...], tuple[int, ...]], int]:
+    """The number of generators from s to t, for each pair of idempotents
+    (s, t) with at least one."""
+    return dict(
+        Counter((table.idem_list[s], table.idem_list[t]) for s, t in zip(table.src, table.tgt))
+    )
 
 
 def assoc_walk(table: AlgebraTable) -> tuple[int, list[tuple[int, int, int]], int]:

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import dims_table
 from strandfloer import cli, strands, verify
 from strandfloer.circle import idempotents, standard_matching
 from strandfloer.cli import ConfigError, _meta, build_config, main, make_parser
@@ -94,7 +95,7 @@ def _payload(argv):
         "product": sorted(
             [i, j, m] for i, row in enumerate(table.prod) for j, m in row.items()
         ),
-        "dims": sorted([ids[s], ids[t], d] for (s, t), d in table.dims_table().items()),
+        "dims": sorted([ids[s], ids[t], d] for (s, t), d in dims_table(table).items()),
     }
 
 
@@ -139,6 +140,17 @@ def test_oversized_build_exits_two_before_building(monkeypatch, capsys):
     assert err.count("\n") == 1 and err.startswith("error: g=2 k=2 full: ")
     assert f"{len(table.gens):,} generators" in err
     assert f"{pairs:,} composable pairs" in err
+
+
+def test_build_out_of_memory_exits_two(monkeypatch, capsys):
+    def exhausted(self):
+        raise MemoryError
+
+    monkeypatch.setattr(AlgebraTable, "_build_products", exhausted)
+    assert main(["build", "-g", "2", "--k", "2"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: out of memory at g=2 k=2 full\n"
 
 
 def test_build_half_variant(tmp_path):

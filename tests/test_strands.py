@@ -19,6 +19,7 @@ from conftest import (
     ADMISSIBLE_G2,
     assoc_walk,
     build_table,
+    dims_table,
     opposite_map,
     opposite_mismatches,
     product_pairs,
@@ -120,7 +121,7 @@ def test_frozen_generator_counts():
 
 
 def test_genus_one_dimension_table():
-    dims = build_table(1, 1, "full").dims_table()
+    dims = dims_table(build_table(1, 1, "full"))
     assert dims == {
         ((1,), (1,)): 2,
         ((1,), (2,)): 3,
@@ -371,27 +372,13 @@ def test_product_table_matches_section_oracle_on_every_pair(case):
                         assert got == ([] if want is None else [want]), (k, variant, i, j)
 
 
-def test_product_builder_raises_instead_of_dropping(monkeypatch):
+def test_product_builder_raises_instead_of_dropping():
     pmc = standard_matching(1)
     # A composite missing from the generator list: (1,2)*(2,3) = (1,3).
     gens = [g for g in enumerate_generators(pmc, 1) if g.chords != ((1, 3),)]
     tab = AlgebraTable(pmc, 1, "full", gens, idempotents(pmc, 1))
     with pytest.raises(ClosureError, match="not in the table"):
         tab._build_products()
-
-    # One section of every factor reports a crossing that is not there, so
-    # the product of an idempotent with itself keeps only three of its four
-    # sections: a partial family.
-    real = strands._packed_crossings
-
-    def one_section_crossed(pmc, u, middle, outer):
-        packed, consistent = real(pmc, u, middle, outer)
-        width = len(u) * (len(u) - 1) // 2
-        return packed | (consistent & 1) * ((1 << width) - 1), consistent
-
-    monkeypatch.setattr(strands, "_packed_crossings", one_section_crossed)
-    with pytest.raises(ClosureError, match="some sections"):
-        AlgebraTable.build(pmc, 2, "full")
 
 
 def _packed_crossings_oracle(pmc, u, middle, outer):
@@ -436,9 +423,40 @@ def _factors(pmc, k, variant):
 
 def test_packed_crossings_match_the_all_choices_oracle():
     for pmc, k, variant in FACTOR_CASES:
-        for u, left, (middle, packed, consistent, _, outer) in _factors(pmc, k, variant):
-            want = _packed_crossings_oracle(pmc, u, middle, outer)
-            assert (packed, consistent) == want, (pmc.pairs, k, variant, u, left, middle)
+        for u, left, (middle, packed, _, outer) in _factors(pmc, k, variant):
+            want, _ = _packed_crossings_oracle(pmc, u, middle, outer)
+            assert packed == want, (pmc.pairs, k, variant, u, left, middle)
+
+
+def test_a_meeting_pair_crosses_twice_at_every_middle_choice_or_at_none():
+    """The builder's one AND decides a pair: for every left and right
+    factor over the same u with a consistent middle choice in common,
+    the AND of their packed masks is nonzero in the block of every
+    common choice or of none (the argument is in the strands docstring).
+    The common choices come from the oracle, the masks from the builder."""
+    pairs = mixed = 0
+    for pmc, k, variant in FACTOR_CASES:
+        width = k * (k - 1) // 2
+        block = (1 << width) - 1
+        lefts: dict[tuple, list] = {}
+        rights: dict[tuple, list] = {}
+        for u, left, (middle, packed, _, outer) in _factors(pmc, k, variant):
+            _, consistent = _packed_crossings_oracle(pmc, u, middle, outer)
+            (lefts if left else rights).setdefault(u, []).append((packed, consistent))
+        for u, group in lefts.items():
+            for m1, c1 in group:
+                for m2, c2 in rights.get(u, ()):
+                    common = c1 & c2
+                    if not common:
+                        continue
+                    pairs += 1
+                    crossed = {
+                        bool((m1 & m2) >> (c * width) & block)
+                        for c in range(common.bit_length())
+                        if common >> c & 1
+                    }
+                    mixed += len(crossed) > 1
+    assert (pairs, mixed) == (73966, 0)
 
 
 def test_factor_records_are_ints_the_collector_drops():
