@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import os
 import sys
 from collections import Counter
 from dataclasses import dataclass
@@ -131,22 +132,32 @@ def _meta(cfg: RunConfig) -> dict:
 
 def _emit(cfg: RunConfig, chunks: Iterable[str]):
     """Write the chunks one by one, so that a large output is never held
-    as one string."""
-    dest = open(cfg.out, "w", encoding="utf-8") if cfg.out else contextlib.nullcontext(sys.stdout)
-    with dest as fh:
-        for chunk in chunks:
-            fh.write(chunk)
+    as one string.  A regular or new file is written under a temporary
+    name and renamed onto cfg.out at the end, so that a run that fails
+    leaves no file; stdout, a pipe or a device is written in place."""
+    path = cfg.out
+    if path and (not os.path.exists(path) or os.path.isfile(path)):
+        tmp = f"{path}.{os.getpid()}.tmp"
+        try:
+            with open(tmp, "w", encoding="utf-8") as fh:
+                fh.writelines(chunks)
+            os.replace(tmp, path)
+        finally:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(tmp)
+    else:
+        with open(path, "w", encoding="utf-8") if path else contextlib.nullcontext(sys.stdout) as fh:
+            fh.writelines(chunks)
 
 
-# Items per chunk of a streamed list: about 1.5 MB of text for products.
-_BATCH = 1 << 15
+# Items per chunk of a streamed list: at most about 0.5 MB of text.
+_BATCH = 1 << 11
 
 
-def _items(key: str, texts: Iterable[str]) -> Iterator[str]:
+def _items(key: str, texts: Iterator[str]) -> Iterator[str]:
     """The member '  "key": [...]' of the top-level object, laid out as
     json.dumps(..., indent=2) lays it out, from the text of each item;
     the items are joined a batch at a time."""
-    texts = iter(texts)
     sep = f'  "{key}": [\n'
     while batch := list(islice(texts, _BATCH)):
         yield sep + ",\n".join(batch)
@@ -187,14 +198,15 @@ def _build_text(cfg: RunConfig, table: AlgebraTable) -> Iterator[str]:
     # A generator index as an item of an entry: formatted once, not per
     # entry.  Entries [i, j] and [i, j, m] come in (i, j) order: rows in
     # index order, differential rows as stored (sorted), product rows
-    # sorted here.
+    # sorted here, each written as made, its left factor's text made once.
     num = [f"      {i}" for i in range(len(table.gens))]
     diff = (f"    [\n{num[i]},\n{num[j]}\n    ]" for i, row in enumerate(table.diff) for j in row)
     yield from _items("differential", diff)
     yield ",\n"
     prod = (
-        f"    [\n{num[i]},\n{num[j]},\n{num[row[j]]}\n    ]"
-        for i, row in enumerate(table.prod)
+        f"{left}{num[j]},\n{num[row[j]]}\n    ]"
+        for i, row in enumerate(table.product_rows())
+        for left in [f"    [\n{num[i]},\n"]
         for j in sorted(row)
     )
     yield from _items("product", prod)
@@ -210,7 +222,7 @@ def cmd_build(cfg: RunConfig) -> int:
     idempotents, generators, differential, product, dims; indices are
     the lexicographic generator ranks.  The text is byte for byte that
     of json.dumps(payload, indent=2) + "\n", streamed section by section
-    without building the payload."""
+    and the products row by row, holding neither payload nor products."""
     table = AlgebraTable.build(cfg.pmc, cfg.k, cfg.variant)
     _emit(cfg, _build_text(cfg, table))
     return 0
@@ -236,9 +248,7 @@ def cmd_export(cfg: RunConfig) -> int:
     its source to its target; generators hit by the differential of some
     other generator are drawn dotted."""
     table = AlgebraTable.build(cfg.pmc, cfg.k, cfg.variant)
-    in_image = set()
-    for row in table.diff:
-        in_image.update(row)
+    in_image = set().union(*table.diff)
     lines = ["digraph strands {", "  rankdir=LR;", "  node [shape=ellipse];"]
     for sid, s in enumerate(table.idem_list):
         label = "{" + ",".join(str(p) for p in s) + "}"
@@ -286,12 +296,8 @@ def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
     try:
         cfg = build_config(args)
-    except ConfigError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    try:
         return args.fn(cfg)
-    except (OSError, SizeError) as err:
+    except (ConfigError, OSError, SizeError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except MemoryError:

@@ -43,7 +43,7 @@ both factors: it is a horizontal strand at its middle position y_t in
 both, while any other label s runs x_s -> y_s -> z_s with x_s <= y_s <=
 z_s, crossing t on the left only if x_s < y_t < y_s and on the right
 only if y_s < y_t < z_s.  Every other label pair has the same strands
-at every y.
+at every y.  ``AlgebraTable.product_rows`` yields the table row by row.
 
 The "half" variant keeps only generators with no chord crossing the split
 between positions 2g and 2g+1; the "full" variant keeps everything.
@@ -71,12 +71,12 @@ class SizeError(Exception):
     """A table whose estimated size exceeds the machine's memory."""
 
 
-# Peak RSS per composable pair of a whole ``build`` run, table and output
-# together, measured with Python 3.11: 5.8 bytes at g=3 k=3 full (71 MB
-# for 12,866,332 pairs) and 1.24 at g=3 k=4 full (340 MB for 287,492,375).
-# The figure falls as k grows, because a smaller share of the pairs has a
-# product.  The estimate keeps 12, the larger figure rounded up from when
-# each product had a tuple key, so it errs high by about a factor of two.
+# Peak RSS per composable pair of a run holding the product table (Python
+# 3.11): 5.8 bytes at g=3 k=3 full (71 MB, 12,866,332 pairs) and 1.24 at
+# g=3 k=4 full (340 MB, 287,492,375).  These fit a reader of ``prod``, not
+# ``build``, which writes each row as it is made and peaks at 38 and 130
+# MB.  The estimate keeps 12, rounded up from when each product had a
+# tuple key, so it errs high by about a factor of two.
 BYTES_PER_PAIR = 12
 
 
@@ -160,11 +160,7 @@ def enumerate_generators(
             chosen.pop()
 
     walk(0, 0, 0)
-    keyed = [
-        (source_idempotent(pmc, g), target_idempotent(pmc, g), g.chords, g.dotted, g) for g in out
-    ]
-    keyed.sort()
-    return [entry[4] for entry in keyed]
+    return sorted(out, key=lambda g: (source_idempotent(pmc, g), target_idempotent(pmc, g), g))
 
 
 def section_expand(pmc: PointedMatchedCircle, gen: MatchedGenerator) -> list[Diagram]:
@@ -369,11 +365,9 @@ def _factor(pmc: PointedMatchedCircle, gen: MatchedGenerator, u: Idempotent, lef
     Returns (signature, packed, own, outer): per label of u the chord's
     middle position or 0 when dotted, the packed crossing masks, and per
     label the code bit of the chord on it and its outer position (both 0
-    when dotted).  Every field is an int or a tuple of ints: the builder
-    keeps these records for a whole middle idempotent, and the cyclic
-    collector stops tracking such tuples at its first pass, where lists
-    would stay tracked and make each of its full passes walk the product
-    table.
+    when dotted).  Every field is an int or a tuple of ints, which the
+    cyclic collector stops tracking at its first pass: the builder keeps
+    every right factor's record through a whole pass over the table.
     """
     labels = pmc.labels
     n = pmc.n_points
@@ -394,26 +388,21 @@ class AlgebraTable:
     for each nonzero product over the composable pairs, of which there
     are ``composable_pairs``: pairs where i ends on the idempotent where
     j starts.  Keys and values are the ``index`` dict's own ints, so the
-    table holds no object per product.  Tables are immutable once built.
+    table holds no object per product.  Tables are immutable once built,
+    but ``build`` makes the differential only: ``product_rows()`` yields
+    the rows in index order and ``prod`` is made from it on first read,
+    so a caller that uses each row as it comes never holds the table.
 
-    The product is computed by the matched rule in the module docstring.
-    For each middle idempotent u, right factors are grouped by their
-    chord starts on the labels of u, and a left factor visits only the
-    groups whose chord starts equal its chord ends wherever both have a
-    chord.  A pair's sections compose for every consistent y, and since
-    a label pair crosses in the composite exactly when it crosses in one
-    factor, the pair survives at y exactly when its two crossing masks
-    at y share no bit.  It survives at every y or at none (the module
-    docstring gives the argument), so a product is zero exactly when the
-    AND of the two factors' packed masks is nonzero.  The composite is
-    found by its integer code (one bit per chord, one per dotted label);
-    one that is not a generator of the table raises ClosureError.  The
-    factor records held through a middle idempotent's pass are tuples of
-    ints, which the cyclic collector stops tracking, so its full passes
-    do not keep re-walking the growing product rows.  The loop over
-    groups makes no tuple per combination or per pair: dropped by the
-    thousand, such tuples fill the tuple free lists with blocks scattered
-    over partly used pools, which raises the peak memory of a build.
+    Products follow the matched rule of the module docstring: a left
+    factor over the middle idempotent u visits only the right factors
+    whose chord starts equal its chord ends wherever both have a chord,
+    and a pair's product is zero exactly when the AND of the two
+    factors' packed crossing masks is nonzero.  The composite is found
+    by its integer code (one bit per chord, one per dotted label); one
+    that is not a generator of the table raises ClosureError.  The loop
+    over a plan makes no tuple per pair: dropped by the thousand, such
+    tuples fill the tuple free lists with blocks scattered over partly
+    used pools, which raises a build's peak memory.
     """
 
     def __init__(self, pmc, k, variant, gens, idem_list):
@@ -435,7 +424,7 @@ class AlgebraTable:
             self.by_target[self.tgt[i]].append(i)
         self.idem_gen: list[int] = [self.index[idempotent(s)] for s in idem_list]
         self.diff: tuple[tuple[int, ...], ...] = ()
-        self.prod: list[dict[int, int]] = [{} for _ in gens]
+        self._prod: list[dict[int, int]] | None = None
         self.composable_pairs = sum(len(t) * len(s) for t, s in zip(self.by_target, self.by_source))
 
     # -- construction ------------------------------------------------------
@@ -446,8 +435,14 @@ class AlgebraTable:
         table = cls(pmc, k, variant, gens, circle_idempotents(pmc, k))
         table._check_size()
         table._build_differential()
-        table._build_products()
         return table
+
+    @property
+    def prod(self) -> list[dict[int, int]]:
+        # Not functools.cached_property: its __dict__ write slows all attribute reads.
+        if self._prod is None:
+            self._prod = list(self.product_rows())
+        return self._prod
 
     def _check_size(self):
         """Refuse, before the product table is allocated, a table whose
@@ -467,38 +462,34 @@ class AlgebraTable:
             for gen in self.gens
         )
 
-    def _build_products(self):
-        pmc = self.pmc
-        gens = self.gens
-        n = pmc.n_points
+    def product_rows(self):
+        """Yield prod[i], the product row of left factor i, in index order.
+        Each plan (the right groups a left factor meets) is made once."""
+        pmc, gens, k, n = self.pmc, self.gens, self.k, self.pmc.n_points
         codes = [_generator_code(pmc, g) for g in gens]
         # Products hold the index's ints too (see __init__).
         lookup = dict(zip(codes, self.index.values())).get
-        prod = self.prod
-        for u_id, u in enumerate(self.idem_list):
-            k = len(u)
-            dots = [1 << (n * n + p - 1) for p in u]
-            # A joined chord (x, z) has code bit (x - 1) * n + z - 1: the
-            # left's head 1 << (x - 1) * n shifted by the right's tail z - 1.
-            # Heads and tails are kept per label of u, 0 where the factor is
-            # dotted, so that they are made once per factor here and not
-            # once per combination below.
-            lefts: dict[tuple[int, ...], list] = {}
-            for i in self.by_target[u_id]:
-                sig, packed, own, outer = _factor(pmc, gens[i], u, left=True)
-                heads = tuple(1 << ((x - 1) * n) if x else 0 for x in outer)
-                lefts.setdefault(sig, []).append((i, packed, codes[i], own, heads))
-            rights: dict[tuple[int, ...], list] = {}
-            for j in self.by_source[u_id]:
-                sig, packed, own, outer = _factor(pmc, gens[j], u, left=False)
-                tails = tuple(z - 1 if z else 0 for z in outer)
-                rights.setdefault(sig, []).append((j, packed, codes[j], own, tails))
-            for ends, lgroup in lefts.items():
-                # Right factors whose chord starts meet the left's chord ends
+        # A joined chord (x, z) has code bit (x - 1) * n + z - 1: the left's
+        # head 1 << (x - 1) * n shifted by the right's tail z - 1.  Heads
+        # and tails are kept per label of u, 0 where the factor is dotted,
+        # so that they are made once per factor and not once per pair.
+        rights: list[dict[tuple[int, ...], list]] = [{} for _ in self.idem_list]
+        for j in self.index.values():
+            sig, packed, own, outer = _factor(pmc, gens[j], self.idem_list[self.src[j]], left=False)
+            tails = tuple(z - 1 if z else 0 for z in outer)
+            rights[self.src[j]].setdefault(sig, []).append((j, packed, codes[j], own, tails))
+        plans: dict[tuple[int, tuple[int, ...]], list] = {}
+        for i in self.index.values():
+            u = self.idem_list[self.tgt[i]]
+            ends, m1, own, outer = _factor(pmc, gens[i], u, left=True)
+            plan = plans.get((self.tgt[i], ends))
+            if plan is None:
+                plan = plans[self.tgt[i], ends] = []
+                # Right groups whose chord starts meet the left's chord ends
                 # label by label; a dotted label on either side meets anything.
                 choices = [(0, y) if y else (0, *pmc.positions_of(p)) for y, p in zip(ends, u)]
                 for starts in itertools.product(*choices):
-                    rgroup = rights.get(starts)
+                    rgroup = rights[self.tgt[i]].get(starts)
                     if rgroup is None:
                         continue
                     # Labels cc with a chord on both sides join into one
@@ -511,18 +502,21 @@ class AlgebraTable:
                     # only, whose tail is 0).
                     cc = [t for t in range(k) if ends[t] and starts[t]]
                     lone = [t for t in range(k) if ends[t] and not starts[t]]
-                    dup = sum(dots[t] for t in range(k) if not (ends[t] and starts[t]))
-                    rcodes = [code - sum(own[t] for t in cc) for _, _, code, own, _ in rgroup]
-                    for i, m1, code, own, heads in lgroup:
-                        row = prod[i]
-                        base = code - sum(own[t] for t in cc) - sum(heads[t] for t in lone) - dup
-                        for (j, m2, _, _, tails), rcode in zip(rgroup, rcodes):
-                            if m1 & m2:
-                                continue
-                            m = lookup(base + rcode + sum(map(lshift, heads, tails)))
-                            if m is None:
-                                raise ClosureError(f"{gens[i]} * {gens[j]} is not in the table")
-                            row[j] = m
+                    dup = sum(1 << (n * n + u[t] - 1) for t in range(k) if t not in cc)
+                    rcodes = [code - sum(rown[t] for t in cc) for _, _, code, rown, _ in rgroup]
+                    plan.append((rgroup, cc, lone, dup, rcodes))
+            heads = tuple(1 << ((x - 1) * n) if x else 0 for x in outer)
+            row = {}
+            for rgroup, cc, lone, dup, rcodes in plan:
+                base = codes[i] - sum(own[t] for t in cc) - sum(heads[t] for t in lone) - dup
+                for (j, m2, _, _, tails), rcode in zip(rgroup, rcodes):
+                    if m1 & m2:
+                        continue
+                    m = lookup(base + rcode + sum(map(lshift, heads, tails)))
+                    if m is None:
+                        raise ClosureError(f"{gens[i]} * {gens[j]} is not in the table")
+                    row[j] = m
+            yield row
 
     # -- lookups -----------------------------------------------------------
 

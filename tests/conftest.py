@@ -64,7 +64,7 @@ def set_products(table: AlgebraTable, pairs: dict[tuple[int, int], int]) -> None
     rows: list[dict[int, int]] = [{} for _ in table.gens]
     for (i, j), m in pairs.items():
         rows[i][j] = m
-    table.prod = rows
+    table._prod = rows
 
 
 def dims_table(table: AlgebraTable) -> dict[tuple[tuple[int, ...], tuple[int, ...]], int]:

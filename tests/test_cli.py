@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
+import stat
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -23,6 +26,7 @@ from strandfloer.grid import (
     target_labels,
 )
 
+REPO = Path(__file__).resolve().parents[1]
 NONSTANDARD_G2 = '{"g": 2, "pairs": [[1, 3], [2, 4], [5, 7], [6, 8]]}'
 
 
@@ -142,15 +146,65 @@ def test_oversized_build_exits_two_before_building(monkeypatch, capsys):
     assert f"{pairs:,} composable pairs" in err
 
 
-def test_build_out_of_memory_exits_two(monkeypatch, capsys):
+def test_build_out_of_memory_exits_two(monkeypatch, capsys, tmp_path):
     def exhausted(self):
         raise MemoryError
+        yield  # a generator, as product_rows is
 
-    monkeypatch.setattr(AlgebraTable, "_build_products", exhausted)
-    assert main(["build", "-g", "2", "--k", "2"]) == 2
+    monkeypatch.setattr(AlgebraTable, "product_rows", exhausted)
+    # Products are written as they are made, so stdout would already hold
+    # the sections before them; a file is written whole or not at all.
+    assert main(["build", "-g", "2", "--k", "2", "--out", str(tmp_path / "out.json")]) == 2
     out, err = capsys.readouterr()
     assert out == ""
     assert err == "error: out of memory at g=2 k=2 full\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_build_failing_after_its_first_product_row_leaves_no_file(monkeypatch, capsys, tmp_path):
+    rows = AlgebraTable.product_rows
+
+    def exhausted_after_one_row(self):
+        it = rows(self)
+        yield next(it)
+        raise MemoryError
+
+    monkeypatch.setattr(AlgebraTable, "product_rows", exhausted_after_one_row)
+    out = tmp_path / "out.json"
+    assert main(["build", "-g", "2", "--k", "3", "--out", str(out)]) == 2
+    _, err = capsys.readouterr()
+    assert err == "error: out of memory at g=2 k=3 full\n"
+    # Neither the output nor its temporary file is left.
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_build_writes_a_pipe_in_place(tmp_path):
+    # A pipe cannot be renamed onto, so it is written as it stands.
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    got = []
+    reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    assert main(["build", "-g", "1", "--k", "1", "--out", str(fifo)]) == 0
+    reader.join(timeout=30)
+    assert not reader.is_alive()
+    assert stat.S_ISFIFO(fifo.stat().st_mode)
+    code, text = _run(tmp_path, "build", "-g", "1", "--k", "1")
+    assert code == 0 and got == [text.encode("utf-8")]
+
+
+def test_build_writes_the_products_without_the_product_table(monkeypatch, tmp_path):
+    def unread(self):
+        raise AssertionError("build streams product_rows and keeps no table")
+
+    monkeypatch.setattr(AlgebraTable, "prod", property(unread))
+    census = json.loads((REPO / "perfbench" / "census.json").read_text(encoding="utf-8"))
+    (want,) = [
+        e["sha256"] for e in census["builds"] if (e["g"], e["k"], e["variant"]) == (2, 3, "full")
+    ]
+    out = tmp_path / "out.json"
+    assert main(["build", "-g", "2", "--k", "3", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == want
 
 
 def test_build_half_variant(tmp_path):

@@ -384,14 +384,14 @@ def test_points_for_labels_off_by_one_is_caught(monkeypatch):
 
 
 def test_dotted_left_label_meeting_its_lower_position_only_is_caught(monkeypatch):
-    # In ``_build_products``' choices a dotted left label meets the lower
+    # In ``product_rows``' choices a dotted left label meets the lower
     # position of its pair only, not either position.
     mutant = _rewritten(
-        strands.AlgebraTable._build_products,
+        strands.AlgebraTable.product_rows,
         "(0, *pmc.positions_of(p))",
         "(0, pmc.positions_of(p)[0])",
     )
-    monkeypatch.setattr(strands.AlgebraTable, "_build_products", mutant)
+    monkeypatch.setattr(strands.AlgebraTable, "product_rows", mutant)
     pmc = standard_matching(2)
     report = verify.run_suites(pmc, 2, "full")
     assert _failed(report) == {

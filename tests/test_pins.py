@@ -110,8 +110,10 @@ def test_verify_report_matches_its_hash(tmp_path, argv, sha256):
     ids=["g2k3-full", "g2k4-half-matching", "g3k2-full"],
 )
 def test_product_table_keeps_its_insertion_order(pmc, k, variant, sha256):
-    prod = AlgebraTable.build(pmc, k, variant).prod
-    rows = [list(row.items()) for row in prod]
+    table = AlgebraTable.build(pmc, k, variant)
+    rows = [list(row.items()) for row in table.product_rows()]
+    # The rows build streams are the rows of the table, in the same order.
+    assert rows == [list(row.items()) for row in table.prod]
     assert hashlib.sha256(repr(rows).encode()).hexdigest() == sha256
 
 

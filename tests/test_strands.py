@@ -378,7 +378,7 @@ def test_product_builder_raises_instead_of_dropping():
     gens = [g for g in enumerate_generators(pmc, 1) if g.chords != ((1, 3),)]
     tab = AlgebraTable(pmc, 1, "full", gens, idempotents(pmc, 1))
     with pytest.raises(ClosureError, match="not in the table"):
-        tab._build_products()
+        list(tab.product_rows())
 
 
 def _packed_crossings_oracle(pmc, u, middle, outer):
