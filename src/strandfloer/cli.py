@@ -15,7 +15,6 @@ import json
 import os
 import sys
 from collections import Counter
-from dataclasses import dataclass
 from itertools import islice
 from typing import Iterable, Iterator
 
@@ -29,18 +28,6 @@ from .circle import (
 from .strands import VARIANTS, AlgebraTable, SizeError
 
 SCHEMA = 1
-
-
-@dataclass
-class RunConfig:
-    g: int
-    k: int
-    variant: str
-    pmc: PointedMatchedCircle
-    out: str | None
-    seed: int
-    suites: list[str] | None = None
-    sample: int | None = None
 
 
 class ConfigError(Exception):
@@ -74,14 +61,15 @@ def _parse_matching(text: str, g: int) -> PointedMatchedCircle:
         raise ConfigError(f"bad matching: {err}") from err
 
 
-def build_config(args: argparse.Namespace) -> RunConfig:
+def build_config(args: argparse.Namespace) -> argparse.Namespace:
+    """Check the parsed arguments and make them the run's config: args
+    gains pmc, and a verify's suites become a list of names."""
     g, k = args.genus, args.k
     if g < 1:
         raise ConfigError("genus must be at least 1")
     if not 0 <= k <= 2 * g:
         raise ConfigError(f"k must lie in 0..{2 * g}")
-    sample = getattr(args, "sample", None)
-    if sample is not None and sample < 1:
+    if getattr(args, "sample", None) is not None and args.sample < 1:
         raise ConfigError("sample must be at least 1")
     if args.matching:
         pmc = _parse_matching(args.matching, g)
@@ -95,27 +83,18 @@ def build_config(args: argparse.Namespace) -> RunConfig:
             f"matching does not close up to a genus-{g} one-boundary surface "
             f"(components={inv.boundary_components}, genus={inv.genus})"
         )
-    suites = None
     if getattr(args, "suites", None) is not None:
-        suites = [s for s in args.suites.split(",") if s]
-        unknown = [s for s in suites if s not in verify.SUITE_NAMES]
+        args.suites = [s for s in args.suites.split(",") if s]
+        unknown = [s for s in args.suites if s not in verify.SUITE_NAMES]
         if unknown:
             raise ConfigError(f"unknown suites: {','.join(unknown)}")
-    return RunConfig(
-        g=g,
-        k=k,
-        variant=args.variant,
-        pmc=pmc,
-        out=args.out,
-        seed=args.seed,
-        suites=suites,
-        sample=sample,
-    )
+    args.pmc = pmc
+    return args
 
 
-def _meta(cfg: RunConfig) -> dict:
+def _meta(cfg: argparse.Namespace) -> dict:
     return {
-        "g": cfg.g,
+        "g": cfg.genus,
         "k": cfg.k,
         "variant": cfg.variant,
         "mode": verify.grid_spec(cfg.pmc, cfg.variant).mode,
@@ -126,20 +105,25 @@ def _meta(cfg: RunConfig) -> dict:
             "mode": "single",
             "pairs": [list(p) for p in cfg.pmc.pairs],
         },
-        "standard": cfg.pmc == standard_matching(cfg.g),
+        "standard": cfg.pmc == standard_matching(cfg.genus),
     }
 
 
-def _emit(cfg: RunConfig, chunks: Iterable[str]):
+def _emit(cfg: argparse.Namespace, chunks: Iterable[str]):
     """Write the chunks one by one, so that a large output is never held
     as one string.  A regular or new file is written under a temporary
     name and renamed onto cfg.out at the end, so that a run that fails
-    leaves no file; stdout, a pipe or a device is written in place."""
+    leaves no file; stdout, a pipe or a device is written in place.  The
+    rename lands on the file a symlink names, and an existing file keeps
+    its mode."""
     path = cfg.out
     if path and (not os.path.exists(path) or os.path.isfile(path)):
+        path = os.path.realpath(path)
         tmp = f"{path}.{os.getpid()}.tmp"
         try:
             with open(tmp, "w", encoding="utf-8") as fh:
+                with contextlib.suppress(FileNotFoundError):
+                    os.chmod(tmp, os.stat(path).st_mode & 0o7777)
                 fh.writelines(chunks)
             os.replace(tmp, path)
         finally:
@@ -174,7 +158,7 @@ def _json_list(values, indent: str) -> str:
     return "[\n" + ",\n".join(f"{indent}{v}" for v in values) + f"\n{indent[:-2]}]"
 
 
-def _build_text(cfg: RunConfig, table: AlgebraTable) -> Iterator[str]:
+def _build_text(cfg: argparse.Namespace, table: AlgebraTable) -> Iterator[str]:
     """The text of json.dumps(payload, indent=2) + "\n" for the build
     payload, a section at a time, straight from the table."""
     head = {
@@ -217,7 +201,7 @@ def _build_text(cfg: RunConfig, table: AlgebraTable) -> Iterator[str]:
     yield "\n}\n"
 
 
-def cmd_build(cfg: RunConfig) -> int:
+def cmd_build(cfg: argparse.Namespace) -> int:
     """Serialize the full algebra table.  Field order is fixed: meta,
     idempotents, generators, differential, product, dims; indices are
     the lexicographic generator ranks.  The text is byte for byte that
@@ -228,22 +212,15 @@ def cmd_build(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_verify(cfg: RunConfig) -> int:
-    report = verify.run_suites(
-        cfg.pmc,
-        cfg.k,
-        cfg.variant,
-        suites=cfg.suites,
-        sample=cfg.sample,
-        seed=cfg.seed,
-    )
+def cmd_verify(cfg: argparse.Namespace) -> int:
+    report = verify.run_suites(cfg.pmc, cfg.k, cfg.variant, cfg.suites, cfg.sample, cfg.seed)
     payload = {"schema": SCHEMA, "meta": _meta(cfg)}
     payload.update(report)
     _emit(cfg, [json.dumps(payload, indent=2) + "\n"])
     return 0 if report["ok"] else 1
 
 
-def cmd_export(cfg: RunConfig) -> int:
+def cmd_export(cfg: argparse.Namespace) -> int:
     """DOT quiver: one node per idempotent, one edge per generator from
     its source to its target; generators hit by the differential of some
     other generator are drawn dotted."""
@@ -295,8 +272,7 @@ def make_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
     try:
-        cfg = build_config(args)
-        return args.fn(cfg)
+        return args.fn(build_config(args))
     except (ConfigError, OSError, SizeError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
@@ -304,7 +280,7 @@ def main(argv=None) -> int:
         pass
     # Out of memory: reported once the handler has dropped the traceback,
     # and with it the partly built table, so that printing has memory.
-    print(f"error: out of memory at g={cfg.g} k={cfg.k} {cfg.variant}", file=sys.stderr)
+    print(f"error: out of memory at g={args.genus} k={args.k} {args.variant}", file=sys.stderr)
     return 2
 
 

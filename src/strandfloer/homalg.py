@@ -100,15 +100,18 @@ class ChainComplex:
 
 def _restricted_complex(table: AlgebraTable, basis: list[int]) -> ChainComplex:
     """The generators ``basis`` (table indices) with table.diff restricted
-    to them; every term of a basis element's differential must be in the
-    basis."""
+    to them; a term of a basis element's differential outside the basis
+    is a ValueError."""
     pos = {gi: p for p, gi in enumerate(basis)}
     rows = []
-    for gi in basis:
-        mask = 0
-        for gj in table.diff[gi]:
-            mask |= 1 << pos[gj]
-        rows.append(mask)
+    try:
+        for gi in basis:
+            mask = 0
+            for gj in table.diff[gi]:
+                mask |= 1 << pos[gj]
+            rows.append(mask)
+    except KeyError:
+        raise ValueError(f"the differential of {gi} has the term {gj} outside the basis") from None
     labels = tuple(table.gens[gi] for gi in basis)
     return ChainComplex(labels, BooleanMatrix(len(basis), len(basis), rows))
 
@@ -214,19 +217,23 @@ def projective_module(table: AlgebraTable, s) -> RightDGModule:
     """e_s A with right multiplication: basis is every generator with
     source s, graded into blocks by target idempotent.  The actions are
     read from the rows of the basis generators, composable entries
-    only, filled in (basis position, acting generator) order."""
+    only, filled in (basis position, acting generator) order; a product
+    outside e_s A is a ValueError."""
     sid = table.idem_id[tuple(sorted(s))]
     basis = table.by_source[sid]
     pos = {gi: p for p, gi in enumerate(basis)}
     cx = _restricted_complex(table, basis)
     tgt, src = table.tgt, table.src
     actions: dict[int, dict[int, int]] = {}
-    for p, gi in enumerate(basis):
-        t = tgt[gi]
-        row = table.prod[gi]
-        for a in sorted(row):
-            if src[a] == t:
-                actions.setdefault(a, {})[p] = 1 << pos[row[a]]
+    try:
+        for p, gi in enumerate(basis):
+            t = tgt[gi]
+            row = table.prod[gi]
+            for a in sorted(row):
+                if src[a] == t:
+                    actions.setdefault(a, {})[p] = 1 << pos[row[a]]
+    except KeyError:
+        raise ValueError(f"the product {gi} * {a} = {row[a]} lies outside e_s A") from None
     return RightDGModule(table, cx, tuple(tgt[gi] for gi in basis), actions)
 
 
@@ -234,9 +241,11 @@ def projective_module(table: AlgebraTable, s) -> RightDGModule:
 # Morphism complexes.
 
 
-def _solve(n: int, blocks) -> _Solution:
+def _solve(n: int, blocks) -> tuple[list[list[int]], list[int], list[int]]:
     """Solve the homogeneous GF(2) rows of blocks (see _linearity_blocks)
-    over the variable ids 0..n-1.
+    over the variable ids 0..n-1: (members, reps, basis), with the
+    variables of each surviving class and one representative of it per
+    column, and the nullspace vectors over those columns.
 
     A weight-one row marks its variable zero and a weight-two row merges
     the pair in a union-find, or, with a marked end, marks the other end;
@@ -307,25 +316,13 @@ def _solve(n: int, blocks) -> _Solution:
                 mask ^= 1 << col
         if mask:
             masks.append(mask)
-    basis = BooleanMatrix(len(masks), len(reps), masks).nullspace()
-    free_cols = [v.bit_length() - 1 for v in basis]
-    return _Solution(members, reps, basis, free_cols)
-
-
-@dataclass
-class _Solution:
-    members: list[list[int]]  # variables of each surviving class, per column
-    reps: list[int]  # one representative variable per column
-    basis: list[int]  # nullspace vectors over columns
-    free_cols: list[int]  # defining column of each basis vector
+    return members, reps, BooleanMatrix(len(masks), len(reps), masks).nullspace()
 
 
 @dataclass
 class MorComplex:
     """Basis of module maps M -> N with the commutator differential."""
 
-    source: RightDGModule
-    target: RightDGModule
     maps: list[list[int]]  # each basis map as per-source-row bitmasks
     complex: ChainComplex
 
@@ -491,17 +488,18 @@ def mor_complex(M: RightDGModule, N: RightDGModule) -> MorComplex:
         x = bisect_right(base, u) - 1
         return x, n_blocks[M.blocks[x]][u - base[x]]
 
-    sol = _solve(total, _linearity_blocks(M, N, layout))
+    members, reps, basis = _solve(total, _linearity_blocks(M, N, layout))
 
     maps: list[list[int]] = []
-    for vec in sol.basis:
+    for vec in basis:
         f_rows = [0] * nm
         for col in _bits(vec):
-            for u in sol.members[col]:
+            for u in members[col]:
                 x, y = entry(u)
                 f_rows[x] |= 1 << y
         maps.append(f_rows)
-    read_at = [entry(sol.reps[c]) for c in sol.free_cols]
+    # Each basis vector is read at its defining (highest) column.
+    read_at = [entry(reps[v.bit_length() - 1]) for v in basis]
 
     dn_rows = N.complex.d.rows
     dm_terms = [(x, list(_bits(row))) for x, row in enumerate(M.complex.d.rows) if row]
@@ -532,7 +530,7 @@ def mor_complex(M: RightDGModule, N: RightDGModule) -> MorComplex:
 
     dim = len(maps)
     cx = ChainComplex(tuple(range(dim)), BooleanMatrix(dim, dim, d_rows))
-    return MorComplex(M, N, maps, cx)
+    return MorComplex(maps, cx)
 
 
 def yoneda_ranks(table: AlgebraTable, s, t) -> tuple[int, int]:

@@ -159,8 +159,11 @@ def counted_product_domains(edges: _Edges):
 
 
 def verify_rigidity(edges: _Edges) -> dict:
-    """Check e = 2k/4 and mu >= 0 > -1 on every glued chain of three
-    counted product domains, through one ``_kernels.rigidity_scan``.
+    """Test mu >= 0 > -1 on every glued chain of three counted product
+    domains, through one ``_kernels.rigidity_scan``, with mu the number
+    of crossings of the chain's pinned triangles.  A count is never
+    negative, so the test cannot fail; the Euler measure e = 2k/4 is
+    taken to hold by construction and is not checked.
 
     The outgoing end of the first product attaches to either input slot
     of the second, so both association orders are scanned: the attach

@@ -44,23 +44,6 @@ from .strands import (
     sections,
 )
 
-SUITE_NAMES = (
-    "regression",
-    "d2",
-    "leibniz",
-    "assoc",
-    "closure",
-    "dictionary-diff",
-    "dictionary-prod",
-    "euler",
-    "rigidity",
-    "yoneda",
-)
-
-# The grid suites that read the gluing graph.
-_GRAPH_SUITES = {"dictionary-prod", "euler", "rigidity"}
-
-
 MAX_EXAMPLES = 5
 
 
@@ -383,6 +366,27 @@ def suite_yoneda(table: AlgebraTable) -> dict:
 # ---------------------------------------------------------------------------
 # Driver.
 
+# Each suite as a call on the shared objects of a run: the table, the
+# grid spec, the gluing graph (None unless the suite is in _GRAPH_SUITES),
+# the sample size and the seed.  Each lambda looks its suite_* up when it
+# is called, so that a wrapper set on the module name is the one called.
+_SUITES = {
+    "regression": lambda table, spec, edges, sample, seed: suite_regression(),
+    "d2": lambda table, spec, edges, sample, seed: suite_d2(table),
+    "leibniz": lambda table, spec, edges, sample, seed: suite_leibniz(table, sample, seed),
+    "assoc": lambda table, spec, edges, sample, seed: suite_assoc(table, sample, seed),
+    "closure": lambda table, spec, edges, sample, seed: suite_closure(table, sample, seed),
+    "dictionary-diff": lambda table, spec, edges, sample, seed: suite_dictionary_diff(table),
+    "dictionary-prod": lambda table, spec, edges, sample, seed: suite_dictionary_prod(table, edges),
+    "euler": lambda table, spec, edges, sample, seed: suite_euler(spec, table.k, edges),
+    "rigidity": lambda table, spec, edges, sample, seed: suite_rigidity(edges),
+    "yoneda": lambda table, spec, edges, sample, seed: suite_yoneda(table),
+}
+SUITE_NAMES = tuple(_SUITES)
+
+# The suites that read the gluing graph.
+_GRAPH_SUITES = {"dictionary-prod", "euler", "rigidity"}
+
 
 def run_suites(
     pmc: PointedMatchedCircle,
@@ -413,26 +417,7 @@ def run_suites(
     for n, name in enumerate(chosen):
         if name in _GRAPH_SUITES and edges is None:
             edges = index._Edges(spec, k)
-        if name == "regression":
-            results.append(suite_regression())
-        elif name == "d2":
-            results.append(suite_d2(table))
-        elif name == "leibniz":
-            results.append(suite_leibniz(table, sample=sample, seed=seed))
-        elif name == "assoc":
-            results.append(suite_assoc(table, sample=sample, seed=seed))
-        elif name == "closure":
-            results.append(suite_closure(table, sample=sample, seed=seed))
-        elif name == "dictionary-diff":
-            results.append(suite_dictionary_diff(table))
-        elif name == "dictionary-prod":
-            results.append(suite_dictionary_prod(table, edges))
-        elif name == "euler":
-            results.append(suite_euler(spec, k, edges))
-        elif name == "rigidity":
-            results.append(suite_rigidity(edges))
-        elif name == "yoneda":
-            results.append(suite_yoneda(table))
+        results.append(_SUITES[name](table, spec, edges, sample, seed))
         if not _GRAPH_SUITES.intersection(chosen[n + 1 :]):
             edges = None
     ok = all(not r["failures"] for r in results)

@@ -178,6 +178,36 @@ def test_build_failing_after_its_first_product_row_leaves_no_file(monkeypatch, c
     assert list(tmp_path.iterdir()) == []
 
 
+def test_out_of_memory_while_reading_the_config_exits_two(monkeypatch, capsys):
+    def exhausted(args):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "build_config", exhausted)
+    assert main(["verify", "-g", "2", "--k", "3", "--variant", "half"]) == 2
+    assert capsys.readouterr().err == "error: out of memory at g=2 k=3 half\n"
+
+
+def test_build_through_a_symlink_rewrites_its_target(tmp_path):
+    target = tmp_path / "target.json"
+    target.write_text("stale\n", encoding="utf-8")
+    link = tmp_path / "link.json"
+    link.symlink_to(target)
+    assert main(["build", "-g", "1", "--k", "1", "--out", str(link)]) == 0
+    assert link.is_symlink() and os.readlink(link) == str(target)
+    _, text = _run(tmp_path, "build", "-g", "1", "--k", "1")
+    assert target.read_text(encoding="utf-8") == text
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link.json", "out.txt", "target.json"]
+
+
+def test_build_keeps_the_mode_of_the_file_it_replaces(tmp_path):
+    out = tmp_path / "out.json"
+    out.write_text("stale\n", encoding="utf-8")
+    out.chmod(0o600)
+    assert main(["build", "-g", "1", "--k", "1", "--out", str(out)]) == 0
+    assert stat.S_IMODE(out.stat().st_mode) == 0o600
+    assert json.loads(out.read_text(encoding="utf-8"))["meta"]["g"] == 1
+
+
 def test_build_writes_a_pipe_in_place(tmp_path):
     # A pipe cannot be renamed onto, so it is written as it stands.
     fifo = tmp_path / "fifo"

@@ -241,11 +241,6 @@ def _oracle_rows(M: RightDGModule, N: RightDGModule) -> list[frozenset[int]]:
     return out
 
 
-def _solution(n: int, blocks):
-    sol = _solve(n, blocks)
-    return sol.members, sol.reps, sol.basis, sol.free_cols
-
-
 def _assert_rows_match_oracle(M: RightDGModule, N: RightDGModule) -> None:
     """The blocks, read row by row, are the oracle's rows, and the block
     feed solves to what the oracle's rows give one at a time."""
@@ -260,9 +255,9 @@ def _assert_rows_match_oracle(M: RightDGModule, N: RightDGModule) -> None:
         got.append(ids)
     assert Counter(r for r in got if r) == Counter(r for r in want if r)
     n = sum(1 for x in range(M.dim) for y in range(N.dim) if M.blocks[x] == N.blocks[y])
-    expected = _solution(n, [((), (), (), (), [list(r) for r in want])])
-    assert _solution(n, [((), (), (), (), [list(r) for r in got])]) == expected
-    assert _solution(n, _linearity_blocks(M, N, layout)) == expected
+    expected = _solve(n, [((), (), (), (), [list(r) for r in want])])
+    assert _solve(n, [((), (), (), (), [list(r) for r in got])]) == expected
+    assert _solve(n, _linearity_blocks(M, N, layout)) == expected
 
 
 def _mor_outcome(M: RightDGModule, N: RightDGModule):
@@ -393,10 +388,10 @@ def _assert_solve_spans_oracle_kernel(M: RightDGModule, N: RightDGModule) -> int
     Returns how many listed rows of weight three or more it was fed."""
     n = sum(1 for x in range(M.dim) for y in range(N.dim) if M.blocks[x] == N.blocks[y])
     blocks = list(_linearity_blocks(M, N, _unknown_layout(M, N)))
-    sol = _solve(n, blocks)
+    members, _, basis = _solve(n, blocks)
     got = []
-    for vec in sol.basis:
-        got.append(sum(1 << u for col in _bits(vec) for u in sol.members[col]))
+    for vec in basis:
+        got.append(sum(1 << u for col in _bits(vec) for u in members[col]))
     masks = [sum(1 << u for u in row) for row in _oracle_rows(M, N)]
     want = BooleanMatrix(len(masks), n, masks).nullspace()
     assert _echelon(got) == _echelon(want)

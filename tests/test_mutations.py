@@ -113,6 +113,29 @@ def _flip_a_product(table):
     table.prod[e][a] = e
 
 
+def _stranger(table, i):
+    """The smallest generator with another source than i and i's target."""
+    src, tgt = table.src, table.tgt
+    return min(x for x in range(len(table.gens)) if src[x] != src[i] and tgt[x] == tgt[i])
+
+
+def _product_leaving_its_module(table):
+    """The first product of the first non-idempotent left factor with a
+    row set to _stranger of its value (at g=2 k=2 full, 1 * 0 = 1 becomes
+    1 * 0 = 73), so that it leaves the projective of its left factor."""
+    idem = set(table.idem_gen)
+    i = next(i for i, row in enumerate(table.prod) if row and i not in idem)
+    j = next(iter(table.prod[i]))
+    table.prod[i][j] = _stranger(table, table.prod[i][j])
+
+
+def _differential_leaving_its_module(table):
+    """The first nonzero differential gains _stranger of its generator
+    (at g=2 k=2 full, d(2) gains 73), a term outside its hom-space."""
+    i = next(i for i, row in enumerate(table.diff) if row)
+    _set_differential(table, i, table.diff[i] + (_stranger(table, i),))
+
+
 def _set_differential(table, i, row):
     table.diff = table.diff[:i] + (tuple(sorted(row)),) + table.diff[i + 1 :]
 
@@ -321,6 +344,18 @@ def test_differential_not_squaring_to_zero_is_caught(monkeypatch):
         **PASSING, "d2": 1, "leibniz": 31, "closure": 1, "dictionary-diff": 1, "yoneda": 11
     }
     assert next(r for r in report["suites"] if r["name"] == "yoneda")["checked"] == 36
+
+
+@pytest.mark.parametrize("edit, counts", [
+    (_product_leaving_its_module, {"leibniz": 1, "assoc": 25, "closure": 1, "dictionary-prod": 1}),
+    (_differential_leaving_its_module, {"leibniz": 23, "closure": 1, "dictionary-diff": 1}),
+])
+def test_entry_leaving_its_module_is_caught(monkeypatch, edit, counts):
+    monkeypatch.setattr(strands.AlgebraTable, "build", _built_then(edit))
+    report = verify.run_suites(standard_matching(2), 2, "full")
+    # The projective that holds the entry cannot be formed: yoneda counts
+    # the 11 of 36 pairs that need it, and every other suite still runs.
+    assert _failed(report) == {**PASSING, **counts, "yoneda": 11}
 
 
 def test_recognize_accepting_partial_families_is_equivalent(monkeypatch):
