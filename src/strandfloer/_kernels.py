@@ -107,14 +107,18 @@ def assoc_scan(prod, cols, src, tgt):
 
 def rigidity_scan(prod, tris, attach):
     """Scan all glued chains.  ``prod[e]`` is the product generator of
-    edge e, ``tris[e]`` its triangles and ``attach`` maps a generator to
-    the edges taking it as a factor.  Returns (chains, violations,
-    max_cross).
+    edge e, ``tris[e]`` its tuple of triangles and ``attach`` maps a
+    generator to the edges taking it as a factor.  Returns (chains,
+    violations, max_cross).
     """
     chains = 0
     violations = 0
     max_cross = 0
-    pinned = [[t for t in ts if not t.flex] for ts in tris]
+    # An edge with no flex triangle keeps its own tuple.
+    pinned = []
+    for ts in tris:
+        kept = tuple([t for t in ts if not t.flex])
+        pinned.append(ts if len(kept) == len(ts) else kept)
     for e1, p in enumerate(prod):
         pinned1 = pinned[e1]
         for e2 in attach.get(p, ()):

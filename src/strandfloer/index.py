@@ -28,6 +28,7 @@ from .grid import (
     Triangle,
     all_floer_generators,
     count_triangles,
+    empty_rectangles,
     floer_product,  # unused here; perfbench/traced.py wraps index.floer_product by name
     overlap_class,
     product_triangles,
@@ -63,21 +64,20 @@ class Domain:
     def euler_quarters(self) -> int:
         return len(self.triangles)
 
+    @property
+    def maslov_quarters(self) -> int:
+        return 4 * self.diag_intersections + 2 * self.euler_quarters - 2 * (self.inputs - 1) * self.k
+
     def maslov(self) -> Fraction:
-        quarters = (
-            4 * self.diag_intersections
-            + 2 * self.euler_quarters
-            - 2 * (self.inputs - 1) * self.k
-        )
-        return Fraction(quarters, 4)
+        return Fraction(self.maslov_quarters, 4)
 
 
 def rectangle_domain(spec: GridSpec, k: int) -> Domain:
     return Domain(spec, k, 1, ())
 
 
-def product_domain(spec: GridSpec, tris: list[Triangle]) -> Domain:
-    return Domain(spec, len(tris), 2, tuple(tris))
+def product_domain(spec: GridSpec, tris: tuple[Triangle, ...]) -> Domain:
+    return Domain(spec, len(tris), 2, tris)
 
 
 # ---------------------------------------------------------------------------
@@ -86,8 +86,6 @@ def product_domain(spec: GridSpec, tris: list[Triangle]) -> Domain:
 
 def counted_rectangle_domains(spec: GridSpec, k: int):
     """One Domain per empty rectangle over every generator."""
-    from .grid import empty_rectangles
-
     for x in all_floer_generators(spec, k):
         for _ in empty_rectangles(spec, x):
             yield rectangle_domain(spec, k)
@@ -119,6 +117,10 @@ class _Edges:
     which ``product_triangles`` finds a triangle tuple, each once.  The
     visits are taken in index order, so the edges come out in the order
     of a walk over all composable pairs.
+
+    ``tris[e]`` is edge e's triangle tuple.  Its triangles are shared:
+    the graph holds one ``Triangle`` per distinct triangle, interned as
+    the edges are built, since far fewer triangles exist than edges.
     """
 
     def __init__(self, spec: GridSpec, k: int):
@@ -131,7 +133,8 @@ class _Edges:
         self.left: list[int] = []
         self.right: list[int] = []
         self.prod: list[int] = []
-        self.tris: list[list[Triangle]] = []
+        self.tris: list[tuple[Triangle, ...]] = []
+        shared: dict[Triangle, Triangle] = {}
         for i, x in enumerate(self.gens):
             labels = target_labels(spec, x)
             rows = sorted(x, key=lambda p: spec.label(p[1]))
@@ -149,7 +152,7 @@ class _Edges:
                 self.left.append(i)
                 self.right.append(j)
                 self.prod.append(index[z])
-                self.tris.append(tris)
+                self.tris.append(tuple(map(shared.setdefault, tris, tris)))
 
 
 def counted_product_domains(edges: _Edges):

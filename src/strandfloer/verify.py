@@ -300,7 +300,7 @@ def suite_euler(spec: GridSpec, k: int, edges: index._Edges) -> dict:
             failures.add({"kind": "rectangle", "e": str(Fraction(dom.euler_quarters, 4))})
     for dom in index.counted_product_domains(edges):
         checked += 1
-        if dom.euler_quarters != k or dom.diag_intersections != 0 or dom.maslov() != 0:
+        if dom.euler_quarters != k or dom.diag_intersections != 0 or dom.maslov_quarters != 0:
             failures.add(
                 {
                     "kind": "product",

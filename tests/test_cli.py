@@ -380,9 +380,11 @@ def test_trace_harness_reaches_the_wrapped_kernels(tmp_path):
     calls = json.loads(trace_path.read_text(encoding="utf-8"))["calls"]
     for name in ("kernels.gf2_eliminate", "kernels.rigidity_scan",
                  "kernels.assoc_scan", "strands.as_csr", "grid.product_triangles",
-                 "index.maslov", "index.counted_product_domains",
-                 "index.counted_rectangle_domains"):
+                 "index.counted_product_domains", "index.counted_rectangle_domains"):
         assert calls.get(name, 0) > 0, name
+    # euler compares each domain's Maslov index as an int of quarter
+    # units; a passing run makes no Fraction.
+    assert calls.get("index.maslov", 0) == 0
     # The gluing graph is the one place verify pairs triangles: once per
     # label-composable grid pair that has a triangle tuple.
     spec = make_spec(standard_matching(1), "wrapped")

@@ -47,7 +47,7 @@ def test_rectangle_domain_is_flat():
 
 
 def test_product_domain_quarter_euler_per_triangle():
-    tris = [Triangle(1, 2, 3), Triangle(2, 3, 4)]
+    tris = (Triangle(1, 2, 3), Triangle(2, 3, 4))
     dom = product_domain(W1, tris)
     assert dom.k == 2
     assert dom.inputs == 2
@@ -59,30 +59,31 @@ def test_product_domain_quarter_euler_per_triangle():
 def test_domain_counts_its_forbidden_pair():
     dom = Domain(W1, k=2, inputs=2, triangles=(Triangle(1, 3, 3), Triangle(2, 2, 4)))
     assert dom.diag_intersections == 1  # the forbidden pair
+    assert dom.maslov_quarters == 4 + 2 * 2 - 2 * 2
     assert dom.maslov() == Fraction(4 + 2 * 2 - 2 * 2, 4) == 1
     with pytest.raises(ValueError):
         Domain(W1, k=2, inputs=0, triangles=dom.triangles)
 
 
 def test_glue_accumulates_ends_and_pieces():
-    a = product_domain(W1, [Triangle(1, 2, 3)])
-    b = product_domain(W1, [Triangle(1, 2, 4)])
+    a = product_domain(W1, (Triangle(1, 2, 3),))
+    b = product_domain(W1, (Triangle(1, 2, 4),))
     ab = glue(a, b)
     assert ab.inputs == 3
     assert ab.k == 1
     assert ab.euler_quarters == 2
     assert ab.maslov() == ab.diag_intersections  # 2e cancels (l-1)k/2 exactly
-    abc = glue(ab, product_domain(W1, [Triangle(2, 3, 4)]))
+    abc = glue(ab, product_domain(W1, (Triangle(2, 3, 4),)))
     assert abc.inputs == 4
     assert abc.euler_quarters == 3
 
 
 def test_glue_rejects_mismatched_diagrams():
-    a = product_domain(W1, [Triangle(1, 2, 3)])
-    b = product_domain(W2, [Triangle(1, 2, 3)])
+    a = product_domain(W1, (Triangle(1, 2, 3),))
+    b = product_domain(W2, (Triangle(1, 2, 3),))
     with pytest.raises(ValueError):
         glue(a, b)
-    c = product_domain(W1, [Triangle(1, 2, 3), Triangle(2, 3, 4)])
+    c = product_domain(W1, (Triangle(1, 2, 3), Triangle(2, 3, 4)))
     with pytest.raises(ValueError):
         glue(a, c)  # k = 1 against k = 2
 
@@ -191,7 +192,7 @@ def _all_pairs_edges(spec, k):
                 left.append(i)
                 right.append(j)
                 prod.append(position[z])
-                all_tris.append(tris)
+                all_tris.append(tuple(tris))
     return (left, right, prod, all_tris), matched
 
 
@@ -223,3 +224,7 @@ def _check_edges_against_all_pairs(monkeypatch, spec, k):
     assert (edges.left, edges.right, edges.prod, edges.tris) == want
     assert None not in tuples
     assert len(tuples) == matched
+    # The graph holds one Triangle object per distinct triangle.
+    assert all(type(tris) is tuple for tris in edges.tris)
+    objects = {id(t): t for tris in edges.tris for t in tris}
+    assert len(objects) == len(set(objects.values()))
