@@ -1,7 +1,8 @@
 """Boolean matrices over the two-element field.
 
 Rows are Python-int bitsets, bit j of a row being column j; Gaussian
-elimination runs on them directly in the kernel layer (see _kernels).
+elimination runs on them directly in the kernel layer (see _kernels),
+and every other walk over a row visits its set bits only (``bits``).
 All mutating work happens on copies, so BooleanMatrix values can be
 shared freely.
 """
@@ -9,6 +10,14 @@ shared freely.
 from __future__ import annotations
 
 from . import _kernels
+
+
+def bits(mask: int):
+    """The set bits of mask, lowest first: the columns of a row."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 class BooleanMatrix:
@@ -46,15 +55,12 @@ class BooleanMatrix:
         """Row-vector convention: (A @ B)[i] = sum_j A[i,j] B[j]."""
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch")
+        b = other.rows
         out = []
-        for bits in self.rows:
+        for row in self.rows:
             acc = 0
-            j = 0
-            while bits:
-                if bits & 1:
-                    acc ^= other.rows[j]
-                bits >>= 1
-                j += 1
+            for j in bits(row):
+                acc ^= b[j]
             out.append(acc)
         return BooleanMatrix(self.nrows, other.ncols, out)
 
@@ -76,12 +82,9 @@ class BooleanMatrix:
         reduced = list(self.rows)
         _, pivots = _kernels.gf2_eliminate(reduced, self.ncols)
         pivot_set = set(pivots)
-        free_cols = [c for c in range(self.ncols) if c not in pivot_set]
-        basis = []
-        for fc in free_cols:
-            vec = 1 << fc
-            for r, pc in enumerate(pivots):
-                if (reduced[r] >> fc) & 1:
-                    vec |= 1 << pc
-            basis.append(vec)
-        return basis
+        # A reduced pivot row is its pivot plus the free columns it holds.
+        basis = {c: 1 << c for c in range(self.ncols) if c not in pivot_set}
+        for row, pc in zip(reduced, pivots):
+            for fc in bits(row ^ (1 << pc)):
+                basis[fc] |= 1 << pc
+        return list(basis.values())

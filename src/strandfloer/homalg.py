@@ -1,6 +1,9 @@
 """Chain complexes over GF(2), strict right dg-modules over a strands
 algebra table, morphism complexes and homology ranks.
 
+A chain complex is its differential alone, and every walk over the set
+bits of a row is gf2.bits.
+
 A module stores its right actions sparsely: for each algebra generator,
 only the nonzero rows, as basis index -> bitmask of the image.  At g=3
 k=2 full the 15 projectives e_s A hold the table's 32,253 nonzero
@@ -65,33 +68,23 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import compress, filterfalse
 
-from .gf2 import BooleanMatrix
+from .gf2 import BooleanMatrix, bits
 from .strands import AlgebraTable
 
 
-def _bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
 class ChainComplex:
-    """Basis labels plus a GF(2) differential with d.d = 0 enforced."""
+    """A square GF(2) differential with d.d = 0 enforced."""
 
-    def __init__(self, labels: tuple, d: BooleanMatrix):
-        n = len(labels)
-        if d.nrows != n or d.ncols != n:
-            raise ValueError("differential shape does not match the basis")
-        square = d @ d
-        if any(square.rows):
+    def __init__(self, d: BooleanMatrix):
+        if d.nrows != d.ncols:
+            raise ValueError("differential is not square")
+        if any((d @ d).rows):
             raise ValueError("differential does not square to zero")
-        self.labels = tuple(labels)
         self.d = d
 
     @property
     def dim(self) -> int:
-        return len(self.labels)
+        return self.d.nrows
 
     def homology_rank(self) -> int:
         """dim ker d - rank d, which over a field is dim - 2 rank."""
@@ -112,8 +105,7 @@ def _restricted_complex(table: AlgebraTable, basis: list[int]) -> ChainComplex:
             rows.append(mask)
     except KeyError:
         raise ValueError(f"the differential of {gi} has the term {gj} outside the basis") from None
-    labels = tuple(table.gens[gi] for gi in basis)
-    return ChainComplex(labels, BooleanMatrix(len(basis), len(basis), rows))
+    return ChainComplex(BooleanMatrix(len(basis), len(basis), rows))
 
 
 def hom_complex(table: AlgebraTable, s, t) -> ChainComplex:
@@ -175,7 +167,7 @@ class RightDGModule:
             rows_b = self.actions.get(b, empty)
             for x in rows_a.keys() | rows_c.keys():
                 acc = 0
-                for y in _bits(rows_a.get(x, 0)):
+                for y in bits(rows_a.get(x, 0)):
                     acc ^= rows_b.get(y, 0)
                 if acc != rows_c.get(x, 0):
                     out.add(c)
@@ -363,7 +355,7 @@ def _target(N: RightDGModule, a: int) -> tuple[dict, dict]:
         into: dict[int, dict[int, list[int]]] = {}
         for y, row in N.actions.get(a, {}).items():
             by_yp = into.setdefault(N.blocks[y], {})
-            for yp in _bits(row):
+            for yp in bits(row):
                 by_yp.setdefault(yp, []).append(npos[y])
         got = N._targets[a] = (into, {})
     return got
@@ -442,7 +434,7 @@ def _linearity_blocks(M: RightDGModule, N: RightDGModule, layout):
                 continue
             ys_of = into.get(M.blocks[x], empty)
             offsets: dict[int, list[int]] = {}
-            for x2 in _bits(row_x):
+            for x2 in bits(row_x):
                 offsets.setdefault(M.blocks[x2], []).append(base[x2])
             for b, offs in offsets.items():
                 for p, yp in enumerate(n_blocks.get(b, ())):
@@ -493,7 +485,7 @@ def mor_complex(M: RightDGModule, N: RightDGModule) -> MorComplex:
     maps: list[list[int]] = []
     for vec in basis:
         f_rows = [0] * nm
-        for col in _bits(vec):
+        for col in bits(vec):
             for u in members[col]:
                 x, y = entry(u)
                 f_rows[x] |= 1 << y
@@ -502,7 +494,7 @@ def mor_complex(M: RightDGModule, N: RightDGModule) -> MorComplex:
     read_at = [entry(reps[v.bit_length() - 1]) for v in basis]
 
     dn_rows = N.complex.d.rows
-    dm_terms = [(x, list(_bits(row))) for x, row in enumerate(M.complex.d.rows) if row]
+    dm_terms = [(x, list(bits(row))) for x, row in enumerate(M.complex.d.rows) if row]
     d_rows = []
     for f_rows in maps:
         g_rows = [0] * nm
@@ -514,7 +506,7 @@ def mor_complex(M: RightDGModule, N: RightDGModule) -> MorComplex:
         for x, row in enumerate(f_rows):
             if row:
                 acc = g_rows[x]
-                for y in _bits(row):
+                for y in bits(row):
                     acc ^= dn_rows[y]
                 g_rows[x] = acc
         coords = 0
@@ -522,14 +514,14 @@ def mor_complex(M: RightDGModule, N: RightDGModule) -> MorComplex:
             if (g_rows[xr] >> yr) & 1:
                 coords |= 1 << j
         check = [0] * nm
-        for j in _bits(coords):
+        for j in bits(coords):
             check = [c ^ m for c, m in zip(check, maps[j])]
         if check != g_rows:
             raise ValueError("differential leaves the morphism space")
         d_rows.append(coords)
 
     dim = len(maps)
-    cx = ChainComplex(tuple(range(dim)), BooleanMatrix(dim, dim, d_rows))
+    cx = ChainComplex(BooleanMatrix(dim, dim, d_rows))
     return MorComplex(maps, cx)
 
 

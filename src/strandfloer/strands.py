@@ -521,7 +521,7 @@ class AlgebraTable:
     # -- lookups -----------------------------------------------------------
 
     def hom_indices(self, s: Idempotent, t: Idempotent) -> list[int]:
-        sid, tid = self.idem_id[tuple(s)], self.idem_id[tuple(t)]
+        sid, tid = self.idem_id[tuple(sorted(s))], self.idem_id[tuple(sorted(t))]
         return [i for i in self.by_source[sid] if self.tgt[i] == tid]
 
     def as_csr(self):

@@ -38,8 +38,9 @@ from strandfloer.circle import (
     standard_matching,
     validate_surface,
 )
+from strandfloer.gf2 import bits
 from strandfloer.grid import GridSpec, points_for_labels
-from strandfloer.homalg import RightDGModule, _bits
+from strandfloer.homalg import RightDGModule
 from strandfloer.strands import AlgebraTable, MatchedGenerator
 
 _TABLES: dict[tuple[int, int, str], AlgebraTable] = {}
@@ -245,9 +246,9 @@ def verify_module_axioms(mod: RightDGModule) -> list[str]:
     for a in range(len(table.gens)):
         for x in range(n):
             acc = 0
-            for x2 in _bits(d.rows[x]):
+            for x2 in bits(d.rows[x]):
                 acc ^= action_row(mod, x2, a)
-            for y in _bits(action_row(mod, x, a)):
+            for y in bits(action_row(mod, x, a)):
                 acc ^= d.rows[y]
             for b in table.diff[a]:
                 acc ^= action_row(mod, x, b)
@@ -259,7 +260,7 @@ def verify_module_axioms(mod: RightDGModule) -> list[str]:
             row_xa = action_row(mod, x, a)
             for b in table.by_source[table.tgt[a]]:
                 acc = 0
-                for y in _bits(row_xa):
+                for y in bits(row_xa):
                     acc ^= action_row(mod, y, b)
                 ab = table.prod[a].get(b)
                 if ab is not None:

@@ -104,6 +104,18 @@ def test_nullspace_contract():
             assert v.bit_length() - 1 == free[j]
 
 
+def _per_bit_product(a_rows: list[int], b_rows: list[int]) -> list[int]:
+    """A @ B the long way, one column of each row of A at a time."""
+    out = []
+    for row in a_rows:
+        acc = 0
+        for j in range(row.bit_length()):
+            if (row >> j) & 1:
+                acc ^= b_rows[j]
+        out.append(acc)
+    return out
+
+
 def test_matmul_against_direct_sum():
     rng = random.Random(19)
     a_rows = _random_rows(rng, 6, 7)
@@ -112,12 +124,7 @@ def test_matmul_against_direct_sum():
     b = BooleanMatrix(7, 9, b_rows)
     c = a @ b
     assert (c.nrows, c.ncols) == (6, 9)
-    for i in range(6):
-        acc = 0
-        for j in range(7):
-            if (a_rows[i] >> j) & 1:
-                acc ^= b_rows[j]
-        assert c.rows[i] == acc
+    assert list(c.rows) == _per_bit_product(a_rows, b_rows)
 
 
 def _transpose(rows: list[int], ncols: int) -> list[int]:
@@ -135,3 +142,64 @@ def test_transpose_involution():
 def test_shape_mismatch_rejected():
     with pytest.raises(ValueError):
         BooleanMatrix(3, 3, [1, 2, 4]) @ BooleanMatrix(4, 4, [1, 2, 4, 8])
+
+
+# -- the set-bit walk on rows shaped like the real ones ------------------------
+#
+# The projective differentials and the Mor systems' heavy rows are a few
+# thousand columns wide with zero to three set bits each.  The oracles
+# below walk those rows the long way, one column at a time.
+
+
+def _sparse_rows(rng: random.Random, nrows: int, ncols: int) -> list[int]:
+    return [
+        sum(1 << c for c in rng.sample(range(ncols), min(ncols, rng.randrange(4))))
+        for _ in range(nrows)
+    ]
+
+
+def _sparse_shapes(rng: random.Random) -> list[tuple[int, int]]:
+    """(nrows, ncols) pairs: the 0-row matrices _solve passes when no
+    heavy rows are left, then wide ones."""
+    shapes = [(0, 0), (0, 2500)]
+    for _ in range(10):
+        ncols = rng.randrange(1, 3000)
+        shapes.append((rng.randrange(0, min(ncols, 300) + 1), ncols))
+    return shapes
+
+
+def _per_pair_nullspace(rows: list[int], ncols: int) -> list[int]:
+    """The basis read off the reduced form one (free column, pivot) pair
+    at a time."""
+    reduced = list(rows)
+    _, pivots = _kernels.gf2_eliminate(reduced, ncols)
+    pivot_set = set(pivots)
+    basis = []
+    for fc in range(ncols):
+        if fc in pivot_set:
+            continue
+        vec = 1 << fc
+        for r, pc in enumerate(pivots):
+            if (reduced[r] >> fc) & 1:
+                vec |= 1 << pc
+        basis.append(vec)
+    return basis
+
+
+def test_matmul_walks_every_set_bit_of_wide_sparse_rows():
+    rng = random.Random(29)
+    for nrows, ncols in _sparse_shapes(rng):
+        width = rng.randrange(1, 3000)
+        a_rows = _sparse_rows(rng, nrows, ncols)
+        b_rows = _sparse_rows(rng, ncols, width)
+        c = BooleanMatrix(nrows, ncols, a_rows) @ BooleanMatrix(ncols, width, b_rows)
+        assert (c.nrows, c.ncols) == (nrows, width)
+        assert list(c.rows) == _per_bit_product(a_rows, b_rows)
+
+
+def test_nullspace_matches_the_per_pair_basis_on_wide_sparse_rows():
+    rng = random.Random(37)
+    for nrows, ncols in _sparse_shapes(rng):
+        rows = _sparse_rows(rng, nrows, ncols)
+        assert BooleanMatrix(nrows, ncols, rows).nullspace() == _per_pair_nullspace(rows, ncols)
+    assert BooleanMatrix(0, 2500, []).nullspace() == [1 << c for c in range(2500)]

@@ -13,7 +13,8 @@ every suite, and their pins name the suites that cannot see them with
 0; the dropped factorization and the recognizer that accepts partial
 families are equivalent mutants, pinned as such.  ``rigidity`` fails 0
 checks on every grid mutant: its chain test holds for any count of
-crossings (ROADMAP item 2).
+crossings (ROADMAP item 2).  Every pin sits in one table, FAILURES, and
+a test reads from it which suites some mutant can fail.
 """
 
 from __future__ import annotations
@@ -41,6 +42,76 @@ _factorizations = homalg._factorizations
 _assoc_scan = _kernels.assoc_scan
 _packed_crossings = strands._packed_crossings
 PASSING = dict.fromkeys(verify.SUITE_NAMES, 0)
+
+# Every mutant's pinned failures, suite by suite: a row holds every
+# suite its test runs, 0 for those that cannot see it, and a row without
+# PASSING runs only the suites it names.  The first two rows are at g=2
+# k=3 full, the others at g=2 k=2 full.
+FAILURES = {
+    "differential without the double-crossing filter": {
+        "leibniz": 1066, "dictionary-diff": 50, "yoneda": 16
+    },
+    "compose without the inversions-add test": {"closure": 2080},
+    "triangle count without the forbidden filter": {"dictionary-prod": 192, "euler": 192},
+    "overlap classes swapped": {"dictionary-prod": 1226},
+    "deleted product entry": {
+        **PASSING, "leibniz": 2, "assoc": 16, "closure": 1, "dictionary-prod": 1, "yoneda": 5
+    },
+    "flipped product entry": {
+        **PASSING, "leibniz": 1, "assoc": 48, "closure": 1, "dictionary-prod": 1, "yoneda": 4
+    },
+    "flipped differential entry": {
+        **PASSING, "leibniz": 10, "closure": 1, "dictionary-diff": 1, "yoneda": 3
+    },
+    "deleted differential term": {
+        **PASSING, "leibniz": 22, "closure": 1, "dictionary-diff": 1, "yoneda": 3
+    },
+    "differential not squaring to zero": {
+        **PASSING, "d2": 1, "leibniz": 31, "closure": 1, "dictionary-diff": 1, "yoneda": 11
+    },
+    "product leaving its module": {
+        **PASSING, "leibniz": 1, "assoc": 25, "closure": 1, "dictionary-prod": 1, "yoneda": 11
+    },
+    "differential leaving its module": {
+        **PASSING, "leibniz": 23, "closure": 1, "dictionary-diff": 1, "yoneda": 11
+    },
+    "recognize accepting partial families": PASSING,
+    "assoc scan skipping a row": {
+        **PASSING, "leibniz": 1, "assoc": 47, "closure": 1, "dictionary-prod": 1, "yoneda": 4
+    },
+    "standard grid on a custom matching, full": {
+        **PASSING, "dictionary-diff": 30, "dictionary-prod": 3012
+    },
+    "standard grid on a custom matching, half": {
+        **PASSING, "dictionary-diff": 6, "dictionary-prod": 334
+    },
+    "visit rule without branch wildcards": {**PASSING, "dictionary-prod": 848},
+    "points for labels off by one": {**PASSING, "dictionary-prod": 1874},
+    "dotted left label meeting its lower position only": {
+        **PASSING,
+        "leibniz": 97,
+        "assoc": 2048,
+        "closure": 231,
+        "dictionary-prod": 231,
+        "yoneda": 36,
+    },
+    "packed crossings crossed at one choice": {
+        **PASSING,
+        "leibniz": 62,
+        "assoc": 1464,
+        "closure": 1568,
+        "dictionary-prod": 1568,
+        "yoneda": 35,
+    },
+    "mor complex missing linearity rows": {**PASSING, "yoneda": 15},
+    "explicit set without its identity check": {
+        **PASSING, "leibniz": 2, "assoc": 16, "closure": 1, "dictionary-prod": 1, "yoneda": 0
+    },
+    "dropped factorization": PASSING,
+}
+
+# The mutants no suite can see, by the reasons their tests give.
+EQUIVALENT = {"recognize accepting partial families", "dropped factorization"}
 
 
 def _resolve_every_crossing(diagram):
@@ -271,7 +342,7 @@ def test_differential_without_double_crossing_filter_is_caught(monkeypatch):
     monkeypatch.setattr(strands, "differential_unmatched", _resolve_every_crossing)
     pmc = standard_matching(2)
     report = verify.run_suites(pmc, 3, "full", suites=["leibniz", "dictionary-diff", "yoneda"])
-    assert _failed(report) == {"leibniz": 1066, "dictionary-diff": 50, "yoneda": 16}
+    assert _failed(report) == FAILURES["differential without the double-crossing filter"]
     # At k = 2 the mutant is equivalent: a double crossing needs a third
     # strand, so no section has a resolution the filter would drop and
     # nothing can fail.
@@ -283,7 +354,7 @@ def test_differential_without_double_crossing_filter_is_caught(monkeypatch):
 def test_compose_without_inversions_add_test_is_caught(monkeypatch):
     monkeypatch.setattr(verify, "compose", _compose_every_concatenation)
     report = verify.run_suites(standard_matching(2), 3, "full", suites=["closure"])
-    assert _failed(report) == {"closure": 2080}
+    assert _failed(report) == FAILURES["compose without the inversions-add test"]
 
 
 def test_triangle_count_without_forbidden_filter_is_caught(monkeypatch):
@@ -291,46 +362,38 @@ def test_triangle_count_without_forbidden_filter_is_caught(monkeypatch):
     report = verify.run_suites(standard_matching(2), 2, "full", suites=["dictionary-prod", "euler"])
     # euler fails on the same edges: a counted Domain recounts i from its
     # triangles and finds the forbidden pair the mutant let through.
-    assert _failed(report) == {"dictionary-prod": 192, "euler": 192}
+    assert _failed(report) == FAILURES["triangle count without the forbidden filter"]
 
 
 def test_overlap_class_with_swapped_classes_is_caught(monkeypatch):
     monkeypatch.setattr(grid, "overlap_class", _overlap_class_swapped)
     monkeypatch.setattr(index, "overlap_class", _overlap_class_swapped)
     report = verify.run_suites(standard_matching(2), 2, "full", suites=["dictionary-prod"])
-    assert _failed(report) == {"dictionary-prod": 1226}
+    assert _failed(report) == FAILURES["overlap classes swapped"]
 
 
 def test_deleted_product_entry_is_caught(monkeypatch):
     monkeypatch.setattr(strands.AlgebraTable, "build", _built_then(_drop_a_product))
     report = verify.run_suites(standard_matching(2), 2, "full")
-    assert _failed(report) == {
-        **PASSING, "leibniz": 2, "assoc": 16, "closure": 1, "dictionary-prod": 1, "yoneda": 5
-    }
+    assert _failed(report) == FAILURES["deleted product entry"]
 
 
 def test_flipped_product_entry_is_caught(monkeypatch):
     monkeypatch.setattr(strands.AlgebraTable, "build", _built_then(_flip_a_product))
     report = verify.run_suites(standard_matching(2), 2, "full")
-    assert _failed(report) == {
-        **PASSING, "leibniz": 1, "assoc": 48, "closure": 1, "dictionary-prod": 1, "yoneda": 4
-    }
+    assert _failed(report) == FAILURES["flipped product entry"]
 
 
 def test_flipped_differential_entry_is_caught(monkeypatch):
     monkeypatch.setattr(strands.AlgebraTable, "build", _built_then(_flip_a_differential_entry))
     report = verify.run_suites(standard_matching(2), 2, "full")
-    assert _failed(report) == {
-        **PASSING, "leibniz": 10, "closure": 1, "dictionary-diff": 1, "yoneda": 3
-    }
+    assert _failed(report) == FAILURES["flipped differential entry"]
 
 
 def test_deleted_differential_term_is_caught(monkeypatch):
     monkeypatch.setattr(strands.AlgebraTable, "build", _built_then(_drop_a_differential_term))
     report = verify.run_suites(standard_matching(2), 2, "full")
-    assert _failed(report) == {
-        **PASSING, "leibniz": 22, "closure": 1, "dictionary-diff": 1, "yoneda": 3
-    }
+    assert _failed(report) == FAILURES["deleted differential term"]
 
 
 def test_differential_not_squaring_to_zero_is_caught(monkeypatch):
@@ -340,22 +403,20 @@ def test_differential_not_squaring_to_zero_is_caught(monkeypatch):
     report = verify.run_suites(standard_matching(2), 2, "full")
     # The projective holding the broken generator cannot be formed, and
     # yoneda counts the 11 of 36 pairs that need it, the rest still run.
-    assert _failed(report) == {
-        **PASSING, "d2": 1, "leibniz": 31, "closure": 1, "dictionary-diff": 1, "yoneda": 11
-    }
+    assert _failed(report) == FAILURES["differential not squaring to zero"]
     assert next(r for r in report["suites"] if r["name"] == "yoneda")["checked"] == 36
 
 
 @pytest.mark.parametrize("edit, counts", [
-    (_product_leaving_its_module, {"leibniz": 1, "assoc": 25, "closure": 1, "dictionary-prod": 1}),
-    (_differential_leaving_its_module, {"leibniz": 23, "closure": 1, "dictionary-diff": 1}),
+    (_product_leaving_its_module, FAILURES["product leaving its module"]),
+    (_differential_leaving_its_module, FAILURES["differential leaving its module"]),
 ])
 def test_entry_leaving_its_module_is_caught(monkeypatch, edit, counts):
     monkeypatch.setattr(strands.AlgebraTable, "build", _built_then(edit))
     report = verify.run_suites(standard_matching(2), 2, "full")
     # The projective that holds the entry cannot be formed: yoneda counts
     # the 11 of 36 pairs that need it, and every other suite still runs.
-    assert _failed(report) == {**PASSING, **counts, "yoneda": 11}
+    assert _failed(report) == counts
 
 
 def test_recognize_accepting_partial_families_is_equivalent(monkeypatch):
@@ -364,7 +425,7 @@ def test_recognize_accepting_partial_families_is_equivalent(monkeypatch):
     # Equivalent: on a correct table every sum that the differential and
     # the section route hand to recognize holds whole families, so the
     # check the mutant drops never fires.
-    assert _failed(report) == PASSING
+    assert _failed(report) == FAILURES["recognize accepting partial families"]
 
 
 def test_assoc_scan_skipping_a_row_is_caught(monkeypatch):
@@ -373,9 +434,7 @@ def test_assoc_scan_skipping_a_row_is_caught(monkeypatch):
     report = verify.run_suites(standard_matching(2), 2, "full")
     # One of the flipped product's 48 failing triples is reached only
     # through the skipped row; the other suites read no row view.
-    assert _failed(report) == {
-        **PASSING, "leibniz": 1, "assoc": 47, "closure": 1, "dictionary-prod": 1, "yoneda": 4
-    }
+    assert _failed(report) == FAILURES["assoc scan skipping a row"]
 
 
 @pytest.mark.parametrize("variant", ["full", "half"])
@@ -388,11 +447,7 @@ def test_standard_grid_on_a_custom_matching_is_caught(monkeypatch, variant):
     )
     pmc = matching_from_pairs(2, ((1, 7), (2, 8), (3, 5), (4, 6)))
     report = verify.run_suites(pmc, 2, variant)
-    pins = {
-        "full": {"dictionary-diff": 30, "dictionary-prod": 3012},
-        "half": {"dictionary-diff": 6, "dictionary-prod": 334},
-    }
-    assert _failed(report) == {**PASSING, **pins[variant]}
+    assert _failed(report) == FAILURES[f"standard grid on a custom matching, {variant}"]
 
 
 def test_visit_rule_without_branch_wildcards_is_caught(monkeypatch):
@@ -400,7 +455,7 @@ def test_visit_rule_without_branch_wildcards_is_caught(monkeypatch):
     report = verify.run_suites(standard_matching(2), 2, "full")
     # euler and rigidity check the domains of whatever edges they are
     # given; only dictionary-prod compares the edges with the table.
-    assert _failed(report) == {**PASSING, "dictionary-prod": 848}
+    assert _failed(report) == FAILURES["visit rule without branch wildcards"]
 
 
 def test_points_for_labels_off_by_one_is_caught(monkeypatch):
@@ -410,7 +465,7 @@ def test_points_for_labels_off_by_one_is_caught(monkeypatch):
     # table.  dictionary-diff translates each algebra generator with
     # from_algebra and never lists the grid's; euler and rigidity check
     # the domains of whatever generators they are given.
-    assert _failed(report) == {**PASSING, "dictionary-prod": 1874}
+    assert _failed(report) == FAILURES["points for labels off by one"]
     # Against what the table predicts, euler and rigidity see it too.
     checked = {r["name"]: r["checked"] for r in report["suites"]}
     assert (checked["euler"], checked["rigidity"]) == (626, 1232)
@@ -429,14 +484,7 @@ def test_dotted_left_label_meeting_its_lower_position_only_is_caught(monkeypatch
     monkeypatch.setattr(strands.AlgebraTable, "product_rows", mutant)
     pmc = standard_matching(2)
     report = verify.run_suites(pmc, 2, "full")
-    assert _failed(report) == {
-        **PASSING,
-        "leibniz": 97,
-        "assoc": 2048,
-        "closure": 231,
-        "dictionary-prod": 231,
-        "yoneda": 36,
-    }
+    assert _failed(report) == FAILURES["dotted left label meeting its lower position only"]
     # The mutant breaks A(-Z) = A(Z)^op, which needs no second route.
     mismatches = [
         opposite_mismatches(
@@ -453,21 +501,14 @@ def test_packed_crossings_crossed_at_one_choice_is_caught(monkeypatch):
     # other middle choices it has: one AND reads every choice of a pair.
     monkeypatch.setattr(strands, "_packed_crossings", _packed_crossings_crossed_at_one_choice)
     report = verify.run_suites(standard_matching(2), 2, "full")
-    assert _failed(report) == {
-        **PASSING,
-        "leibniz": 62,
-        "assoc": 1464,
-        "closure": 1568,
-        "dictionary-prod": 1568,
-        "yoneda": 35,
-    }
+    assert _failed(report) == FAILURES["packed crossings crossed at one choice"]
 
 
 def test_mor_complex_missing_linearity_rows_is_caught(monkeypatch):
     monkeypatch.setattr(homalg, "_linearity_blocks", _linearity_blocks_dropping_every_97th)
     report = verify.run_suites(standard_matching(2), 2, "full")
     # Which rows go, and so the count, follows the order block_rows reads.
-    assert _failed(report) == {**PASSING, "yoneda": 15}
+    assert _failed(report) == FAILURES["mor complex missing linearity rows"]
 
 
 def test_explicit_set_without_its_identity_check_blinds_yoneda(monkeypatch):
@@ -478,9 +519,7 @@ def test_explicit_set_without_its_identity_check_blinds_yoneda(monkeypatch):
     # x.c = (x.a).b the deleted product breaks, and yoneda fails 5 pairs
     # (the deleted-product mutant above).  Without it their rows are
     # never written, and yoneda fails none.
-    assert _failed(report) == {
-        **PASSING, "leibniz": 2, "assoc": 16, "closure": 1, "dictionary-prod": 1, "yoneda": 0
-    }
+    assert _failed(report) == FAILURES["explicit set without its identity check"]
 
 
 def test_dropped_factorization_is_equivalent(monkeypatch):
@@ -492,4 +531,17 @@ def test_dropped_factorization_is_equivalent(monkeypatch):
     report = verify.run_suites(pmc, 2, "full")
     # Equivalent: c has no factorization left, so it counts as
     # indecomposable and every module writes its rows anyway.
-    assert _failed(report) == PASSING
+    assert _failed(report) == FAILURES["dropped factorization"]
+
+
+def test_every_suite_but_two_has_teeth():
+    # An equivalent mutant fails nothing, and every other mutant some
+    # suite.  The suites that catch some non-equivalent mutant are every
+    # suite but regression, which no mutant reaches, and rigidity, whose
+    # chain test holds for any count of crossings (ROADMAP item 2).  A
+    # new suite that no mutant reaches fails here until it has a pin.
+    assert all(not any(FAILURES[m].values()) for m in EQUIVALENT)
+    live = [row for m, row in FAILURES.items() if m not in EQUIVALENT]
+    assert all(any(row.values()) for row in live)
+    with_teeth = {suite for row in live for suite, n in row.items() if n}
+    assert with_teeth == set(verify.SUITE_NAMES) - {"regression", "rigidity"}
