@@ -216,6 +216,8 @@ def projective_module(table: AlgebraTable, s) -> RightDGModule:
     pos = {gi: p for p, gi in enumerate(basis)}
     cx = _restricted_complex(table, basis)
     tgt, src = table.tgt, table.src
+    # One int per basis position, shared by every action entry onto it.
+    unit = [1 << q for q in range(len(basis))]
     actions: dict[int, dict[int, int]] = {}
     try:
         for p, gi in enumerate(basis):
@@ -223,7 +225,7 @@ def projective_module(table: AlgebraTable, s) -> RightDGModule:
             row = table.prod[gi]
             for a in sorted(row):
                 if src[a] == t:
-                    actions.setdefault(a, {})[p] = 1 << pos[row[a]]
+                    actions.setdefault(a, {})[p] = unit[pos[row[a]]]
     except KeyError:
         raise ValueError(f"the product {gi} * {a} = {row[a]} lies outside e_s A") from None
     return RightDGModule(table, cx, tuple(tgt[gi] for gi in basis), actions)

@@ -74,7 +74,7 @@ class SizeError(Exception):
 # Peak RSS per composable pair of a run holding the product table (Python
 # 3.11): 5.8 bytes at g=3 k=3 full (71 MB, 12,866,332 pairs) and 1.24 at
 # g=3 k=4 full (340 MB, 287,492,375).  These fit a reader of ``prod``, not
-# ``build``, which writes each row as it is made and peaks at 38 and 130
+# ``build``, which writes each row as it is made and peaks at 29 and 70
 # MB.  The estimate keeps 12, rounded up from when each product had a
 # tuple key, so it errs high by about a factor of two.
 BYTES_PER_PAIR = 12
@@ -362,21 +362,19 @@ def _factor(pmc: PointedMatchedCircle, gen: MatchedGenerator, u: Idempotent, lef
     """What the product builder needs of gen as a left factor (u its
     target) or a right factor (u its source).
 
-    Returns (signature, packed, own, outer): per label of u the chord's
-    middle position or 0 when dotted, the packed crossing masks, and per
-    label the code bit of the chord on it and its outer position (both 0
-    when dotted).  Every field is an int or a tuple of ints, which the
-    cyclic collector stops tracking at its first pass: the builder keeps
-    every right factor's record through a whole pass over the table.
+    Returns (signature, packed, outer): per label of u the chord's middle
+    position or 0 when dotted, the packed crossing masks, and per label
+    the chord's outer position or 0 when dotted.  Every field is an int
+    or a tuple of ints, which the cyclic collector stops tracking at its
+    first pass: the builder keeps every right factor's record through a
+    whole pass over the table.
     """
     labels = pmc.labels
-    n = pmc.n_points
     on_label = {labels[(b if left else a) - 1]: (a, b) for a, b in gen.chords}
     strands = [on_label.get(p, (0, 0)) for p in u]
     middle = tuple(b if left else a for a, b in strands)
     outer = tuple(a if left else b for a, b in strands)
-    own = tuple(1 << ((a - 1) * n + b - 1) if a else 0 for a, b in strands)
-    return middle, _packed_crossings(pmc, u, middle, outer), own, outer
+    return middle, _packed_crossings(pmc, u, middle, outer), outer
 
 
 class AlgebraTable:
@@ -398,7 +396,8 @@ class AlgebraTable:
     whose chord starts equal its chord ends wherever both have a chord,
     and a pair's product is zero exactly when the AND of the two
     factors' packed crossing masks is nonzero.  The composite is found
-    by its integer code (one bit per chord, one per dotted label); one
+    by its integer code (one bit per chord, one per dotted label), made
+    from the left factor's code and the right factor's chord ends; one
     that is not a generator of the table raises ClosureError.  The loop
     over a plan makes no tuple per pair: dropped by the thousand, such
     tuples fill the tuple free lists with blocks scattered over partly
@@ -465,54 +464,49 @@ class AlgebraTable:
     def product_rows(self):
         """Yield prod[i], the product row of left factor i, in index order.
         Each plan (the right groups a left factor meets) is made once."""
-        pmc, gens, k, n = self.pmc, self.gens, self.k, self.pmc.n_points
+        pmc, gens, n = self.pmc, self.gens, self.pmc.n_points
         codes = [_generator_code(pmc, g) for g in gens]
         # Products hold the index's ints too (see __init__).
         lookup = dict(zip(codes, self.index.values())).get
-        # A joined chord (x, z) has code bit (x - 1) * n + z - 1: the left's
-        # head 1 << (x - 1) * n shifted by the right's tail z - 1.  Heads
-        # and tails are kept per label of u, 0 where the factor is dotted,
-        # so that they are made once per factor and not once per pair.
+        # A right factor keeps its index, masks and tails: z - 1 on each
+        # label with a chord (s, z), else 0.  Its chord starts key its group.
         rights: list[dict[tuple[int, ...], list]] = [{} for _ in self.idem_list]
         for j in self.index.values():
-            sig, packed, own, outer = _factor(pmc, gens[j], self.idem_list[self.src[j]], left=False)
+            starts, packed, outer = _factor(pmc, gens[j], self.idem_list[self.src[j]], left=False)
             tails = tuple(z - 1 if z else 0 for z in outer)
-            rights[self.src[j]].setdefault(sig, []).append((j, packed, codes[j], own, tails))
+            rights[self.src[j]].setdefault(starts, []).append((j, packed, tails))
         plans: dict[tuple[int, tuple[int, ...]], list] = {}
         for i in self.index.values():
             u = self.idem_list[self.tgt[i]]
-            ends, m1, own, outer = _factor(pmc, gens[i], u, left=True)
+            ends, m1, outer = _factor(pmc, gens[i], u, left=True)
             plan = plans.get((self.tgt[i], ends))
             if plan is None:
-                plan = plans[self.tgt[i], ends] = []
                 # Right groups whose chord starts meet the left's chord ends
                 # label by label; a dotted label on either side meets anything.
+                group = rights[self.tgt[i]]
                 choices = [(0, y) if y else (0, *pmc.positions_of(p)) for y, p in zip(ends, u)]
-                for starts in itertools.product(*choices):
-                    rgroup = rights[self.tgt[i]].get(starts)
-                    if rgroup is None:
-                        continue
-                    # Labels cc with a chord on both sides join into one
-                    # chord; every other label keeps the chord or dotted
-                    # label it has on either side, so the composite code is
-                    # the sum of the two codes, less the chords on cc and
-                    # the dotted bits counted once too often, plus the
-                    # joined chords: the sum over all labels of head << tail,
-                    # less the heads of labels lone (a chord on the left
-                    # only, whose tail is 0).
-                    cc = [t for t in range(k) if ends[t] and starts[t]]
-                    lone = [t for t in range(k) if ends[t] and not starts[t]]
-                    dup = sum(1 << (n * n + u[t] - 1) for t in range(k) if t not in cc)
-                    rcodes = [code - sum(rown[t] for t in cc) for _, _, code, rown, _ in rgroup]
-                    plan.append((rgroup, cc, lone, dup, rcodes))
-            heads = tuple(1 << ((x - 1) * n) if x else 0 for x in outer)
+                plan = plans[self.tgt[i], ends] = [
+                    (starts, group[starts])
+                    for starts in itertools.product(*choices)
+                    if starts in group
+                ]
+            # The composite keeps the left's term, its chord or dotted bit,
+            # on each label where the right is dotted.  Where the right has a
+            # chord (s, z), it has the chord (x, z), x the left's chord start
+            # or s where the left is dotted: the head 1 << (x - 1) * n shifted
+            # by the right's tail.  Heads are 0 where the right is dotted.
+            terms = [
+                1 << ((x - 1) * n + y - 1) if y else 1 << (n * n + p - 1)
+                for x, y, p in zip(outer, ends, u)
+            ]
             row = {}
-            for rgroup, cc, lone, dup, rcodes in plan:
-                base = codes[i] - sum(own[t] for t in cc) - sum(heads[t] for t in lone) - dup
-                for (j, m2, _, _, tails), rcode in zip(rgroup, rcodes):
+            for starts, rgroup in plan:
+                base = codes[i] - sum(term for term, s in zip(terms, starts) if s)
+                heads = [1 << ((x or s) - 1) * n if s else 0 for x, s in zip(outer, starts)]
+                for j, m2, tails in rgroup:
                     if m1 & m2:
                         continue
-                    m = lookup(base + rcode + sum(map(lshift, heads, tails)))
+                    m = lookup(base + sum(map(lshift, heads, tails)))
                     if m is None:
                         raise ClosureError(f"{gens[i]} * {gens[j]} is not in the table")
                     row[j] = m

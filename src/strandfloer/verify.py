@@ -205,6 +205,7 @@ def suite_closure(table: AlgebraTable, sample: int | None = None, seed: int = 0)
     def sections_of(i: int):
         return sections(pmc, table.gens[i])
 
+    prod = table.prod
     for i, j in _composable_pairs(table, sample, seed):
         checked += 1
         try:
@@ -212,7 +213,7 @@ def suite_closure(table: AlgebraTable, sample: int | None = None, seed: int = 0)
         except ClosureError as err:
             failures.add({**_pair_json(table, i, j), "error": str(err)})
             continue
-        want = table.prod[i].get(j)
+        want = prod[i].get(j)
         if got != ([] if want is None else [want]):
             failures.add(_pair_json(table, i, j))
     return failures.result("closure", checked)

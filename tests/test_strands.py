@@ -353,6 +353,10 @@ ORACLE_CASES = {
         matching_from_pairs(3, ((1, 11), (2, 9), (3, 10), (4, 7), (5, 12), (6, 8))),
         range(0, 3),
     ),
+    # Where the left factor is dotted on a label and the right has a chord
+    # there, the chord starts at either position of the label's pair, and
+    # which one the matching decides.
+    **{f"admissible-g2-{n}": (pmc, range(1, 4)) for n, pmc in enumerate(ADMISSIBLE_G2)},
 }
 
 
@@ -423,7 +427,7 @@ def _factors(pmc, k, variant):
 
 def test_packed_crossings_match_the_all_choices_oracle():
     for pmc, k, variant in FACTOR_CASES:
-        for u, left, (middle, packed, _, outer) in _factors(pmc, k, variant):
+        for u, left, (middle, packed, outer) in _factors(pmc, k, variant):
             want, _ = _packed_crossings_oracle(pmc, u, middle, outer)
             assert packed == want, (pmc.pairs, k, variant, u, left, middle)
 
@@ -440,7 +444,7 @@ def test_a_meeting_pair_crosses_twice_at_every_middle_choice_or_at_none():
         block = (1 << width) - 1
         lefts: dict[tuple, list] = {}
         rights: dict[tuple, list] = {}
-        for u, left, (middle, packed, _, outer) in _factors(pmc, k, variant):
+        for u, left, (middle, packed, outer) in _factors(pmc, k, variant):
             _, consistent = _packed_crossings_oracle(pmc, u, middle, outer)
             (lefts if left else rights).setdefault(u, []).append((packed, consistent))
         for u, group in lefts.items():
