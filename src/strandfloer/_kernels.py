@@ -7,6 +7,8 @@ is read as it is built, one dict per left factor.
 
 from __future__ import annotations
 
+from array import array
+
 # Recorded in the machine metadata of perfbench/probe.py.
 BACKEND = "python"
 
@@ -103,6 +105,11 @@ def assoc_scan(prod, cols, src, tgt):
 # = 2k, quadrupled Maslov index 4*mu = 4*i >= 0 > 4*(2-3).  Triangles
 # with flex >= 1 are the both-avatars item of that pair label and never
 # make forbidden pairs, so only pinned triangles (flex = 0) are crossed.
+# The sweep takes one product generator p at a time and indexes the
+# pinned triangles of the edges attached at p.  Each edge into p looks
+# up, per triangle of its own, the attached edges holding a triangle
+# that crosses it, so only the chains with a crossing pair are visited.
+# Every other chain has no crossing, 0 >= 0 > -4, and is counted.
 
 
 def rigidity_scan(prod, tris, attach):
@@ -114,25 +121,46 @@ def rigidity_scan(prod, tris, attach):
     chains = 0
     violations = 0
     max_cross = 0
-    # An edge with no flex triangle keeps its own tuple.
-    pinned = []
-    for ts in tris:
-        kept = tuple([t for t in ts if not t.flex])
-        pinned.append(ts if len(kept) == len(ts) else kept)
-    for e1, p in enumerate(prod):
-        pinned1 = pinned[e1]
-        for e2 in attach.get(p, ()):
-            cross = 0
-            for c2, m2, r2, _ in pinned[e2]:
-                for c1, m1, r1, _ in pinned1:
-                    dm = m1 - m2
-                    if (c1 - c2) * dm < 0 and dm * (r1 - r2) < 0:
-                        cross += 1
-            chains += 1
-            if cross > max_cross:
-                max_cross = cross
-            # e = 2k quarter-units by construction; mu = i for l = 3.
-            mu4 = 4 * cross
-            if mu4 < 0 or not mu4 > 4 * (2 - 3):
-                violations += 1
+    # The edges into each product generator with attached edges, as
+    # arrays: a list would hold one int object per edge.
+    into: dict[int, array] = {}
+    for e, p in enumerate(prod):
+        if p in attach:
+            if p not in into:
+                into[p] = array("l")
+            into[p].append(e)
+    for p, firsts in into.items():
+        seconds = attach[p]
+        chains += len(firsts) * len(seconds)
+        # Each pinned triangle of an attached edge, to the positions in
+        # ``seconds`` that hold it: an edge listed twice is two chains.
+        holders: dict = {}
+        for n, e2 in enumerate(seconds):
+            for t in tris[e2]:
+                if not t.flex:
+                    holders.setdefault(t, []).append(n)
+        # Each pinned triangle of an edge into p, to the positions holding
+        # a triangle that crosses it, once per crossing pair.
+        crossed: dict = {}
+        for e1 in firsts:
+            cross_at: dict[int, int] = {}
+            for t1 in tris[e1]:
+                hit = crossed.get(t1)
+                if hit is None:
+                    c1, m1, r1, flex = t1
+                    hit = crossed[t1] = [] if flex else [
+                        n
+                        for (c2, m2, r2, _), held in holders.items()
+                        if (c1 - c2) * (m1 - m2) < 0 and (m1 - m2) * (r1 - r2) < 0
+                        for n in held
+                    ]
+                for n in hit:
+                    cross_at[n] = cross_at.get(n, 0) + 1
+            for cross in cross_at.values():
+                if cross > max_cross:
+                    max_cross = cross
+                # e = 2k quarter-units by construction; mu = i for l = 3.
+                mu4 = 4 * cross
+                if mu4 < 0 or not mu4 > 4 * (2 - 3):
+                    violations += 1
     return chains, violations, max_cross

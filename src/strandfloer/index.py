@@ -166,7 +166,9 @@ def verify_rigidity(edges: _Edges) -> dict:
     domains, through one ``_kernels.rigidity_scan``, with mu the number
     of crossings of the chain's pinned triangles.  A count is never
     negative, so the test cannot fail; the Euler measure e = 2k/4 is
-    taken to hold by construction and is not checked.
+    taken to hold by construction and is not checked.  The scan visits
+    only the chains with a crossing pair; every other chain has mu = 0
+    and is counted in checked.
 
     The outgoing end of the first product attaches to either input slot
     of the second, so both association orders are scanned: the attach

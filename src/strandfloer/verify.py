@@ -14,7 +14,10 @@ grid model has the empty tuple as its one generator.
 leibniz, closure and assoc check every composable pair or triple, or
 with a sample size a seeded draw of that many composable chains, all
 drawn by one sampler: the first generator uniform, each next one uniform
-among those that start where the previous one ends.
+among those that start where the previous one ends.  An exhaustive run
+visits only the pairs or triples where the suite's own data can make a
+term nonzero, and counts the rest, which hold trivially, in checked;
+rigidity likewise crosses only the glued chains with a crossing pair.
 """
 
 from __future__ import annotations
@@ -96,13 +99,16 @@ def suite_d2(table: AlgebraTable) -> dict:
 
 def suite_leibniz(table: AlgebraTable, sample: int | None = None, seed: int = 0) -> dict:
     """d(ab) = (da)b + a(db) over composable pairs, exhaustively or on a
-    seeded sample."""
-    pairs = _composable_pairs(table, sample, seed)
+    seeded sample.  Exhaustive runs visit only the pairs with a term that
+    can be nonzero (``_leibniz_pairs``) and count the rest, which hold
+    trivially."""
+    if sample is None:
+        pairs, checked = _leibniz_pairs(table), table.composable_pairs
+    else:
+        pairs, checked = _sampled_chains(table, 2, sample, seed), sample
     prod = table.prod
     failures = _Failures()
-    checked = 0
     for i, j in pairs:
-        checked += 1
         acc: set[int] = set()
         row = prod[i]
         m = row.get(j)
@@ -135,11 +141,37 @@ def _sampled_chains(table: AlgebraTable, length: int, sample: int, seed: int):
         yield chain
 
 
-def _composable_pairs(table: AlgebraTable, sample: int | None, seed: int):
-    """Every composable pair (i, j), or ``sample`` seeded ones."""
-    if sample is not None:
-        return _sampled_chains(table, 2, sample, seed)
-    return ((i, j) for t, s in zip(table.by_target, table.by_source) for i in t for j in s)
+def _pairs_among(table: AlgebraTable, partners):
+    """The composable pairs (i, j) with j among ``partners(i)``, in the
+    order of a walk over every composable pair: by the middle idempotent,
+    then i in ``by_target``, then j ascending."""
+    src = table.src
+    for u, left in enumerate(table.by_target):
+        for i in left:
+            for j in sorted({j for j in partners(i) if src[j] == u}):
+                yield i, j
+
+
+def _leibniz_pairs(table: AlgebraTable):
+    """The composable pairs (i, j) where a Leibniz term can be nonzero:
+    d(ij) needs j in the row of i, (di)j j in the row of a term of d(i),
+    and i(dj) a term of d(j) in the row of i, found through the inverted
+    differential."""
+    prod, diff = table.prod, table.diff
+    # inverse[y]: the j with y a term of d(j).
+    inverse: list[list[int]] = [[] for _ in table.gens]
+    for j, terms in enumerate(diff):
+        for y in terms:
+            inverse[y].append(j)
+
+    def partners(i):
+        yield from prod[i]
+        for x in diff[i]:
+            yield from prod[x]
+        for y in prod[i]:
+            yield from inverse[y]
+
+    return _pairs_among(table, partners)
 
 
 def _pair_json(table: AlgebraTable, i: int, j: int) -> dict:
@@ -186,8 +218,13 @@ def suite_closure(table: AlgebraTable, sample: int | None = None, seed: int = 0)
     must reassemble whole matched generators (no ClosureError) and agree
     with the stored row.  Products are checked on the composable pairs,
     all of them or a seeded sample, zero products included.  Each
-    generator's sections are expanded once, when a pair first meets it,
-    and the table is read only to compare."""
+    generator's sections are expanded once, and the table is read only
+    to compare and to add its own entries to the pairs visited.
+
+    ``compose`` is zero on a pair none of whose section ends meet a
+    section start, so exhaustive runs visit only the pairs that meet,
+    found by ``_section_index``, and the pairs in the table's rows; the
+    rest are counted."""
     pmc = table.pmc
     failures = _Failures()
     checked = 0
@@ -206,8 +243,20 @@ def suite_closure(table: AlgebraTable, sample: int | None = None, seed: int = 0)
         return sections(pmc, table.gens[i])
 
     prod = table.prod
-    for i, j in _composable_pairs(table, sample, seed):
-        checked += 1
+    if sample is None:
+        meeting = _section_index(table, sections_of)
+
+        def partners(i):
+            yield from prod[i]
+            for _, ends, _, _, _ in sections_of(i).sections:
+                yield from meeting.get(ends, ())
+
+        pairs = _pairs_among(table, partners)
+        checked += table.composable_pairs
+    else:
+        pairs = _sampled_chains(table, 2, sample, seed)
+        checked += sample
+    for i, j in pairs:
         try:
             got = [table.index[t] for t in compose(pmc, sections_of(i), sections_of(j))]
         except ClosureError as err:
@@ -217,6 +266,17 @@ def suite_closure(table: AlgebraTable, sample: int | None = None, seed: int = 0)
         if got != ([] if want is None else [want]):
             failures.add(_pair_json(table, i, j))
     return failures.result("closure", checked)
+
+
+def _section_index(table: AlgebraTable, sections_of) -> dict[tuple[int, ...], list[int]]:
+    """Each start tuple of a section, to the generators, ascending, with
+    a section that starts there: the right factors whose sections a left
+    section ending there meets in ``compose``."""
+    meeting: dict[tuple[int, ...], list[int]] = {}
+    for j in range(len(table.gens)):
+        for starts in {starts for _, _, starts, _, _ in sections_of(j).sections}:
+            meeting.setdefault(starts, []).append(j)
+    return meeting
 
 
 def grid_spec(pmc: PointedMatchedCircle, variant: str) -> GridSpec:

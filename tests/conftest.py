@@ -4,7 +4,8 @@ Algebra tables are pure functions of (g, k, variant), so tests share one
 cache across the whole session; the biggest table (g=3, k=3, full) takes
 several seconds to build and is needed by more than one module.
 ``assoc_walk`` is the dense associativity oracle shared by the kernel
-and suite tests; ``check_exceptional`` and ``check_directed`` are the
+and suite tests, ``rigidity_walk`` the dense oracle of the
+composite-domain sweep; ``check_exceptional`` and ``check_directed`` are the
 half-algebra properties shared by the verify and acceptance tests;
 ``intersection_pattern`` is the curve-pair point count of the grid, and
 ``verify_module_axioms`` (with ``action_row``) the module-axiom oracle,
@@ -95,6 +96,30 @@ def assoc_walk(table: AlgebraTable) -> tuple[int, list[tuple[int, int, int]], in
                 if left != right:
                     bad.append((i, j, l))
     return checked, bad, sides
+
+
+def rigidity_walk(prod, tris, attach) -> tuple[int, int, int]:
+    """The dense composite-domain oracle: every glued chain (e1, e2), e2
+    attached at prod[e1], crossed pair by pair over the two edges' pinned
+    triangles.  Returns (chains, violations, max_cross), as
+    ``_kernels.rigidity_scan`` does."""
+    chains = violations = max_cross = 0
+    pinned = [[t for t in ts if not t.flex] for ts in tris]
+    for e1, p in enumerate(prod):
+        for e2 in attach.get(p, ()):
+            cross = 0
+            for c2, m2, r2, _ in pinned[e2]:
+                for c1, m1, r1, _ in pinned[e1]:
+                    dm = m1 - m2
+                    if (c1 - c2) * dm < 0 and dm * (r1 - r2) < 0:
+                        cross += 1
+            chains += 1
+            max_cross = max(max_cross, cross)
+            # e = 2k quarter-units by construction; mu = i for l = 3.
+            mu4 = 4 * cross
+            if mu4 < 0 or not mu4 > 4 * (2 - 3):
+                violations += 1
+    return chains, violations, max_cross
 
 
 def matchings(points):

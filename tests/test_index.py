@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import ADMISSIBLE_G2, rigidity_walk
 from strandfloer import _kernels, index, verify
 from strandfloer.circle import matching_from_pairs, standard_matching
 from strandfloer.grid import (
@@ -170,6 +171,57 @@ def test_rigidity_scan_matches_glued_domains():
     report = verify_rigidity(edges)
     assert (report["checked"], report["max_intersection"]) == (checked, max_intersection)
     assert checked == 26906
+
+
+def _check_scan_against_dense_walk(monkeypatch, edges):
+    """verify_rigidity's one call of rigidity_scan returns what the dense
+    walk over every chain returns on the same arguments."""
+    scan = _kernels.rigidity_scan
+    calls = []
+
+    def recorded(prod, tris, attach):
+        calls.append((prod, tris, attach))
+        return scan(prod, tris, attach)
+
+    monkeypatch.setattr(_kernels, "rigidity_scan", recorded)
+    report = verify_rigidity(edges)
+    ((prod, tris, attach),) = calls
+    want = rigidity_walk(prod, tris, attach)
+    assert scan(prod, tris, attach) == want
+    assert (report["checked"], report["max_intersection"]) == (want[0], want[2])
+
+
+@pytest.mark.parametrize("variant", ["full", "half"])
+@pytest.mark.parametrize("g", [1, 2])
+def test_rigidity_scan_matches_the_dense_walk(monkeypatch, g, variant):
+    spec = verify.grid_spec(standard_matching(g), variant)
+    for k in range(2 * g + 1):
+        _check_scan_against_dense_walk(monkeypatch, _Edges(spec, k))
+
+
+@pytest.mark.parametrize("variant", ["full", "half"])
+def test_rigidity_scan_matches_the_dense_walk_on_every_admissible_g2_matching(
+    monkeypatch, variant
+):
+    assert len(ADMISSIBLE_G2) == 21
+    for pmc in ADMISSIBLE_G2:
+        _check_scan_against_dense_walk(monkeypatch, _Edges(verify.grid_spec(pmc, variant), 2))
+
+
+def test_rigidity_scan_counts_every_crossing_of_a_chain():
+    # Edge 0 makes generator 7, at which edge 1 is attached twice (both
+    # of its factors are 7) and edge 2 once; edge 2 makes 9, at which
+    # edge 0 is attached.  Edge 0's pinned triangles cross two of edge
+    # 1's, (2, 3, 6) with (1, 4, 5) and (4, 5, 9) with (5, 4, 10), and
+    # one of edge 2's; a flex triangle crosses nothing.
+    tris = [
+        (Triangle(2, 3, 6), Triangle(5, 5, 5, flex=2), Triangle(4, 5, 9)),
+        (Triangle(1, 4, 5), Triangle(5, 4, 10), Triangle(6, 6, 6)),
+        (Triangle(1, 4, 5), Triangle(2, 3, 6, flex=1)),
+    ]
+    prod, attach = [7, 8, 9], {7: [1, 1, 2], 9: [0]}
+    assert _kernels.rigidity_scan(prod, tris, attach) == rigidity_walk(prod, tris, attach)
+    assert _kernels.rigidity_scan(prod, tris, attach) == (4, 0, 2)
 
 
 def _all_pairs_edges(spec, k):

@@ -5,6 +5,8 @@ or one rule changed (written out, or for the dotted-label builder mutant
 compiled from the function's own source with one expression replaced),
 or a table edited after its build, monkeypatched where its callers look
 it up, and the suites that should see it must fail by a pinned count.
+The section index that closure walks cannot fail closure on a correct
+table, so its mutant runs over the packed-crossings mutant.
 
 The section-route counts are at g=2, k=3, full, the other counts at
 g=2, k=2, full, all on the standard matching except the wrong label
@@ -41,6 +43,7 @@ _linearity_blocks = homalg._linearity_blocks
 _factorizations = homalg._factorizations
 _assoc_scan = _kernels.assoc_scan
 _packed_crossings = strands._packed_crossings
+_section_index = verify._section_index
 PASSING = dict.fromkeys(verify.SUITE_NAMES, 0)
 
 # Every mutant's pinned failures, suite by suite: a row holds every
@@ -100,6 +103,14 @@ FAILURES = {
         "leibniz": 62,
         "assoc": 1464,
         "closure": 1568,
+        "dictionary-prod": 1568,
+        "yoneda": 35,
+    },
+    "section index without its smallest start tuple, over packed crossings crossed": {
+        **PASSING,
+        "leibniz": 62,
+        "assoc": 1464,
+        "closure": 1537,
         "dictionary-prod": 1568,
         "yoneda": 35,
     },
@@ -272,6 +283,14 @@ def _packed_crossings_crossed_at_one_choice(pmc, u, middle, outer):
     for p, m in zip(u, middle):
         c = 2 * c + (pmc.positions_of(p).index(m) if m else 0)
     return _packed_crossings(pmc, u, middle, outer) | ((1 << width) - 1) << (c * width)
+
+
+def _section_index_without_its_smallest_start_tuple(table, sections_of):
+    """``verify._section_index`` without the smallest start tuple: a left
+    section ending there meets no right factor through the index."""
+    meeting = _section_index(table, sections_of)
+    del meeting[min(meeting)]
+    return meeting
 
 
 def _assoc_scan_skipping_a_row(prod, cols, src, tgt):
@@ -502,6 +521,24 @@ def test_packed_crossings_crossed_at_one_choice_is_caught(monkeypatch):
     monkeypatch.setattr(strands, "_packed_crossings", _packed_crossings_crossed_at_one_choice)
     report = verify.run_suites(standard_matching(2), 2, "full")
     assert _failed(report) == FAILURES["packed crossings crossed at one choice"]
+
+
+def test_section_index_without_its_smallest_start_tuple_is_caught(monkeypatch):
+    monkeypatch.setattr(verify, "_section_index", _section_index_without_its_smallest_start_tuple)
+    # On a correct table the mutant is equivalent: closure visits every
+    # entry of the row, and a pair the index drops composes to zero in
+    # the table too.
+    assert _failed(verify.run_suites(standard_matching(2), 2, "full", suites=["closure"])) == {
+        "closure": 0
+    }
+    # Over the packed-crossings mutant closure finds the products the
+    # table lacks only through the index: 31 of the 1568 that
+    # dictionary-prod finds meet only at the dropped start tuple.
+    monkeypatch.setattr(strands, "_packed_crossings", _packed_crossings_crossed_at_one_choice)
+    report = verify.run_suites(standard_matching(2), 2, "full")
+    assert _failed(report) == FAILURES[
+        "section index without its smallest start tuple, over packed crossings crossed"
+    ]
 
 
 def test_mor_complex_missing_linearity_rows_is_caught(monkeypatch):

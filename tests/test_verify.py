@@ -18,7 +18,7 @@ from conftest import (
     set_products,
     verify_module_axioms,
 )
-from strandfloer import grid, homalg, index, verify
+from strandfloer import grid, homalg, index, strands, verify
 from strandfloer.circle import matching_from_pairs, standard_matching
 from strandfloer.strands import AlgebraTable, ClosureError
 from strandfloer.verify import (
@@ -482,3 +482,63 @@ def test_run_suites_builds_the_gluing_graph_once(monkeypatch):
     assert report["ok"]
     assert all(r["checked"] > 0 for r in report["suites"])
     assert built == [1]
+
+
+# Every table at g <= 2: k = 0..2g, both variants.
+SMALL_TABLES = [(g, k, v) for g in (1, 2) for k in range(2 * g + 1) for v in ("full", "half")]
+
+
+def _walk(table):
+    """Every composable pair, in the order of a walk over all of them."""
+    return [(i, j) for u, left in enumerate(table.by_target) for i in left for j in table.by_source[u]]
+
+
+@pytest.mark.parametrize("g, k, variant", SMALL_TABLES)
+def test_closure_visits_the_meeting_pairs_and_the_table_entries(monkeypatch, g, k, variant):
+    # Brute force: a pair meets when some section of the left factor ends
+    # where some section of the right factor starts.
+    table = build_table(g, k, variant)
+    records = [strands.sections(table.pmc, gen) for gen in table.gens]
+    ends = [{ends for _, ends, _, _, _ in r.sections} for r in records]
+    starts = [{starts for _, _, starts, _, _ in r.sections} for r in records]
+    want = [(i, j) for i, j in _walk(table) if ends[i] & starts[j] or j in table.prod[i]]
+    owner = {}
+    visited = []
+
+    def recorded_sections(pmc, gen):
+        out = strands.sections(pmc, gen)
+        owner[id(out)] = table.index[gen]
+        return out
+
+    def recorded_compose(pmc, left, right):
+        visited.append((owner[id(left)], owner[id(right)]))
+        return strands.compose(pmc, left, right)
+
+    monkeypatch.setattr(verify, "sections", recorded_sections)
+    monkeypatch.setattr(verify, "compose", recorded_compose)
+    report = suite_closure(table)
+    assert report == {
+        "name": "closure", "checked": len(table.gens) + table.composable_pairs, "failures": []
+    }
+    assert visited == want
+
+
+@pytest.mark.parametrize("g, k, variant", SMALL_TABLES)
+def test_leibniz_visits_every_pair_with_a_nonzero_term(g, k, variant):
+    table = build_table(g, k, variant)
+    prod, diff = table.prod, table.diff
+
+    def nonzero(i, j):
+        m = prod[i].get(j)
+        return (
+            (m is not None and diff[m] != ())
+            or any(j in prod[x] for x in diff[i])
+            or any(y in prod[i] for y in diff[j])
+        )
+
+    walk = _walk(table)
+    visited = list(verify._leibniz_pairs(table))
+    seen = set(visited)
+    # In walk order, each pair once.
+    assert visited == [pair for pair in walk if pair in seen]
+    assert {pair for pair in walk if nonzero(*pair)} <= seen
