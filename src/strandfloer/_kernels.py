@@ -110,11 +110,11 @@ def assoc_scan(prod, cols, src, tgt):
 # Every other chain has no crossing, 0 >= 0 > -4, and is counted.
 
 
-def rigidity_scan(prod, tris, attach):
+def rigidity_scan(prod, tri_ids, k, triangles, attach):
     """Scan all glued chains.  ``prod[e]`` is the product generator of
-    edge e, ``tris[e]`` its tuple of triangles and ``attach`` maps a
-    generator to the edges taking it as a factor.  Returns (chains,
-    violations, max_cross).
+    edge e, ``tri_ids[k * e : k * e + k]`` the ids of its k triangles in
+    ``triangles`` and ``attach`` maps a generator to the edges taking it
+    as a factor.  Returns (chains, violations, max_cross).
     """
     # Imported here, not with the module: loading the extension adds
     # about 0.15 MB to the RSS of every run, a build included.
@@ -123,36 +123,38 @@ def rigidity_scan(prod, tris, attach):
     chains = 0
     violations = 0
     max_cross = 0
+    pinned = [not t.flex for t in triangles]
     # The edges into each product generator with attached edges, as
     # arrays: a list would hold one int object per edge.
     into: dict[int, array] = {}
     for e, p in enumerate(prod):
         if p in attach:
             if p not in into:
-                into[p] = array("l")
+                into[p] = array("i")
             into[p].append(e)
     for p, firsts in into.items():
         seconds = attach[p]
         chains += len(firsts) * len(seconds)
-        # Each pinned triangle of an attached edge, to the positions in
+        # Each pinned triangle id of an attached edge, to the positions in
         # ``seconds`` that hold it: an edge listed twice is two chains.
-        holders: dict = {}
+        holders: dict[int, list[int]] = {}
         for n, e2 in enumerate(seconds):
-            for t in tris[e2]:
-                if not t.flex:
+            for t in tri_ids[k * e2 : k * e2 + k]:
+                if pinned[t]:
                     holders.setdefault(t, []).append(n)
-        # Each pinned triangle of an edge into p, to the positions holding
-        # a triangle that crosses it, once per crossing pair.
-        crossed: dict = {}
+        held_at = [(triangles[t], held) for t, held in holders.items()]
+        # Each triangle id of an edge into p, to the positions holding a
+        # triangle that crosses it, once per crossing pair.
+        crossed: dict[int, list[int]] = {}
         for e1 in firsts:
             cross_at: dict[int, int] = {}
-            for t1 in tris[e1]:
+            for t1 in tri_ids[k * e1 : k * e1 + k]:
                 hit = crossed.get(t1)
                 if hit is None:
-                    c1, m1, r1, flex = t1
+                    c1, m1, r1, flex = triangles[t1]
                     hit = crossed[t1] = [] if flex else [
                         n
-                        for (c2, m2, r2, _), held in holders.items()
+                        for (c2, m2, r2, _), held in held_at
                         if (c1 - c2) * (m1 - m2) < 0 and (m1 - m2) * (r1 - r2) < 0
                         for n in held
                     ]

@@ -118,23 +118,35 @@ class _Edges:
     visits are taken in index order, so the edges come out in the order
     of a walk over all composable pairs.
 
-    ``tris[e]`` is edge e's triangle tuple.  Its triangles are shared:
-    the graph holds one ``Triangle`` per distinct triangle, interned as
-    the edges are built, since far fewer triangles exist than edges.
+    The graph is flat: edge e is ``left[e]``, ``right[e]`` and
+    ``prod[e]``, indices into ``gens``, and its k triangles are
+    ``triangles[t]`` for the ids t in ``tri_ids[k * e : k * e + k]``.
+    All four are ``array``s, so the graph holds no object per edge, and
+    ``triangles`` lists each distinct triangle once (358 at g=3), in the
+    order the edges first meet them.  The edges number ``len(left)``; at
+    k = 0 there is one, with no triangles.
     """
 
     def __init__(self, spec: GridSpec, k: int):
+        # Imported here, not with the module: loading the extension adds
+        # about 0.15 MB to the RSS of every run, a build included.
+        from array import array
+
         self.spec = spec
+        self.k = k
         self.gens = all_floer_generators(spec, k)
         index = {x: i for i, x in enumerate(self.gens)}
         by_key: dict[tuple, list[int]] = {}
         for j, y in enumerate(self.gens):
             by_key.setdefault((source_labels(spec, y), _column_key(spec, y)), []).append(j)
-        self.left: list[int] = []
-        self.right: list[int] = []
-        self.prod: list[int] = []
-        self.tris: list[tuple[Triangle, ...]] = []
-        shared: dict[Triangle, Triangle] = {}
+        self.left = array("i")
+        self.right = array("i")
+        self.prod = array("i")
+        # A triangle is c <= m <= r of the n positions, or a flex one at a
+        # position: two bytes hold every id while those fit, up to g = 18.
+        n = spec.n
+        self.tri_ids = array("H" if (n + 2) * (n + 1) * n // 6 + n <= 1 << 16 else "i")
+        ids: dict[Triangle, int] = {}
         for i, x in enumerate(self.gens):
             labels = target_labels(spec, x)
             rows = sorted(x, key=lambda p: spec.label(p[1]))
@@ -152,13 +164,16 @@ class _Edges:
                 self.left.append(i)
                 self.right.append(j)
                 self.prod.append(index[z])
-                self.tris.append(tuple(map(shared.setdefault, tris, tris)))
+                self.tri_ids.extend([ids.setdefault(t, len(ids)) for t in tris])
+        self.triangles: list[Triangle] = list(ids)
 
 
 def counted_product_domains(edges: _Edges):
-    """One Domain per counted product: per edge of the gluing graph."""
-    for tris in edges.tris:
-        yield product_domain(edges.spec, tris)
+    """One Domain per counted product: per edge of the gluing graph, its
+    triangle tuple made as the Domain is."""
+    stream = map(edges.triangles.__getitem__, edges.tri_ids)
+    for _ in edges.left:
+        yield product_domain(edges.spec, tuple(itertools.islice(stream, edges.k)))
 
 
 def verify_rigidity(edges: _Edges) -> dict:
@@ -174,13 +189,21 @@ def verify_rigidity(edges: _Edges) -> dict:
     of the second, so both association orders are scanned: the attach
     map files each edge under its left factor and again under its right
     factor, and an edge whose two factors are equal (such as e * e = e)
-    is listed twice.
+    is listed twice.  Each generator's edges are an ``array``, so the map
+    holds no int object per edge.
     """
-    attach: dict[int, list[int]] = {}
-    for e, (x, y) in enumerate(zip(edges.left, edges.right)):
-        attach.setdefault(x, []).append(e)
-        attach.setdefault(y, []).append(e)
-    chains, violations, max_cross = _kernels.rigidity_scan(edges.prod, edges.tris, attach)
+    from array import array
+
+    attach: dict[int, array] = {}
+    for factors in (edges.left, edges.right):
+        for e, f in enumerate(factors):
+            held = attach.get(f)
+            if held is None:
+                held = attach[f] = array("i")
+            held.append(e)
+    chains, violations, max_cross = _kernels.rigidity_scan(
+        edges.prod, edges.tri_ids, edges.k, edges.triangles, attach
+    )
     report = {"checked": chains, "violations": [], "max_intersection": max_cross}
     if violations:
         report["violations"].append({"length": 3, "count": violations})

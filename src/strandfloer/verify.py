@@ -25,6 +25,7 @@ from __future__ import annotations
 import functools
 import random
 from fractions import Fraction
+from itertools import accumulate
 
 from . import _kernels, homalg, index
 from .circle import PointedMatchedCircle, standard_matching
@@ -317,11 +318,18 @@ def suite_dictionary_prod(table: AlgebraTable, edges: index._Edges) -> dict:
 
     The grid products are the edges of the gluing graph, each grid
     generator translated to the algebra once.  They are compared with
-    table.prod as two sparse maps: a composable pair is wrong only if one
+    table.prod row by row: the edges of a row's placed grid generator,
+    found through a per-left-factor index of the graph, against the
+    row's composable entries.  A composable pair is wrong only if one
     side has an entry for it, so the zero pairs are counted, not visited.
     A grid generator the dictionary cannot place, and an edge that no
-    composable pair reaches, are failures too.
+    composable pair reaches, are failures too.  The examples come in
+    that order: grid generators, then such edges in edge order, then
+    wrong or missing products by (i, j), then edges on pairs that the
+    table leaves zero, in edge order.
     """
+    from array import array
+
     spec = edges.spec
     failures = _Failures()
     alg = [_placed(table, spec, x) for x in edges.gens]
@@ -329,24 +337,44 @@ def suite_dictionary_prod(table: AlgebraTable, edges: index._Edges) -> dict:
         if i is None:
             failures.add({"grid": _points_json(x)})
     grid_of = {i: x for x, i in enumerate(alg) if i is not None}
+    # Whether grid generator x is the one its algebra generator's row reads.
+    placed = [grid_of.get(i) == x for x, i in enumerate(alg)]
     src, tgt = table.src, table.tgt
-    n = len(table.gens)
-    # The grid product of each composable pair (i, j), keyed i * n + j.
-    grid_prod: dict[int, int | None] = {}
-    for x, y, z in zip(edges.left, edges.right, edges.prod):
-        i, j = alg[x], alg[y]
-        if grid_of.get(i) == x and grid_of.get(j) == y and tgt[i] == src[j]:
-            grid_prod[i * n + j] = alg[z]
-        else:
-            left, right = edges.gens[x], edges.gens[y]
-            failures.add({"grid_left": _points_json(left), "grid_right": _points_json(right)})
-    # -1 is no edge; an edge whose product cannot be placed holds None.
+    left, right, prod = edges.left, edges.right, edges.prod
+    for x, y in zip(left, right):
+        if not (placed[x] and placed[y] and tgt[alg[x]] == src[alg[y]]):
+            left_pts, right_pts = _points_json(edges.gens[x]), _points_json(edges.gens[y])
+            failures.add({"grid_left": left_pts, "grid_right": right_pts})
+    # The edges with left factor x are order[start[x] : start[x + 1]], in
+    # edge order.
+    count = [0] * len(edges.gens)
+    for x in left:
+        count[x] += 1
+    start = array("i", accumulate(count, initial=0))
+    order = array("i", [0]) * len(left)
+    fill = start[:-1]
+    for e, x in enumerate(left):
+        order[fill[x]] = e
+        fill[x] += 1
+    zero_pairs = array("i")  # the edges on pairs the table leaves zero
     for i, row in enumerate(table.prod):
+        # The grid row of i: each right factor's algebra index to its edge.
+        grid_row: dict[int, int] = {}
+        x = grid_of.get(i)
+        if x is not None:
+            t = tgt[i]
+            for e in order[start[x] : start[x + 1]]:
+                y = right[e]
+                if placed[y] and src[alg[y]] == t:
+                    grid_row[alg[y]] = e
         for j, m in row.items():
-            if tgt[i] == src[j] and grid_prod.pop(i * n + j, -1) != m:
-                failures.add(_pair_json(table, i, j))
-    for key in grid_prod:  # edges on pairs the table leaves zero
-        failures.add(_pair_json(table, *divmod(key, n)))
+            if tgt[i] == src[j]:
+                e = grid_row.pop(j, None)
+                if e is None or alg[prod[e]] != m:
+                    failures.add(_pair_json(table, i, j))
+        zero_pairs.extend(grid_row.values())
+    for e in sorted(zero_pairs):
+        failures.add(_pair_json(table, alg[left[e]], alg[right[e]]))
     return failures.result("dictionary-prod", table.composable_pairs)
 
 
@@ -383,12 +411,42 @@ def suite_rigidity(edges: index._Edges) -> dict:
     return result
 
 
+def _yoneda_modules(table: AlgebraTable) -> list:
+    """e_s A for every idempotent s, or the text of the error that stops
+    it being formed, each built once and holding only the actions that
+    ``mor_complex`` reads: those of the generators in the union of the
+    modules' explicit sets.
+
+    Each explicit set is computed from its module's full actions, which
+    are then cut to that set, so one full module is held at a time.  On a
+    table that breaks a factorization, a module can lack the actions of a
+    generator in another module's explicit set; they are read back from
+    its basis rows."""
+    modules: list = []
+    for s in table.idem_list:
+        try:
+            M = homalg.projective_module(table, s)
+        except ValueError as err:
+            modules.append(str(err))
+            continue
+        keep = M.explicit  # computed from the full actions
+        M.actions = {a: rows for a, rows in M.actions.items() if a in keep}
+        modules.append(M)
+    built = [(s, M) for s, M in zip(table.idem_list, modules) if not isinstance(M, str)]
+    union = frozenset().union(*(M.explicit for _, M in built))
+    for s, M in built:
+        missing = union - M.explicit
+        if missing:
+            M.actions.update(homalg.projective_actions(table, s, missing))
+    return modules
+
+
 def suite_yoneda(table: AlgebraTable) -> dict:
     """H*Mor(e_s A, e_t A) = H*(e_t A e_s) for every ordered pair of
-    idempotents, with one projective module built per idempotent.  A pair
-    whose source module, target module or either complex cannot be formed
-    (a differential that does not square to zero, say) counts as one
-    failure.
+    idempotents, with one projective module built per idempotent
+    (``_yoneda_modules``).  A pair whose source module, target module or
+    either complex cannot be formed (a differential that does not square
+    to zero, say) counts as one failure.
 
     Each Mor is solved from the linearity rows of a generating set: the
     indecomposable generators, plus every decomposable c = a.b whose
@@ -396,32 +454,34 @@ def suite_yoneda(table: AlgebraTable) -> dict:
     identity is checked per module, so on a corrupt table a projective
     that is not associative writes the rows it needs and the solution is
     the one every generator's rows give.  The table-level associativity
-    check is still `assoc`."""
-    def projective(s):
-        """e_s A, or the text of the error that stops it being formed."""
-        try:
-            return homalg.projective_module(table, s)
-        except ValueError as err:
-            return str(err)
+    check is still `assoc`.
 
-    modules = [projective(s) for s in table.idem_list]
-    failures = _Failures()
-    checked = 0
-    for s, M in zip(table.idem_list, modules):
-        for t, N in zip(table.idem_list, modules):
-            checked += 1
+    The pairs are solved target by target, and a target's cached side of
+    the rows is dropped after its last pair; failures are reported by
+    source, then target."""
+    modules = _yoneda_modules(table)
+    idems = table.idem_list
+    bad: dict[tuple[int, int], dict] = {}
+    for t, N in enumerate(modules):
+        for s, M in enumerate(modules):
             error = next((m for m in (M, N) if isinstance(m, str)), None)
             if error is None:
                 try:
                     mor_rank = homalg.mor_complex(M, N).homology_rank()
-                    hom_rank = homalg.hom_complex(table, t, s).homology_rank()
+                    hom_rank = homalg.hom_complex(table, idems[t], idems[s]).homology_rank()
                 except ValueError as err:
                     error = str(err)
+            pair = {"s": list(idems[s]), "t": list(idems[t])}
             if error is not None:
-                failures.add({"s": list(s), "t": list(t), "error": error})
+                bad[s, t] = {**pair, "error": error}
             elif mor_rank != hom_rank:
-                failures.add({"s": list(s), "t": list(t), "mor": mor_rank, "hom": hom_rank})
-    return failures.result("yoneda", checked)
+                bad[s, t] = {**pair, "mor": mor_rank, "hom": hom_rank}
+        if not isinstance(N, str):
+            N._targets.clear()
+    failures = _Failures()
+    for key in sorted(bad):
+        failures.add(bad[key])
+    return failures.result("yoneda", len(modules) ** 2)
 
 
 # ---------------------------------------------------------------------------

@@ -98,13 +98,17 @@ def assoc_walk(table: AlgebraTable) -> tuple[int, list[tuple[int, int, int]], in
     return checked, bad, sides
 
 
-def rigidity_walk(prod, tris, attach) -> tuple[int, int, int]:
+def rigidity_walk(prod, tri_ids, k, triangles, attach) -> tuple[int, int, int]:
     """The dense composite-domain oracle: every glued chain (e1, e2), e2
     attached at prod[e1], crossed pair by pair over the two edges' pinned
-    triangles.  Returns (chains, violations, max_cross), as
-    ``_kernels.rigidity_scan`` does."""
+    triangles, edge e's triangles being triangles[t] for the ids t in
+    tri_ids[k * e : k * e + k].  Returns (chains, violations, max_cross),
+    as ``_kernels.rigidity_scan`` does."""
     chains = violations = max_cross = 0
-    pinned = [[t for t in ts if not t.flex] for ts in tris]
+    pinned = [
+        [triangles[t] for t in tri_ids[k * e : k * e + k] if not triangles[t].flex]
+        for e in range(len(prod))
+    ]
     for e1, p in enumerate(prod):
         for e2 in attach.get(p, ()):
             cross = 0

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from array import array
 from fractions import Fraction
 
 import pytest
@@ -143,7 +144,10 @@ def test_one_rigidity_sweep_equals_both_association_orders(monkeypatch, g, varia
         for e, (x, y) in enumerate(zip(edges.left, edges.right)):
             by_left.setdefault(x, []).append(e)
             by_right.setdefault(y, []).append(e)
-        sweeps = [scan(edges.prod, edges.tris, attach) for attach in (by_left, by_right)]
+        sweeps = [
+            scan(edges.prod, edges.tri_ids, k, edges.triangles, attach)
+            for attach in (by_left, by_right)
+        ]
         calls.clear()
         report = verify_rigidity(edges)
         assert len(calls) == 1
@@ -156,17 +160,20 @@ def test_rigidity_scan_matches_glued_domains():
     edges = _Edges(W2, 2)
     by_left: dict[int, list[int]] = {}
     by_right: dict[int, list[int]] = {}
-    for e in range(len(edges.prod)):
+    for e in range(len(edges.left)):
         by_left.setdefault(edges.left[e], []).append(e)
         by_right.setdefault(edges.right[e], []).append(e)
+    tris = edge_tuples(edges)
+    ids, k = edges.tri_ids, edges.k
     checked = max_intersection = 0
     for e1, out in enumerate(edges.prod):
         for e2 in by_left.get(out, []) + by_right.get(out, []):
-            whole = glue(product_domain(W2, edges.tris[e1]), product_domain(W2, edges.tris[e2]))
+            whole = glue(product_domain(W2, tris[e1]), product_domain(W2, tris[e2]))
             checked += 1
             max_intersection = max(max_intersection, whole.diag_intersections)
             # The scan over this one chain alone crosses exactly its pairs.
-            alone = _kernels.rigidity_scan([0, -1], [edges.tris[e1], edges.tris[e2]], {0: [1]})
+            pair_ids = ids[k * e1 : k * e1 + k] + ids[k * e2 : k * e2 + k]
+            alone = _kernels.rigidity_scan([0, -1], pair_ids, k, edges.triangles, {0: [1]})
             assert alone == (1, 0, whole.diag_intersections)
     report = verify_rigidity(edges)
     assert (report["checked"], report["max_intersection"]) == (checked, max_intersection)
@@ -179,15 +186,15 @@ def _check_scan_against_dense_walk(monkeypatch, edges):
     scan = _kernels.rigidity_scan
     calls = []
 
-    def recorded(prod, tris, attach):
-        calls.append((prod, tris, attach))
-        return scan(prod, tris, attach)
+    def recorded(*args):
+        calls.append(args)
+        return scan(*args)
 
     monkeypatch.setattr(_kernels, "rigidity_scan", recorded)
     report = verify_rigidity(edges)
-    ((prod, tris, attach),) = calls
-    want = rigidity_walk(prod, tris, attach)
-    assert scan(prod, tris, attach) == want
+    (args,) = calls
+    want = rigidity_walk(*args)
+    assert scan(*args) == want
     assert (report["checked"], report["max_intersection"]) == (want[0], want[2])
 
 
@@ -213,15 +220,27 @@ def test_rigidity_scan_counts_every_crossing_of_a_chain():
     # of its factors are 7) and edge 2 once; edge 2 makes 9, at which
     # edge 0 is attached.  Edge 0's pinned triangles cross two of edge
     # 1's, (2, 3, 6) with (1, 4, 5) and (4, 5, 9) with (5, 4, 10), and
-    # one of edge 2's; a flex triangle crosses nothing.
-    tris = [
-        (Triangle(2, 3, 6), Triangle(5, 5, 5, flex=2), Triangle(4, 5, 9)),
-        (Triangle(1, 4, 5), Triangle(5, 4, 10), Triangle(6, 6, 6)),
-        (Triangle(1, 4, 5), Triangle(2, 3, 6, flex=1)),
+    # one of edge 2's; a flex triangle crosses nothing.  Each edge has
+    # three triangles, edge 2 two flex ones.
+    triangles = [
+        Triangle(2, 3, 6), Triangle(5, 5, 5, flex=2), Triangle(4, 5, 9),
+        Triangle(1, 4, 5), Triangle(5, 4, 10), Triangle(6, 6, 6),
+        Triangle(2, 3, 6, flex=1),
     ]
+    tri_ids = [0, 1, 2, 3, 4, 5, 3, 6, 1]
     prod, attach = [7, 8, 9], {7: [1, 1, 2], 9: [0]}
-    assert _kernels.rigidity_scan(prod, tris, attach) == rigidity_walk(prod, tris, attach)
-    assert _kernels.rigidity_scan(prod, tris, attach) == (4, 0, 2)
+    args = prod, tri_ids, 3, triangles, attach
+    assert _kernels.rigidity_scan(*args) == rigidity_walk(*args)
+    assert _kernels.rigidity_scan(*args) == (4, 0, 2)
+
+
+def edge_tuples(edges) -> list[tuple[Triangle, ...]]:
+    """Each edge's triangle tuple, read from the flat graph."""
+    k = edges.k
+    return [
+        tuple(edges.triangles[t] for t in edges.tri_ids[k * e : k * e + k])
+        for e in range(len(edges.left))
+    ]
 
 
 def _all_pairs_edges(spec, k):
@@ -250,14 +269,14 @@ def _all_pairs_edges(spec, k):
 
 @pytest.mark.parametrize(
     "g, k, mode",
-    [(g, k, mode) for g in (1, 2) for k in range(1, 2 * g + 1) for mode in MODES]
+    [(g, k, mode) for g in (1, 2) for k in range(2 * g + 1) for mode in MODES]
     + [(3, k, mode) for k in (1, 2) for mode in MODES],
 )
 def test_edges_visit_only_matched_pairs_and_match_the_all_pairs_walk(monkeypatch, g, k, mode):
     _check_edges_against_all_pairs(monkeypatch, make_spec(standard_matching(g), mode), k)
 
 
-@pytest.mark.parametrize("k, mode", [(k, mode) for k in range(1, 5) for mode in MODES])
+@pytest.mark.parametrize("k, mode", [(k, mode) for k in range(5) for mode in MODES])
 def test_edges_match_the_all_pairs_walk_on_a_custom_matching(monkeypatch, k, mode):
     pmc = matching_from_pairs(2, ((1, 7), (2, 8), (3, 5), (4, 6)))
     _check_edges_against_all_pairs(monkeypatch, make_spec(pmc, mode), k)
@@ -273,10 +292,13 @@ def _check_edges_against_all_pairs(monkeypatch, spec, k):
 
     monkeypatch.setattr(index, "product_triangles", recorded)
     edges = _Edges(spec, k)
-    assert (edges.left, edges.right, edges.prod, edges.tris) == want
+    got = list(edges.left), list(edges.right), list(edges.prod), edge_tuples(edges)
+    assert got == want
     assert None not in tuples
     assert len(tuples) == matched
-    # The graph holds one Triangle object per distinct triangle.
-    assert all(type(tris) is tuple for tris in edges.tris)
-    objects = {id(t): t for tris in edges.tris for t in tris}
-    assert len(objects) == len(set(objects.values()))
+    # The graph is flat: k triangle ids per edge into one list that holds
+    # each distinct triangle once.
+    assert all(type(a) is array for a in (edges.left, edges.right, edges.prod, edges.tri_ids))
+    assert len(edges.tri_ids) == k * len(edges.left)
+    assert all(type(t) is Triangle for t in edges.triangles)
+    assert len(set(edges.triangles)) == len(edges.triangles)

@@ -4,6 +4,7 @@ Seeded defects that run every suite live in test_mutations.py."""
 from __future__ import annotations
 
 import copy
+from array import array
 
 import pytest
 
@@ -307,8 +308,19 @@ def test_failing_suite_keeps_five_examples_and_counts_all(monkeypatch):
     assert len(report["failures"]) == 5
 
 
+def _with_edge(edges, x, y, z):
+    """The graph's arrays with the edge (x, y) -> z appended, copied so
+    that the graph they were read from is unchanged; the new edge reuses
+    the first edge's triangles."""
+    edges.left = edges.left + array("i", [x])
+    edges.right = edges.right + array("i", [y])
+    edges.prod = edges.prod + array("i", [z])
+    edges.tri_ids = edges.tri_ids + edges.tri_ids[: edges.k]
+
+
 def _drop_edge(tab, edges):
     edges.left, edges.right, edges.prod = edges.left[1:], edges.right[1:], edges.prod[1:]
+    edges.tri_ids = edges.tri_ids[edges.k :]
     return tab, edges
 
 
@@ -328,7 +340,7 @@ def _add_edge_the_algebra_does_not_compose(tab, edges):
         x for x, gen in enumerate(edges.gens)
         if grid.source_labels(spec, gen) != grid.target_labels(spec, gen)
     )
-    edges.left, edges.right, edges.prod = edges.left + [x], edges.right + [x], edges.prod + [x]
+    _with_edge(edges, x, x, x)
     return tab, edges
 
 
@@ -345,7 +357,7 @@ def _add_edge_on_a_zero_pair(tab, edges):
         if j not in tab.prod[i]
     )
     x, y = grid_of[i], grid_of[j]
-    edges.left, edges.right, edges.prod = edges.left + [x], edges.right + [y], edges.prod + [x]
+    _with_edge(edges, x, y, x)
     return tab, edges
 
 
@@ -354,23 +366,25 @@ def _send_an_edge_to_an_unplaceable_tuple(tab, edges):
     # to no generator of a k = 2 table: it fails once as a grid generator
     # and once as the product of the edge.
     edges.gens = edges.gens + [()]
-    edges.prod = [len(edges.gens) - 1] + edges.prod[1:]
+    edges.prod = array("i", [len(edges.gens) - 1]) + edges.prod[1:]
     return tab, edges
 
 
+# Each defect, its failure count and the keys of its examples in order.
+_PAIR, _EDGE, _GRID = ["left", "right"], ["grid_left", "grid_right"], ["grid"]
 _PROD_DEFECTS = [
-    (_drop_edge, 1),
-    (_flip_product, 1),
-    (_add_edge_the_algebra_does_not_compose, 1),
-    (_add_edge_on_a_zero_pair, 1),
-    (_send_an_edge_to_an_unplaceable_tuple, 2),
+    (_drop_edge, 1, [_PAIR]),
+    (_flip_product, 1, [_PAIR]),
+    (_add_edge_the_algebra_does_not_compose, 1, [_EDGE]),
+    (_add_edge_on_a_zero_pair, 1, [_PAIR]),
+    (_send_an_edge_to_an_unplaceable_tuple, 2, [_GRID, _PAIR]),
 ]
 
 
 @pytest.mark.parametrize(
-    "mutant, failed", _PROD_DEFECTS, ids=[mutant.__name__ for mutant, _ in _PROD_DEFECTS]
+    "mutant, failed, kinds", _PROD_DEFECTS, ids=[mutant.__name__ for mutant, *_ in _PROD_DEFECTS]
 )
-def test_dictionary_prod_counts_each_seeded_defect_once(mutant, failed):
+def test_dictionary_prod_counts_each_seeded_defect_once(mutant, failed, kinds):
     tab = build_table(2, 2, "full")
     pairs = sum(len(t) * len(s) for t, s in zip(tab.by_target, tab.by_source))
     edges = index._Edges(verify.grid_spec(standard_matching(2), "full"), 2)
@@ -380,6 +394,68 @@ def test_dictionary_prod_counts_each_seeded_defect_once(mutant, failed):
     report = suite_dictionary_prod(*mutant(tab, copy.copy(edges)))
     assert report["checked"] == pairs
     assert report["failed"] == failed
+    assert [sorted(f) for f in report["failures"]] == kinds
+
+
+def _zero_pairs(tab):
+    """The composable pairs with no product, in the order of a walk over
+    every composable pair."""
+    return [
+        (i, j)
+        for u in range(len(tab.idem_list))
+        for i in tab.by_target[u]
+        for j in tab.by_source[u]
+        if j not in tab.prod[i]
+    ]
+
+
+def test_dictionary_prod_lists_its_examples_by_kind_then_in_order():
+    # Four kinds of defect seeded together: an unplaceable grid generator,
+    # an edge no composable pair reaches, an edge whose product cannot be
+    # placed, and two edges on zero pairs, added in the reverse of their
+    # (i, j) order, so that they are listed in edge order.
+    tab = build_table(2, 2, "full")
+    edges = copy.copy(index._Edges(verify.grid_spec(standard_matching(2), "full"), 2))
+    spec = edges.spec
+    grid_of = {verify._placed(tab, spec, x): n for n, x in enumerate(edges.gens)}
+    first, second = _zero_pairs(tab)[:2]
+    for i, j in (second, first):
+        _with_edge(edges, grid_of[i], grid_of[j], grid_of[i])
+    _add_edge_the_algebra_does_not_compose(tab, edges)
+    x = edges.left[-1]
+    i0, j0 = (verify._placed(tab, spec, edges.gens[n]) for n in (edges.left[0], edges.right[0]))
+    _send_an_edge_to_an_unplaceable_tuple(tab, edges)
+    report = suite_dictionary_prod(tab, edges)
+    points = verify._points_json(edges.gens[x])
+    assert report["failed"] == 5
+    assert report["failures"] == [
+        {"grid": []},
+        {"grid_left": points, "grid_right": points},
+        verify._pair_json(tab, i0, j0),
+        verify._pair_json(tab, *second),
+        verify._pair_json(tab, *first),
+    ]
+
+
+def test_dictionary_prod_reads_the_edges_in_any_order():
+    # The rows find their edges through an index of the graph, not
+    # through the order in which the graph lists them.
+    tab = build_table(2, 2, "full")
+    edges = copy.copy(index._Edges(verify.grid_spec(standard_matching(2), "full"), 2))
+    k = edges.k
+    order = range(len(edges.left) - 1, -1, -1)
+    edges.left, edges.right, edges.prod = (
+        array("i", [a[e] for e in order]) for a in (edges.left, edges.right, edges.prod)
+    )
+    ids = edges.tri_ids
+    edges.tri_ids = array(ids.typecode, [t for e in order for t in ids[k * e : k * e + k]])
+    assert suite_dictionary_prod(tab, edges)["failures"] == []
+    second, first = _zero_pairs(tab)[:2]
+    grid_of = {verify._placed(tab, edges.spec, x): n for n, x in enumerate(edges.gens)}
+    for i, j in (first, second):
+        _with_edge(edges, grid_of[i], grid_of[j], grid_of[i])
+    report = suite_dictionary_prod(tab, edges)
+    assert report["failures"] == [verify._pair_json(tab, *first), verify._pair_json(tab, *second)]
 
 
 def _closure_flip_product(tab):
@@ -542,3 +618,51 @@ def test_leibniz_visits_every_pair_with_a_nonzero_term(g, k, variant):
     # In walk order, each pair once.
     assert visited == [pair for pair in walk if pair in seen]
     assert {pair for pair in walk if nonzero(*pair)} <= seen
+
+
+def _mor_outcome(M, N):
+    """The dim and homology rank of Mor(M, N), or the text of its error."""
+    try:
+        mc = homalg.mor_complex(M, N)
+    except ValueError as err:
+        return str(err)
+    return mc.dim, mc.homology_rank()
+
+
+def _check_yoneda_modules(tab):
+    """The modules yoneda keeps hold the actions of the union of the
+    explicit sets only, and solve every Mor as the full projectives do.
+    Returns the kept modules and the full ones."""
+    kept = verify._yoneda_modules(tab)
+    full = [homalg.projective_module(tab, s) for s in tab.idem_list]
+    union = frozenset().union(*(M.explicit for M in full))
+    for M, M0 in zip(kept, full):
+        assert M.explicit == M0.explicit
+        assert M.actions.keys() <= union
+        assert M.actions == {a: rows for a, rows in M0.actions.items() if a in union}
+    for M, M0 in zip(kept, full):
+        for N, N0 in zip(kept, full):
+            assert _mor_outcome(M, N) == _mor_outcome(M0, N0)
+    return kept, full
+
+
+@pytest.mark.parametrize("g, k, variant", SMALL_TABLES)
+def test_yoneda_keeps_only_the_actions_mor_complex_reads(g, k, variant):
+    _check_yoneda_modules(build_table(g, k, variant))
+
+
+def test_yoneda_reads_back_the_actions_another_module_needs():
+    # Dropping e_s c = c breaks c = a.b on e_s A alone: c joins that
+    # module's explicit set only, so another module on which c acts, and
+    # which cut c's action with its own explicit set, reads it back.
+    tab = copy.copy(build_table(2, 2, "full"))
+    factor = homalg._factorizations(tab)
+    factors = {f for ab in factor.values() for f in ab}
+    pairs = product_pairs(tab)
+    c = min(c for (y, c) in pairs if c in factor and c not in factors and tab.src[y] != tab.src[c])
+    e = tab.idem_gen[tab.src[c]]
+    set_products(tab, {ab: m for ab, m in pairs.items() if ab != (e, c)})
+    kept, full = _check_yoneda_modules(tab)
+    holders = [M for M in full if c in M.explicit]
+    readers = [M for M, M0 in zip(kept, full) if c not in M0.explicit and c in M.actions]
+    assert len(holders) == 1 and readers
