@@ -118,13 +118,15 @@ class _Edges:
     visits are taken in index order, so the edges come out in the order
     of a walk over all composable pairs.
 
-    The graph is flat: edge e is ``left[e]``, ``right[e]`` and
-    ``prod[e]``, indices into ``gens``, and its k triangles are
-    ``triangles[t]`` for the ids t in ``tri_ids[k * e : k * e + k]``.
-    All four are ``array``s, so the graph holds no object per edge, and
-    ``triangles`` lists each distinct triangle once (358 at g=3), in the
-    order the edges first meet them.  The edges number ``len(left)``; at
-    k = 0 there is one, with no triangles.
+    The graph is stored as its rows: the edges with left factor x are
+    e in ``start[x] : start[x + 1]``, one row per generator, in walk
+    order.  Edge e is (x, ``right[e]``) with product ``prod[e]``,
+    indices into ``gens``, and its k triangles are ``triangles[t]`` for
+    the ids t in ``tri_ids[k * e : k * e + k]``.  All four are
+    ``array``s, so the graph holds no object per edge, and ``triangles``
+    lists each distinct triangle once (358 at g=3), in the order the
+    edges first meet them.  The edges number ``len(right)``; at k = 0
+    there is one row, of one edge with no triangles.
     """
 
     def __init__(self, spec: GridSpec, k: int):
@@ -139,7 +141,7 @@ class _Edges:
         by_key: dict[tuple, list[int]] = {}
         for j, y in enumerate(self.gens):
             by_key.setdefault((source_labels(spec, y), _column_key(spec, y)), []).append(j)
-        self.left = array("i")
+        self.start = array("i", [0])
         self.right = array("i")
         self.prod = array("i")
         # A triangle is c <= m <= r of the n positions, or a flex one at a
@@ -161,18 +163,18 @@ class _Edges:
                 z = count_triangles(spec, tris)
                 if z is None:
                     continue
-                self.left.append(i)
                 self.right.append(j)
                 self.prod.append(index[z])
                 self.tri_ids.extend([ids.setdefault(t, len(ids)) for t in tris])
+            self.start.append(len(self.right))
         self.triangles: list[Triangle] = list(ids)
 
 
 def counted_product_domains(edges: _Edges):
-    """One Domain per counted product: per edge of the gluing graph, its
-    triangle tuple made as the Domain is."""
+    """One Domain per counted product: per edge of the gluing graph, in
+    edge order, its triangle tuple made as the Domain is."""
     stream = map(edges.triangles.__getitem__, edges.tri_ids)
-    for _ in edges.left:
+    for _ in edges.right:
         yield product_domain(edges.spec, tuple(itertools.islice(stream, edges.k)))
 
 
@@ -187,20 +189,20 @@ def verify_rigidity(edges: _Edges) -> dict:
 
     The outgoing end of the first product attaches to either input slot
     of the second, so both association orders are scanned: the attach
-    map files each edge under its left factor and again under its right
-    factor, and an edge whose two factors are equal (such as e * e = e)
-    is listed twice.  Each generator's edges are an ``array``, so the map
-    holds no int object per edge.
+    map files each edge under its left factor, as its row, and again
+    under its right factor, and an edge whose two factors are equal
+    (such as e * e = e) is listed twice.  Each generator's edges are an
+    ``array``, so the map holds no int object per edge.
     """
     from array import array
 
-    attach: dict[int, array] = {}
-    for factors in (edges.left, edges.right):
-        for e, f in enumerate(factors):
-            held = attach.get(f)
-            if held is None:
-                held = attach[f] = array("i")
-            held.append(e)
+    start = edges.start
+    attach = {x: array("i", range(a, b)) for x, (a, b) in enumerate(zip(start, start[1:])) if a < b}
+    for e, y in enumerate(edges.right):
+        held = attach.get(y)
+        if held is None:
+            held = attach[y] = array("i")
+        held.append(e)
     chains, violations, max_cross = _kernels.rigidity_scan(
         edges.prod, edges.tri_ids, edges.k, edges.triangles, attach
     )

@@ -24,8 +24,8 @@ from __future__ import annotations
 
 import functools
 import random
+from bisect import bisect_right
 from fractions import Fraction
-from itertools import accumulate
 
 from . import _kernels, homalg, index
 from .circle import PointedMatchedCircle, standard_matching
@@ -318,15 +318,15 @@ def suite_dictionary_prod(table: AlgebraTable, edges: index._Edges) -> dict:
 
     The grid products are the edges of the gluing graph, each grid
     generator translated to the algebra once.  They are compared with
-    table.prod row by row: the edges of a row's placed grid generator,
-    found through a per-left-factor index of the graph, against the
-    row's composable entries.  A composable pair is wrong only if one
-    side has an entry for it, so the zero pairs are counted, not visited.
-    A grid generator the dictionary cannot place, and an edge that no
-    composable pair reaches, are failures too.  The examples come in
-    that order: grid generators, then such edges in edge order, then
-    wrong or missing products by (i, j), then edges on pairs that the
-    table leaves zero, in edge order.
+    table.prod row by row: the graph's row of a table row's placed grid
+    generator against the table row's composable entries.  A composable
+    pair is wrong only if one side has an entry for it, so the zero
+    pairs are counted, not visited.  A grid generator the dictionary
+    cannot place, and an edge that no composable pair reaches, are
+    failures too.  The examples come in that order: grid generators,
+    then such edges in edge order, then wrong or missing products by
+    (i, j), then edges on pairs that the table leaves zero, in edge
+    order.
     """
     from array import array
 
@@ -340,22 +340,12 @@ def suite_dictionary_prod(table: AlgebraTable, edges: index._Edges) -> dict:
     # Whether grid generator x is the one its algebra generator's row reads.
     placed = [grid_of.get(i) == x for x, i in enumerate(alg)]
     src, tgt = table.src, table.tgt
-    left, right, prod = edges.left, edges.right, edges.prod
-    for x, y in zip(left, right):
-        if not (placed[x] and placed[y] and tgt[alg[x]] == src[alg[y]]):
-            left_pts, right_pts = _points_json(edges.gens[x]), _points_json(edges.gens[y])
-            failures.add({"grid_left": left_pts, "grid_right": right_pts})
-    # The edges with left factor x are order[start[x] : start[x + 1]], in
-    # edge order.
-    count = [0] * len(edges.gens)
-    for x in left:
-        count[x] += 1
-    start = array("i", accumulate(count, initial=0))
-    order = array("i", [0]) * len(left)
-    fill = start[:-1]
-    for e, x in enumerate(left):
-        order[fill[x]] = e
-        fill[x] += 1
+    start, right, prod = edges.start, edges.right, edges.prod
+    for x in range(len(edges.gens)):
+        for y in right[start[x] : start[x + 1]]:
+            if not (placed[x] and placed[y] and tgt[alg[x]] == src[alg[y]]):
+                left_pts, right_pts = _points_json(edges.gens[x]), _points_json(edges.gens[y])
+                failures.add({"grid_left": left_pts, "grid_right": right_pts})
     zero_pairs = array("i")  # the edges on pairs the table leaves zero
     for i, row in enumerate(table.prod):
         # The grid row of i: each right factor's algebra index to its edge.
@@ -363,7 +353,7 @@ def suite_dictionary_prod(table: AlgebraTable, edges: index._Edges) -> dict:
         x = grid_of.get(i)
         if x is not None:
             t = tgt[i]
-            for e in order[start[x] : start[x + 1]]:
+            for e in range(start[x], start[x + 1]):
                 y = right[e]
                 if placed[y] and src[alg[y]] == t:
                     grid_row[alg[y]] = e
@@ -374,13 +364,16 @@ def suite_dictionary_prod(table: AlgebraTable, edges: index._Edges) -> dict:
                     failures.add(_pair_json(table, i, j))
         zero_pairs.extend(grid_row.values())
     for e in sorted(zero_pairs):
-        failures.add(_pair_json(table, alg[left[e]], alg[right[e]]))
+        x = bisect_right(start, e) - 1  # the row that holds edge e
+        failures.add(_pair_json(table, alg[x], alg[right[e]]))
     return failures.result("dictionary-prod", table.composable_pairs)
 
 
-def suite_euler(spec: GridSpec, k: int, edges: index._Edges) -> dict:
+def suite_euler(edges: index._Edges) -> dict:
     """Counted rectangles carry e = 0, i = 0; counted product tuples
-    (the edges of the gluing graph) carry i = 0, e = k/4 and index zero."""
+    (the edges of the gluing graph) carry i = 0, e = k/4 and index zero.
+    The diagram and k are the graph's own."""
+    spec, k = edges.spec, edges.k
     failures = _Failures()
     checked = 0
     for dom in index.counted_rectangle_domains(spec, k):
@@ -488,20 +481,20 @@ def suite_yoneda(table: AlgebraTable) -> dict:
 # Driver.
 
 # Each suite as a call on the shared objects of a run: the table, the
-# grid spec, the gluing graph (None unless the suite is in _GRAPH_SUITES),
-# the sample size and the seed.  Each lambda looks its suite_* up when it
-# is called, so that a wrapper set on the module name is the one called.
+# gluing graph (None unless the suite is in _GRAPH_SUITES), the sample
+# size and the seed.  Each lambda looks its suite_* up when it is called,
+# so that a wrapper set on the module name is the one called.
 _SUITES = {
-    "regression": lambda table, spec, edges, sample, seed: suite_regression(),
-    "d2": lambda table, spec, edges, sample, seed: suite_d2(table),
-    "leibniz": lambda table, spec, edges, sample, seed: suite_leibniz(table, sample, seed),
-    "assoc": lambda table, spec, edges, sample, seed: suite_assoc(table, sample, seed),
-    "closure": lambda table, spec, edges, sample, seed: suite_closure(table, sample, seed),
-    "dictionary-diff": lambda table, spec, edges, sample, seed: suite_dictionary_diff(table),
-    "dictionary-prod": lambda table, spec, edges, sample, seed: suite_dictionary_prod(table, edges),
-    "euler": lambda table, spec, edges, sample, seed: suite_euler(spec, table.k, edges),
-    "rigidity": lambda table, spec, edges, sample, seed: suite_rigidity(edges),
-    "yoneda": lambda table, spec, edges, sample, seed: suite_yoneda(table),
+    "regression": lambda table, edges, sample, seed: suite_regression(),
+    "d2": lambda table, edges, sample, seed: suite_d2(table),
+    "leibniz": lambda table, edges, sample, seed: suite_leibniz(table, sample, seed),
+    "assoc": lambda table, edges, sample, seed: suite_assoc(table, sample, seed),
+    "closure": lambda table, edges, sample, seed: suite_closure(table, sample, seed),
+    "dictionary-diff": lambda table, edges, sample, seed: suite_dictionary_diff(table),
+    "dictionary-prod": lambda table, edges, sample, seed: suite_dictionary_prod(table, edges),
+    "euler": lambda table, edges, sample, seed: suite_euler(edges),
+    "rigidity": lambda table, edges, sample, seed: suite_rigidity(edges),
+    "yoneda": lambda table, edges, sample, seed: suite_yoneda(table),
 }
 SUITE_NAMES = tuple(_SUITES)
 
@@ -531,14 +524,13 @@ def run_suites(
     if unknown:
         raise ValueError(f"unknown suites: {unknown}")
     table = AlgebraTable.build(pmc, k, variant)
-    spec = grid_spec(pmc, variant)
 
     results = []
     edges = None  # the gluing graph, built once for dictionary-prod, euler and rigidity
     for n, name in enumerate(chosen):
         if name in _GRAPH_SUITES and edges is None:
-            edges = index._Edges(spec, k)
-        results.append(_SUITES[name](table, spec, edges, sample, seed))
+            edges = index._Edges(grid_spec(pmc, variant), k)
+        results.append(_SUITES[name](table, edges, sample, seed))
         if not _GRAPH_SUITES.intersection(chosen[n + 1 :]):
             edges = None
     ok = all(not r["failures"] for r in results)

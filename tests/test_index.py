@@ -139,14 +139,9 @@ def test_one_rigidity_sweep_equals_both_association_orders(monkeypatch, g, varia
     monkeypatch.setattr(_kernels, "rigidity_scan", counted)
     for k in range(2 * g + 1):
         edges = _Edges(spec, k)
-        by_left: dict[int, list[int]] = {}
-        by_right: dict[int, list[int]] = {}
-        for e, (x, y) in enumerate(zip(edges.left, edges.right)):
-            by_left.setdefault(x, []).append(e)
-            by_right.setdefault(y, []).append(e)
         sweeps = [
             scan(edges.prod, edges.tri_ids, k, edges.triangles, attach)
-            for attach in (by_left, by_right)
+            for attach in attach_halves(edges)
         ]
         calls.clear()
         report = verify_rigidity(edges)
@@ -158,11 +153,7 @@ def test_one_rigidity_sweep_equals_both_association_orders(monkeypatch, g, varia
 
 def test_rigidity_scan_matches_glued_domains():
     edges = _Edges(W2, 2)
-    by_left: dict[int, list[int]] = {}
-    by_right: dict[int, list[int]] = {}
-    for e in range(len(edges.left)):
-        by_left.setdefault(edges.left[e], []).append(e)
-        by_right.setdefault(edges.right[e], []).append(e)
+    by_left, by_right = attach_halves(edges)
     tris = edge_tuples(edges)
     ids, k = edges.tri_ids, edges.k
     checked = max_intersection = 0
@@ -234,37 +225,49 @@ def test_rigidity_scan_counts_every_crossing_of_a_chain():
     assert _kernels.rigidity_scan(*args) == (4, 0, 2)
 
 
+def rows(edges) -> list[range]:
+    """The edges of each left factor, read from the graph's row starts."""
+    return [range(a, b) for a, b in zip(edges.start, edges.start[1:])]
+
+
+def attach_halves(edges) -> tuple[dict[int, list[int]], dict[int, list[int]]]:
+    """Each generator's edges as left factor (its row) and as right factor."""
+    by_left = {x: list(row) for x, row in enumerate(rows(edges)) if row}
+    by_right: dict[int, list[int]] = {}
+    for e, y in enumerate(edges.right):
+        by_right.setdefault(y, []).append(e)
+    return by_left, by_right
+
+
 def edge_tuples(edges) -> list[tuple[Triangle, ...]]:
     """Each edge's triangle tuple, read from the flat graph."""
     k = edges.k
     return [
         tuple(edges.triangles[t] for t in edges.tri_ids[k * e : k * e + k])
-        for e in range(len(edges.left))
+        for e in range(len(edges.right))
     ]
 
 
-def _all_pairs_edges(spec, k):
+def _all_pairs_rows(spec, k):
     """The gluing graph by a walk over every label-composable pair, as
-    (left, right, prod, tris), and the number of pairs with a triangle
-    tuple."""
+    one row per left factor of its (right, prod, tris) edges, and the
+    number of pairs with a triangle tuple."""
     gens = all_floer_generators(spec, k)
     position = {x: i for i, x in enumerate(gens)}
     by_source: dict[tuple[int, ...], list[int]] = {}
     for j, y in enumerate(gens):
         by_source.setdefault(source_labels(spec, y), []).append(j)
-    left, right, prod, all_tris = [], [], [], []
+    want = []
     matched = 0
-    for i, x in enumerate(gens):
+    for x in gens:
+        want.append([])
         for j in by_source.get(target_labels(spec, x), ()):
             tris = product_triangles(spec, x, gens[j])
             matched += tris is not None
             z = count_triangles(spec, tris)
             if z is not None:
-                left.append(i)
-                right.append(j)
-                prod.append(position[z])
-                all_tris.append(tuple(tris))
-    return (left, right, prod, all_tris), matched
+                want[-1].append((j, position[z], tuple(tris)))
+    return want, matched
 
 
 @pytest.mark.parametrize(
@@ -283,7 +286,7 @@ def test_edges_match_the_all_pairs_walk_on_a_custom_matching(monkeypatch, k, mod
 
 
 def _check_edges_against_all_pairs(monkeypatch, spec, k):
-    want, matched = _all_pairs_edges(spec, k)
+    want, matched = _all_pairs_rows(spec, k)
     tuples = []
 
     def recorded(spec, x, y):
@@ -292,13 +295,22 @@ def _check_edges_against_all_pairs(monkeypatch, spec, k):
 
     monkeypatch.setattr(index, "product_triangles", recorded)
     edges = _Edges(spec, k)
-    got = list(edges.left), list(edges.right), list(edges.prod), edge_tuples(edges)
+    tris = edge_tuples(edges)
+    got = [[(edges.right[e], edges.prod[e], tris[e]) for e in row] for row in rows(edges)]
     assert got == want
     assert None not in tuples
     assert len(tuples) == matched
+    # The graph is its rows: start never decreases, row x is
+    # start[x] : start[x + 1], and the last row ends at the last edge.
+    start = edges.start
+    assert len(start) == len(edges.gens) + 1
+    assert start[0] == 0 and start[-1] == len(edges.right)
+    assert all(a <= b for a, b in zip(start, start[1:]))
+    if k == 0:
+        assert list(start) == [0, 1]  # one row, of the one edge () * () = ()
     # The graph is flat: k triangle ids per edge into one list that holds
     # each distinct triangle once.
-    assert all(type(a) is array for a in (edges.left, edges.right, edges.prod, edges.tri_ids))
-    assert len(edges.tri_ids) == k * len(edges.left)
+    assert all(type(a) is array for a in (start, edges.right, edges.prod, edges.tri_ids))
+    assert len(edges.tri_ids) == k * len(edges.right)
     assert all(type(t) is Triangle for t in edges.triangles)
     assert len(set(edges.triangles)) == len(edges.triangles)

@@ -57,12 +57,11 @@ def test_algebra_suites_pass_on_every_admissible_matching(pmc, k, variant):
     pairs = sum(len(t) * len(s) for t, s in zip(table.by_target, table.by_source))
     assert reports[-1]["checked"] == len(table.gens) + pairs
     if k:  # the grid model of the matching starts at one strand
-        spec = grid_spec(pmc, variant)
-        edges = index._Edges(spec, k)
+        edges = index._Edges(grid_spec(pmc, variant), k)
         reports += [
             suite_dictionary_diff(table),
             suite_dictionary_prod(table, edges),
-            suite_euler(spec, k, edges),
+            suite_euler(edges),
             suite_rigidity(edges),
         ]
         assert reports[-3]["checked"] == pairs

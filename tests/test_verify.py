@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import copy
 from array import array
+from bisect import bisect_right
 
 import pytest
 
@@ -129,9 +130,8 @@ def test_euler_and_rigidity_check_what_the_algebra_predicts(pmc, ks, variant):
     # says how many there should be.
     for k in ks:
         table = AlgebraTable.build(pmc, k, variant)
-        spec = verify.grid_spec(pmc, variant)
-        edges = index._Edges(spec, k)
-        checked = suite_euler(spec, k, edges)["checked"], suite_rigidity(edges)["checked"]
+        edges = index._Edges(verify.grid_spec(pmc, variant), k)
+        checked = suite_euler(edges)["checked"], suite_rigidity(edges)["checked"]
         assert checked == graph_suite_counts(table), (k, checked)
 
 
@@ -309,18 +309,22 @@ def test_failing_suite_keeps_five_examples_and_counts_all(monkeypatch):
 
 
 def _with_edge(edges, x, y, z):
-    """The graph's arrays with the edge (x, y) -> z appended, copied so
-    that the graph they were read from is unchanged; the new edge reuses
-    the first edge's triangles."""
-    edges.left = edges.left + array("i", [x])
-    edges.right = edges.right + array("i", [y])
-    edges.prod = edges.prod + array("i", [z])
-    edges.tri_ids = edges.tri_ids + edges.tri_ids[: edges.k]
+    """The graph's arrays with the edge (x, y) -> z added at the end of
+    row x, copied so that the graph they were read from is unchanged;
+    the new edge reuses the first edge's triangles."""
+    p, k = edges.start[x + 1], edges.k
+    edges.right = edges.right[:p] + array("i", [y]) + edges.right[p:]
+    edges.prod = edges.prod[:p] + array("i", [z]) + edges.prod[p:]
+    edges.tri_ids = edges.tri_ids[: k * p] + edges.tri_ids[:k] + edges.tri_ids[k * p :]
+    edges.start = edges.start[: x + 1] + array("i", [s + 1 for s in edges.start[x + 1 :]])
 
 
 def _drop_edge(tab, edges):
-    edges.left, edges.right, edges.prod = edges.left[1:], edges.right[1:], edges.prod[1:]
+    # Edge 0 leaves the first nonempty row; every later row starts one
+    # edge earlier.
+    edges.right, edges.prod = edges.right[1:], edges.prod[1:]
     edges.tri_ids = edges.tri_ids[edges.k :]
+    edges.start = array("i", [max(s - 1, 0) for s in edges.start])
     return tab, edges
 
 
@@ -332,14 +336,18 @@ def _flip_product(tab, edges):
     return tab, edges
 
 
-def _add_edge_the_algebra_does_not_compose(tab, edges):
-    # The edge (x, x), where x's target labels differ from its source
-    # labels: no composable algebra pair reaches it.
+def _uncomposable(edges):
+    """The first grid generator whose target labels differ from its
+    source labels: no composable algebra pair reaches the edge (x, x)."""
     spec = edges.spec
-    x = next(
+    return next(
         x for x, gen in enumerate(edges.gens)
         if grid.source_labels(spec, gen) != grid.target_labels(spec, gen)
     )
+
+
+def _add_edge_the_algebra_does_not_compose(tab, edges):
+    x = _uncomposable(edges)
     _with_edge(edges, x, x, x)
     return tab, edges
 
@@ -364,8 +372,9 @@ def _add_edge_on_a_zero_pair(tab, edges):
 def _send_an_edge_to_an_unplaceable_tuple(tab, edges):
     # The first edge's product becomes the empty grid tuple, which places
     # to no generator of a k = 2 table: it fails once as a grid generator
-    # and once as the product of the edge.
+    # and once as the product of the edge.  Its row is empty.
     edges.gens = edges.gens + [()]
+    edges.start = edges.start + array("i", [edges.start[-1]])
     edges.prod = array("i", [len(edges.gens) - 1]) + edges.prod[1:]
     return tab, edges
 
@@ -422,8 +431,9 @@ def test_dictionary_prod_lists_its_examples_by_kind_then_in_order():
     for i, j in (second, first):
         _with_edge(edges, grid_of[i], grid_of[j], grid_of[i])
     _add_edge_the_algebra_does_not_compose(tab, edges)
-    x = edges.left[-1]
-    i0, j0 = (verify._placed(tab, spec, edges.gens[n]) for n in (edges.left[0], edges.right[0]))
+    x = _uncomposable(edges)
+    x0 = bisect_right(edges.start, 0) - 1  # the row of edge 0
+    i0, j0 = (verify._placed(tab, spec, edges.gens[n]) for n in (x0, edges.right[0]))
     _send_an_edge_to_an_unplaceable_tuple(tab, edges)
     report = suite_dictionary_prod(tab, edges)
     points = verify._points_json(edges.gens[x])
@@ -435,27 +445,6 @@ def test_dictionary_prod_lists_its_examples_by_kind_then_in_order():
         verify._pair_json(tab, *second),
         verify._pair_json(tab, *first),
     ]
-
-
-def test_dictionary_prod_reads_the_edges_in_any_order():
-    # The rows find their edges through an index of the graph, not
-    # through the order in which the graph lists them.
-    tab = build_table(2, 2, "full")
-    edges = copy.copy(index._Edges(verify.grid_spec(standard_matching(2), "full"), 2))
-    k = edges.k
-    order = range(len(edges.left) - 1, -1, -1)
-    edges.left, edges.right, edges.prod = (
-        array("i", [a[e] for e in order]) for a in (edges.left, edges.right, edges.prod)
-    )
-    ids = edges.tri_ids
-    edges.tri_ids = array(ids.typecode, [t for e in order for t in ids[k * e : k * e + k]])
-    assert suite_dictionary_prod(tab, edges)["failures"] == []
-    second, first = _zero_pairs(tab)[:2]
-    grid_of = {verify._placed(tab, edges.spec, x): n for n, x in enumerate(edges.gens)}
-    for i, j in (first, second):
-        _with_edge(edges, grid_of[i], grid_of[j], grid_of[i])
-    report = suite_dictionary_prod(tab, edges)
-    assert report["failures"] == [verify._pair_json(tab, *first), verify._pair_json(tab, *second)]
 
 
 def _closure_flip_product(tab):
