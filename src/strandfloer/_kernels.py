@@ -2,7 +2,7 @@
 composite-domain sweep, all in plain Python.
 
 Bit-matrix rows are Python ints, bit c being column c; the product table
-is read as it is built, one dict per left factor.
+is read as stored, one dict per left factor ascending by right factor.
 """
 
 from __future__ import annotations
@@ -90,7 +90,7 @@ def assoc_scan(prod, cols, src, tgt):
                 p = prod[i].get(j)
                 if p is None or l not in prod[p]:
                     bad.append((i, j, l))
-    bad.sort()
+    bad.sort()  # merges the two walks, which each meet triples in their own order
     return visits, bad
 
 

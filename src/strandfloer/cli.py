@@ -181,17 +181,17 @@ def _build_text(cfg: argparse.Namespace, table: AlgebraTable) -> Iterator[str]:
     yield ",\n"
     # A generator index as an item of an entry: formatted once, not per
     # entry.  Entries [i, j] and [i, j, m] come in (i, j) order: rows in
-    # index order, differential rows as stored (sorted), product rows
-    # sorted here, each written as made, its left factor's text made once.
+    # index order, each as stored (ascending), product rows written as
+    # made, each left factor's text made once.
     num = [f"      {i}" for i in range(len(table.gens))]
     diff = (f"    [\n{num[i]},\n{num[j]}\n    ]" for i, row in enumerate(table.diff) for j in row)
     yield from _items("differential", diff)
     yield ",\n"
     prod = (
-        f"{left}{num[j]},\n{num[row[j]]}\n    ]"
+        f"{left}{num[j]},\n{num[m]}\n    ]"
         for i, row in enumerate(table.product_rows())
         for left in [f"    [\n{num[i]},\n"]
-        for j in sorted(row)
+        for j, m in row.items()
     )
     yield from _items("product", prod)
     yield ",\n"

@@ -192,9 +192,8 @@ def _factorizations(table: AlgebraTable) -> dict[int, tuple[int, int]]:
     smaller total chord length than c.  The lengths come from
     table.gens, not from the product, so the induction on length that
     lets mor_complex skip c stays well-founded on a corrupt table; a
-    generator with no such factorization is indecomposable.  The first
-    factorization found is kept, reading the rows by left factor index
-    and each row in the order the builder wrote it."""
+    generator with no such factorization is indecomposable.  The one
+    kept is the smallest (a, b)."""
     cached = _FACTORIZATION_CACHE.get(table)
     if cached is not None and cached[0] is table.prod:
         return cached[1]
@@ -226,12 +225,11 @@ def projective_actions(table: AlgebraTable, s, acting=None) -> dict[int, dict[in
     try:
         for p, gi in enumerate(basis):
             t = tgt[gi]
-            row = table.prod[gi]
-            for a in sorted(row if acting is None else acting.intersection(row)):
-                if src[a] == t:
-                    actions.setdefault(a, {})[p] = unit[pos[row[a]]]
+            for a, m in table.prod[gi].items():
+                if src[a] == t and (acting is None or a in acting):
+                    actions.setdefault(a, {})[p] = unit[pos[m]]
     except KeyError:
-        raise ValueError(f"the product {gi} * {a} = {row[a]} lies outside e_s A") from None
+        raise ValueError(f"the product {gi} * {a} = {m} lies outside e_s A") from None
     return actions
 
 

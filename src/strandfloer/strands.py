@@ -385,11 +385,12 @@ class AlgebraTable:
     product a list of rows, one dict per generator: ``prod[i][j] = m``
     for each nonzero product over the composable pairs, of which there
     are ``composable_pairs``: pairs where i ends on the idempotent where
-    j starts.  Keys and values are the ``index`` dict's own ints, so the
-    table holds no object per product.  Tables are immutable once built,
-    but ``build`` makes the differential only: ``product_rows()`` yields
-    the rows in index order and ``prod`` is made from it on first read,
-    so a caller that uses each row as it comes never holds the table.
+    j starts.  Rows ascend by j, so no reader sorts one.  Keys and values
+    are the ``index`` dict's own ints: the table holds no object per
+    product.  Tables are immutable once built, but ``build`` makes the
+    differential only: ``product_rows()`` yields the rows in index order
+    and ``prod`` is made from it on first read, so a caller that uses
+    each row as it comes never holds the table.
 
     Products follow the matched rule of the module docstring: a left
     factor over the middle idempotent u visits only the right factors
@@ -510,7 +511,8 @@ class AlgebraTable:
                     if m is None:
                         raise ClosureError(f"{gens[i]} * {gens[j]} is not in the table")
                     row[j] = m
-            yield row
+            # Plan order is not j order; sorting the int keys makes no tuple.
+            yield {j: row[j] for j in sorted(row)}
 
     # -- lookups -----------------------------------------------------------
 

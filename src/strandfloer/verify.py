@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import functools
 import random
-from bisect import bisect_right
 from fractions import Fraction
 
 from . import _kernels, homalg, index
@@ -232,11 +231,11 @@ def suite_closure(table: AlgebraTable, sample: int | None = None, seed: int = 0)
     for i, gen in enumerate(table.gens):
         checked += 1
         try:
-            got = sorted(table.index[t] for t in differential(pmc, gen))
+            got = tuple(sorted(table.index[t] for t in differential(pmc, gen)))
         except ClosureError as err:
             failures.add({"generator": _gen_json(gen), "error": str(err)})
             continue
-        if got != sorted(table.diff[i]):
+        if got != table.diff[i]:
             failures.add({"generator": _gen_json(gen)})
 
     @functools.cache
@@ -308,7 +307,7 @@ def suite_dictionary_diff(table: AlgebraTable) -> dict:
     for i, gen in enumerate(table.gens):
         x = from_algebra(spec, gen)
         got = [_placed(table, spec, y) for y in floer_differential(spec, x)]
-        if _placed(table, spec, x) != i or None in got or sorted(got) != sorted(table.diff[i]):
+        if _placed(table, spec, x) != i or None in got or tuple(sorted(got)) != table.diff[i]:
             failures.add({"generator": _gen_json(gen)})
     return failures.result("dictionary-diff", len(table.gens))
 
@@ -326,10 +325,9 @@ def suite_dictionary_prod(table: AlgebraTable, edges: index._Edges) -> dict:
     failures too.  The examples come in that order: grid generators,
     then such edges in edge order, then wrong or missing products by
     (i, j), then edges on pairs that the table leaves zero, in edge
-    order.
+    order.  One pass over the edges finds both kinds of edge; the rows
+    ascend, so the pass over them meets its pairs by (i, j).
     """
-    from array import array
-
     spec = edges.spec
     failures = _Failures()
     alg = [_placed(table, spec, x) for x in edges.gens]
@@ -341,13 +339,16 @@ def suite_dictionary_prod(table: AlgebraTable, edges: index._Edges) -> dict:
     placed = [grid_of.get(i) == x for x, i in enumerate(alg)]
     src, tgt = table.src, table.tgt
     start, right, prod = edges.start, edges.right, edges.prod
+    table_prod = table.prod
+    zero_pairs = []  # the (i, j) of each edge on a pair the table leaves zero
     for x in range(len(edges.gens)):
         for y in right[start[x] : start[x + 1]]:
             if not (placed[x] and placed[y] and tgt[alg[x]] == src[alg[y]]):
                 left_pts, right_pts = _points_json(edges.gens[x]), _points_json(edges.gens[y])
                 failures.add({"grid_left": left_pts, "grid_right": right_pts})
-    zero_pairs = array("i")  # the edges on pairs the table leaves zero
-    for i, row in enumerate(table.prod):
+            elif alg[y] not in table_prod[alg[x]]:
+                zero_pairs.append((alg[x], alg[y]))
+    for i, row in enumerate(table_prod):
         # The grid row of i: each right factor's algebra index to its edge.
         grid_row: dict[int, int] = {}
         x = grid_of.get(i)
@@ -359,13 +360,11 @@ def suite_dictionary_prod(table: AlgebraTable, edges: index._Edges) -> dict:
                     grid_row[alg[y]] = e
         for j, m in row.items():
             if tgt[i] == src[j]:
-                e = grid_row.pop(j, None)
+                e = grid_row.get(j)
                 if e is None or alg[prod[e]] != m:
                     failures.add(_pair_json(table, i, j))
-        zero_pairs.extend(grid_row.values())
-    for e in sorted(zero_pairs):
-        x = bisect_right(start, e) - 1  # the row that holds edge e
-        failures.add(_pair_json(table, alg[x], alg[right[e]]))
+    for i, j in zero_pairs:
+        failures.add(_pair_json(table, i, j))
     return failures.result("dictionary-prod", table.composable_pairs)
 
 

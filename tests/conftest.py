@@ -62,9 +62,9 @@ def product_pairs(table: AlgebraTable) -> dict[tuple[int, int], int]:
 
 def set_products(table: AlgebraTable, pairs: dict[tuple[int, int], int]) -> None:
     """Give table fresh product rows holding exactly the entries of
-    pairs; each row keeps the order its entries have in pairs."""
+    pairs, each row ascending by right factor, as the table stores them."""
     rows: list[dict[int, int]] = [{} for _ in table.gens]
-    for (i, j), m in pairs.items():
+    for (i, j), m in sorted(pairs.items()):
         rows[i][j] = m
     table._prod = rows
 

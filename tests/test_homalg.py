@@ -329,9 +329,11 @@ def test_linearity_rows_match_oracle_on_projectives(variant):
         for M in mods:
             for N in mods:
                 _assert_rows_match_oracle(M, N)
-        for M in clean:
-            for N in clean:
-                _assert_mor_matches_oracle(M, N)
+        # Mor(e_s A, e_t A) is e_t A e_s, the side yoneda compares with.
+        for s, M in zip(tab.idem_list, clean):
+            for t, N in zip(tab.idem_list, clean):
+                hom = hom_complex(tab, t, s)
+                assert _mor_outcome(M, N) == (hom.dim, hom.homology_rank())
 
 
 def test_linearity_rows_match_oracle_on_sums_and_hand_built_modules():

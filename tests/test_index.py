@@ -314,3 +314,21 @@ def _check_edges_against_all_pairs(monkeypatch, spec, k):
     assert len(edges.tri_ids) == k * len(edges.right)
     assert all(type(t) is Triangle for t in edges.triangles)
     assert len(set(edges.triangles)) == len(edges.triangles)
+
+
+@pytest.mark.parametrize("g, typecode, distinct", [(18, "H", 64_788), (19, "i", 76_038)])
+def test_edges_keep_every_triangle_id_on_both_sides_of_the_two_byte_bound(g, typecode, distinct):
+    # Every possible triangle id, C(n + 2, 3) + n over n = 4g positions,
+    # fits in two bytes up to g = 18 (64,896 ids); g = 19 meets ids past
+    # 65,535.  At k = 1 every edge meets a new triangle.
+    spec = make_spec(standard_matching(g), "wrapped")
+    edges = _Edges(spec, 1)
+    assert edges.tri_ids.typecode == typecode
+    assert len(edges.triangles) == len(edges.right) == distinct
+    assert max(edges.tri_ids) == distinct - 1
+    want = [
+        tuple(product_triangles(spec, edges.gens[x], edges.gens[edges.right[e]]))
+        for x, row in enumerate(rows(edges))
+        for e in row
+    ]
+    assert [dom.triangles for dom in counted_product_domains(edges)] == want

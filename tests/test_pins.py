@@ -2,9 +2,8 @@
 from ``perfbench/census.json`` and the counts of the two verify
 workloads checked by ``perfbench/check.py``; and the sha256 of four
 ``verify`` reports, so that a change meant to keep them byte-identical
-is checked to be; and the sha256 of three product tables, each row in
-insertion order, which ``homalg._factorizations`` reads to pick, for
-each product, the first factorization it meets.
+is checked to be; and the sha256 of three product tables, whose rows
+ascend by right factor.
 The harness scripts themselves are run too, since
 ``perfbench/traced.py`` and ``perfbench/probe.py`` look src names up by
 name, and a renamed or deleted one breaks them."""
@@ -96,22 +95,23 @@ def test_verify_report_matches_its_hash(tmp_path, argv, sha256):
     [
         (
             standard_matching(2), 3, "full",
-            "5129296aceb653e00bb3a988bf3e35febde1e98a7905fe69791a4960e17d4749",
+            "8a95da5ccffbe3612ba2ddfec6e4816b6e3beffff2052391bb7c1029abb75a98",
         ),
         (
             matching_from_pairs(2, ((1, 7), (2, 8), (3, 5), (4, 6))), 4, "half",
-            "31f2a2814752f0e881c1fb495d861b0bf36345c90bead7c700590d2bcbcf5dca",
+            "c3735b78e8eedc303489974da95d460dc16a09a191ec7b03547624692336e16d",
         ),
         (
             standard_matching(3), 2, "full",
-            "535be76101df6204e869d18a09db1204c8df96f766402f9754b88f6b896ffa86",
+            "1e3f6f213d06dce32ea45fc2d0e5c7666f92bfe7e676896f1e4c70f3a9cdf05b",
         ),
     ],
     ids=["g2k3-full", "g2k4-half-matching", "g3k2-full"],
 )
-def test_product_table_keeps_its_insertion_order(pmc, k, variant, sha256):
+def test_product_rows_ascend_by_right_factor(pmc, k, variant, sha256):
     table = AlgebraTable.build(pmc, k, variant)
     rows = [list(row.items()) for row in table.product_rows()]
+    assert all(row == sorted(row) for row in rows)
     # The rows build streams are the rows of the table, in the same order.
     assert rows == [list(row.items()) for row in table.prod]
     assert hashlib.sha256(repr(rows).encode()).hexdigest() == sha256

@@ -447,6 +447,19 @@ def test_dictionary_prod_lists_its_examples_by_kind_then_in_order():
     ]
 
 
+def test_dictionary_prod_lists_the_wrong_products_of_a_row_by_right_factor():
+    # The builder's plan for row 2 of the g=1 k=1 full table meets right
+    # factor 6 before 5 (2 * 6 = 2, 2 * 5 = 1).  Swapping the two products
+    # makes both wrong, and they are listed by (i, j) all the same.
+    tab = AlgebraTable.build(standard_matching(1), 1, "full")
+    assert (tab.prod[2][5], tab.prod[2][6]) == (1, 2)
+    tab.prod[2][5], tab.prod[2][6] = 2, 1
+    edges = index._Edges(verify.grid_spec(standard_matching(1), "full"), 1)
+    report = suite_dictionary_prod(tab, edges)
+    assert report["failed"] == 2
+    assert report["failures"] == [verify._pair_json(tab, 2, 5), verify._pair_json(tab, 2, 6)]
+
+
 def _closure_flip_product(tab):
     # e_s a = a becomes e_s.
     a = next(i for i in range(len(tab.gens)) if tab.src[i] != tab.tgt[i])
