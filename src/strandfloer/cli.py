@@ -1,7 +1,10 @@
 """Command-line front end: build tables, run verification suites,
 export the quiver.
 
-All outputs are deterministic for a fixed (config, seed).
+All outputs are deterministic for a fixed (config, seed).  Only the
+verify command, and a config that names suites, import ``verify`` and
+with it ``homalg``, ``index``, ``gf2`` and ``_kernels``, so build and
+export start without them.
 
 Exit codes: 0 success, 1 verification failure, 2 invalid input, an
 unwritable output, a table too large to build or a run out of memory.
@@ -18,13 +21,13 @@ from collections import Counter
 from itertools import islice
 from typing import Iterable, Iterator
 
-from . import verify
 from .circle import (
     PointedMatchedCircle,
     matching_from_pairs,
     standard_matching,
     validate_surface,
 )
+from .grid import grid_spec
 from .strands import VARIANTS, AlgebraTable, SizeError
 
 SCHEMA = 1
@@ -84,10 +87,14 @@ def build_config(args: argparse.Namespace) -> argparse.Namespace:
             f"(components={inv.boundary_components}, genus={inv.genus})"
         )
     if getattr(args, "suites", None) is not None:
+        from .verify import SUITE_NAMES
+
         args.suites = [s for s in args.suites.split(",") if s]
-        unknown = [s for s in args.suites if s not in verify.SUITE_NAMES]
+        unknown = [s for s in args.suites if s not in SUITE_NAMES]
         if unknown:
-            raise ConfigError(f"unknown suites: {','.join(unknown)}")
+            raise ConfigError(
+                f"unknown suites: {','.join(unknown)}; the suites are {','.join(SUITE_NAMES)}"
+            )
     args.pmc = pmc
     return args
 
@@ -97,7 +104,7 @@ def _meta(cfg: argparse.Namespace) -> dict:
         "g": cfg.genus,
         "k": cfg.k,
         "variant": cfg.variant,
-        "mode": verify.grid_spec(cfg.pmc, cfg.variant).mode,
+        "mode": grid_spec(cfg.pmc, cfg.variant).mode,
         "matching": {
             "g": cfg.pmc.g,
             # Matched circles have no mode; the constant keeps the build
@@ -213,6 +220,8 @@ def cmd_build(cfg: argparse.Namespace) -> int:
 
 
 def cmd_verify(cfg: argparse.Namespace) -> int:
+    from . import verify
+
     report = verify.run_suites(cfg.pmc, cfg.k, cfg.variant, cfg.suites, cfg.sample, cfg.seed)
     payload = {"schema": SCHEMA, "meta": _meta(cfg)}
     payload.update(report)
@@ -263,7 +272,7 @@ def make_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help="output path (default stdout)")
         p.add_argument("--seed", type=int, default=0)
         if name == "verify":
-            p.add_argument("--suites", help="comma-separated subset of: " + ",".join(verify.SUITE_NAMES))
+            p.add_argument("--suites", help="comma-separated subset of the suites (default every suite)")
             p.add_argument("--sample", type=int, default=None,
                            help="sample size for the randomized suites (default exhaustive)")
     return parser

@@ -57,6 +57,11 @@ def make_spec(pmc: PointedMatchedCircle, mode: str) -> GridSpec:
     return GridSpec(pmc, mode)
 
 
+def grid_spec(pmc: PointedMatchedCircle, variant: str) -> GridSpec:
+    """The grid diagram that models the algebra of a matching and variant."""
+    return make_spec(pmc, "half" if variant == "half" else "wrapped")
+
+
 GridPoint = tuple[int, int]
 FloerGenerator = tuple[GridPoint, ...]
 

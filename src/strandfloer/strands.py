@@ -45,6 +45,17 @@ z_s, crossing t on the left only if x_s < y_t < y_s and on the right
 only if y_s < y_t < z_s.  Every other label pair has the same strands
 at every y.  ``AlgebraTable.product_rows`` yields the table row by row.
 
+The table finds a composite by its integer code: bit(a, b) for each
+chord (a, b) and dot(p) for each dotted label p (``_generator_code``).
+Every item of a ends on a label of u and every item of b starts on one,
+so code(a) + code(b) - dot(u), dot(u) the sum of dot(p) over the labels
+p of u, is the composite's code but at the labels where a has a chord
+(x, y) and b a chord (y, z).  There it holds bit(x, y) + bit(y, z) -
+dot(label(y)) in place of bit(x, z), and adding the join term
+join[x, y][z] = bit(x, z) - bit(x, y) - bit(y, z) + dot(label(y)) mends
+it.  With join[x, y][0] = 0 for a right factor dotted there, the sum of
+the join terms runs over a's chords alone.
+
 The "half" variant keeps only generators with no chord crossing the split
 between positions 2g and 2g+1; the "full" variant keeps everything.
 """
@@ -53,7 +64,7 @@ from __future__ import annotations
 
 import itertools
 import os
-from operator import lshift
+from operator import add, not_
 from typing import Iterable, NamedTuple
 
 from .circle import Idempotent, PointedMatchedCircle
@@ -71,12 +82,13 @@ class SizeError(Exception):
     """A table whose estimated size exceeds the machine's memory."""
 
 
-# Peak RSS per composable pair of a run holding the product table (Python
-# 3.11): 5.8 bytes at g=3 k=3 full (71 MB, 12,866,332 pairs) and 1.24 at
-# g=3 k=4 full (340 MB, 287,492,375).  These fit a reader of ``prod``, not
-# ``build``, which writes each row as it is made and peaks at 29 and 70
-# MB.  The estimate keeps 12, rounded up from when each product had a
-# tuple key, so it errs high by about a factor of two.
+# Peak RSS per composable pair of a run that builds the table and reads
+# ``prod`` (Python 3.11): 4.7 bytes at g=3 k=3 full (57.6 MB, 12,866,332
+# pairs) and 1.15 at g=3 k=4 full (316.4 MB, 287,492,375).  These fit a
+# reader of ``prod``, not ``build``, which writes each row as it is made
+# and peaks at 26.6 and 69.8 MB.  The estimate keeps 12, rounded up from
+# when each product had a tuple key, so it errs high by more than a
+# factor of two.
 BYTES_PER_PAIR = 12
 
 
@@ -336,25 +348,22 @@ def _packed_crossings(pmc: PointedMatchedCircle, u: Idempotent, middle, outer) -
     owns the C(k, 2) bits from c * C(k, 2), one per label pair t1 < t2,
     set when the two strands cross.
     """
-    k = len(u)
-    width = k * (k - 1) // 2
-    options = [
-        ((pmc.positions_of(p).index(m), m),) if m else tuple(enumerate(pmc.positions_of(p)))
-        for p, m in zip(u, middle)
-    ]
+    width = len(u) * (len(u) - 1) // 2
+    # Per label its options (digit, middle position, outer position).
+    options = []
+    for p, m, o in zip(u, middle, outer):
+        lo, hi = pmc.pairs[p - 1]
+        options.append(((int(m == hi), m, o),) if m else ((0, lo, lo), (1, hi, hi)))
     packed = 0
     for picks in itertools.product(*options):
         c = 0
-        for digit, _ in picks:
+        for digit, _, _ in picks:
             c = 2 * c + digit
-        ys = [y for _, y in picks]
-        ends = [o or y for o, y in zip(outer, ys)]
-        bit = c * width
-        for t1 in range(k):
-            for t2 in range(t1 + 1, k):
-                if (ends[t1] - ends[t2]) * (ys[t1] - ys[t2]) < 0:
-                    packed |= 1 << bit
-                bit += 1
+        bit = 1 << c * width
+        for (_, y1, o1), (_, y2, o2) in itertools.combinations(picks, 2):
+            if (o1 - o2) * (y1 - y2) < 0:
+                packed |= bit
+            bit <<= 1
     return packed
 
 
@@ -366,14 +375,17 @@ def _factor(pmc: PointedMatchedCircle, gen: MatchedGenerator, u: Idempotent, lef
     position or 0 when dotted, the packed crossing masks, and per label
     the chord's outer position or 0 when dotted.  Every field is an int
     or a tuple of ints, which the cyclic collector stops tracking at its
-    first pass: the builder keeps every right factor's record through a
-    whole pass over the table.
+    first pass: the builder keeps the signatures as the keys of its
+    groups and plans through the whole build.
     """
     labels = pmc.labels
-    on_label = {labels[(b if left else a) - 1]: (a, b) for a, b in gen.chords}
-    strands = [on_label.get(p, (0, 0)) for p in u]
-    middle = tuple(b if left else a for a, b in strands)
-    outer = tuple(a if left else b for a, b in strands)
+    middle = [0] * len(u)
+    outer = [0] * len(u)
+    for a, b in gen.chords:
+        m, o = (b, a) if left else (a, b)
+        t = u.index(labels[m - 1])
+        middle[t], outer[t] = m, o
+    middle, outer = tuple(middle), tuple(outer)
     return middle, _packed_crossings(pmc, u, middle, outer), outer
 
 
@@ -397,12 +409,18 @@ class AlgebraTable:
     whose chord starts equal its chord ends wherever both have a chord,
     and a pair's product is zero exactly when the AND of the two
     factors' packed crossing masks is nonzero.  The composite is found
-    by its integer code (one bit per chord, one per dotted label), made
-    from the left factor's code and the right factor's chord ends; one
-    that is not a generator of the table raises ClosureError.  The loop
-    over a plan makes no tuple per pair: dropped by the thousand, such
-    tuples fill the tuple free lists with blocks scattered over partly
-    used pools, which raises a build's peak memory.
+    by its code, the sum of the factors' codes, -dot(u) and a join term
+    per chord of the left factor (module docstring); one that is not a
+    generator of the table raises ClosureError.  The right factors are
+    held as columns over j: the masks m2[j] and, per label position t,
+    tail[t][j], the end z of j's chord on that label or 0.  A plan, kept
+    per (target, chord ends), lists in ascending order the j that such a
+    left factor meets, so a row is a chain of iterators over its plan,
+    run in C: the AND keeps the pairs whose masks do not meet, and only
+    those have their codes summed and looked up.  The chain makes no
+    tuple per pair: dropped by the thousand, such tuples fill the tuple
+    free lists with blocks scattered over partly used pools, which
+    raises a build's peak memory.
     """
 
     def __init__(self, pmc, k, variant, gens, idem_list):
@@ -463,20 +481,37 @@ class AlgebraTable:
         )
 
     def product_rows(self):
-        """Yield prod[i], the product row of left factor i, in index order.
-        Each plan (the right groups a left factor meets) is made once."""
+        """Yield prod[i], the product row of left factor i, in index order,
+        each ascending by j as its plan is.  Each plan and each join
+        column joins[x, y] is made once."""
         pmc, gens, n = self.pmc, self.gens, self.pmc.n_points
         codes = [_generator_code(pmc, g) for g in gens]
         # Products hold the index's ints too (see __init__).
         lookup = dict(zip(codes, self.index.values())).get
-        # A right factor keeps its index, masks and tails: z - 1 on each
-        # label with a chord (s, z), else 0.  Its chord starts key its group.
-        rights: list[dict[tuple[int, ...], list]] = [{} for _ in self.idem_list]
+        # The right factors as columns over j: the packed masks m2[j] and,
+        # per label position t of the source, tail[t][j] = z where the
+        # right has a chord (s, z) on that label, else 0.  The chord starts
+        # key each factor's group.
+        m2 = [0] * len(gens)
+        tail = [[0] * len(gens) for _ in range(self.k)]
+        rights: list[dict[tuple[int, ...], list[int]]] = [{} for _ in self.idem_list]
         for j in self.index.values():
-            starts, packed, outer = _factor(pmc, gens[j], self.idem_list[self.src[j]], left=False)
-            tails = tuple(z - 1 if z else 0 for z in outer)
-            rights[self.src[j]].setdefault(starts, []).append((j, packed, tails))
-        plans: dict[tuple[int, tuple[int, ...]], list] = {}
+            starts, m2[j], outer = _factor(pmc, gens[j], self.idem_list[self.src[j]], left=False)
+            for column, z in zip(tail, outer):
+                column[j] = z
+            rights[self.src[j]].setdefault(starts, []).append(j)
+
+        def bit(a, b):
+            return 1 << (a - 1) * n + b - 1
+
+        def dot(p):
+            return 1 << n * n + p - 1
+
+        # dot(u) of each idempotent u, and the join terms of the module
+        # docstring, joins[x, y][z] for each left chord (x, y).
+        dots = [sum(map(dot, u)) for u in self.idem_list]
+        joins: dict[tuple[int, int], list[int]] = {}
+        plans: dict[tuple[int, tuple[int, ...]], list[int]] = {}
         for i in self.index.values():
             u = self.idem_list[self.tgt[i]]
             ends, m1, outer = _factor(pmc, gens[i], u, left=True)
@@ -486,33 +521,30 @@ class AlgebraTable:
                 # label by label; a dotted label on either side meets anything.
                 group = rights[self.tgt[i]]
                 choices = [(0, y) if y else (0, *pmc.positions_of(p)) for y, p in zip(ends, u)]
-                plan = plans[self.tgt[i], ends] = [
-                    (starts, group[starts])
-                    for starts in itertools.product(*choices)
-                    if starts in group
-                ]
-            # The composite keeps the left's term, its chord or dotted bit,
-            # on each label where the right is dotted.  Where the right has a
-            # chord (s, z), it has the chord (x, z), x the left's chord start
-            # or s where the left is dotted: the head 1 << (x - 1) * n shifted
-            # by the right's tail.  Heads are 0 where the right is dotted.
-            terms = [
-                1 << ((x - 1) * n + y - 1) if y else 1 << (n * n + p - 1)
-                for x, y, p in zip(outer, ends, u)
-            ]
-            row = {}
-            for starts, rgroup in plan:
-                base = codes[i] - sum(term for term, s in zip(terms, starts) if s)
-                heads = [1 << ((x or s) - 1) * n if s else 0 for x, s in zip(outer, starts)]
-                for j, m2, tails in rgroup:
-                    if m1 & m2:
-                        continue
-                    m = lookup(base + sum(map(lshift, heads, tails)))
-                    if m is None:
-                        raise ClosureError(f"{gens[i]} * {gens[j]} is not in the table")
-                    row[j] = m
-            # Plan order is not j order; sorting the int keys makes no tuple.
-            yield {j: row[j] for j in sorted(row)}
+                plan = plans[self.tgt[i], ends] = sorted(
+                    itertools.chain.from_iterable(
+                        group[starts] for starts in itertools.product(*choices) if starts in group
+                    )
+                )
+            # The pairs whose masks share no crossing, and their composites:
+            # code(a.b) = code(a) - dot(u) + code(b) + a join term per chord of a.
+            kept = map(not_, map(m1.__and__, map(m2.__getitem__, plan)))
+            js = list(itertools.compress(plan, kept))
+            found = map(codes.__getitem__, js)
+            for x, y, column in zip(outer, ends, tail):
+                if y:
+                    join = joins.get((x, y))
+                    if join is None:
+                        join = joins[x, y] = [0] * (y + 1) + [
+                            bit(x, z) - bit(x, y) - bit(y, z) + dot(pmc.labels[y - 1])
+                            for z in range(y + 1, n + 1)
+                        ]
+                    found = map(add, found, map(join.__getitem__, map(column.__getitem__, js)))
+            row = dict(zip(js, map(lookup, map((codes[i] - dots[self.tgt[i]]).__add__, found))))
+            if None in row.values():
+                j = next(j for j in js if row[j] is None)
+                raise ClosureError(f"{gens[i]} * {gens[j]} is not in the table")
+            yield row
 
     # -- lookups -----------------------------------------------------------
 

@@ -34,7 +34,8 @@ from .grid import (
     floer_differential,
     floer_product,  # unused here; perfbench/traced.py wraps verify.floer_product by name
     from_algebra,
-    make_spec,
+    grid_spec,
+    make_spec,  # unused here; perfbench/traced.py wraps verify.make_spec by name
     to_algebra,
 )
 from .strands import (
@@ -277,11 +278,6 @@ def _section_index(table: AlgebraTable, sections_of) -> dict[tuple[int, ...], li
         for starts in {starts for _, _, starts, _, _ in sections_of(j).sections}:
             meeting.setdefault(starts, []).append(j)
     return meeting
-
-
-def grid_spec(pmc: PointedMatchedCircle, variant: str) -> GridSpec:
-    """The grid diagram that models the algebra of a matching and variant."""
-    return make_spec(pmc, "half" if variant == "half" else "wrapped")
 
 
 def _placed(table: AlgebraTable, spec: GridSpec, x: FloerGenerator) -> int | None:

@@ -412,3 +412,29 @@ def test_cli_import_leaves_numpy_unloaded():
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_build_leaves_the_verify_stack_unloaded(tmp_path):
+    # build and its config never need a suite, so they load none of the
+    # modules that only verify uses.
+    repo = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(repo / "src"))
+    code = (
+        "import json, sys, strandfloer.cli as cli\n"
+        f"assert cli.main(['build', '-g', '2', '--k', '2', '--out', {str(tmp_path / 'b.json')!r}]) == 0\n"
+        "print(json.dumps([m for m in sys.modules if m.startswith('strandfloer.')]))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(json.loads(proc.stdout))
+    verify_only = {f"strandfloer.{m}" for m in ("verify", "homalg", "index", "gf2", "_kernels")}
+    assert loaded and not loaded & verify_only, loaded
+
+
+def test_unknown_suites_exit_two_naming_them_and_every_suite(capsys):
+    # --help names no suite (listing them would load verify), so the
+    # error for an unknown name lists them all.
+    assert main(["verify", "-g", "1", "--suites", "regression,nope,d3"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: unknown suites: nope,d3;"), err
+    assert err.rstrip().endswith(",".join(verify.SUITE_NAMES)), err

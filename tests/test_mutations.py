@@ -1,10 +1,11 @@
 """Seeded defects in the section route, the product table, the
 differential, the associativity scan, the grid and the morphism-complex
 solver: each mutant is a copy of one function with one check taken out
-or one rule changed (written out, or for the dotted-label builder mutant
-compiled from the function's own source with one expression replaced),
-or a table edited after its build, monkeypatched where its callers look
-it up, and the suites that should see it must fail by a pinned count.
+or one rule changed (written out, or for the builder's dotted-label and
+join mutants compiled from the function's own source with one expression
+replaced), or a table edited after its build, monkeypatched where its
+callers look it up, and the suites that should see it must fail by a
+pinned count.
 The section index that closure walks cannot fail closure on a correct
 table, so its mutant runs over the packed-crossings mutant.
 
@@ -97,6 +98,14 @@ FAILURES = {
         "closure": 231,
         "dictionary-prod": 231,
         "yoneda": 36,
+    },
+    "join starting the composite chord at the lower position of its pair": {
+        **PASSING,
+        "leibniz": 190,
+        "assoc": 1307,
+        "closure": 134,
+        "dictionary-prod": 134,
+        "yoneda": 29,
     },
     "packed crossings crossed at one choice": {
         **PASSING,
@@ -513,6 +522,25 @@ def test_dotted_left_label_meeting_its_lower_position_only_is_caught(monkeypatch
         for k in (1, 2, 3)
     ]
     assert mismatches == [12, 442, 2058]
+
+
+def test_join_starting_the_composite_chord_at_the_lower_position_is_caught(monkeypatch):
+    rows = strands.AlgebraTable.product_rows
+    pmc = standard_matching(2)
+    # A join whose composite leaves the generator set fails the build
+    # itself: (x, y).(y, z) taken as (y, z) repeats a source label.
+    leaving = _rewritten(rows, "bit(x, z)", "bit(y, z)")
+    monkeypatch.setattr(strands.AlgebraTable, "product_rows", leaving)
+    with pytest.raises(strands.ClosureError, match="not in the table"):
+        list(strands.AlgebraTable.build(pmc, 2, "full").product_rows())
+    # One that starts the composite chord at the lower position of x's
+    # pair keeps its labels, so it stays a generator of the same hom-space
+    # and only the suites that recompute products see it.
+    mutant = _rewritten(rows, "bit(x, z)", "bit(pmc.positions_of(pmc.labels[x - 1])[0], z)")
+    monkeypatch.setattr(strands.AlgebraTable, "product_rows", mutant)
+    failed = _failed(verify.run_suites(pmc, 2, "full"))
+    assert failed == FAILURES["join starting the composite chord at the lower position of its pair"]
+    assert failed["closure"] and failed["dictionary-prod"]
 
 
 def test_packed_crossings_crossed_at_one_choice_is_caught(monkeypatch):
