@@ -541,8 +541,12 @@ class AlgebraTable:
                         ]
                     found = map(add, found, map(join.__getitem__, map(column.__getitem__, js)))
             row = dict(zip(js, map(lookup, map((codes[i] - dots[self.tgt[i]]).__add__, found))))
+            # Free this row's list of j before the next row makes its own:
+            # two of them alive at once leave holes between the kept rows,
+            # which raises the peak of a run that holds the table.
+            del js, found
             if None in row.values():
-                j = next(j for j in js if row[j] is None)
+                j = next(j for j, m in row.items() if m is None)
                 raise ClosureError(f"{gens[i]} * {gens[j]} is not in the table")
             yield row
 

@@ -528,14 +528,14 @@ def test_join_starting_the_composite_chord_at_the_lower_position_is_caught(monke
     rows = strands.AlgebraTable.product_rows
     pmc = standard_matching(2)
     # A join whose composite leaves the generator set fails the build
-    # itself: (x, y).(y, z) taken as (y, z) repeats a source label.
+    # itself: (x, y).(y, z) taken as (y, z) can repeat a source label.
     leaving = _rewritten(rows, "bit(x, z)", "bit(y, z)")
     monkeypatch.setattr(strands.AlgebraTable, "product_rows", leaving)
     with pytest.raises(strands.ClosureError, match="not in the table"):
         list(strands.AlgebraTable.build(pmc, 2, "full").product_rows())
     # One that starts the composite chord at the lower position of x's
-    # pair keeps its labels, so it stays a generator of the same hom-space
-    # and only the suites that recompute products see it.
+    # pair keeps its labels, so the composite stays a generator of the
+    # right hom-space and the build accepts it; the suites must see it.
     mutant = _rewritten(rows, "bit(x, z)", "bit(pmc.positions_of(pmc.labels[x - 1])[0], z)")
     monkeypatch.setattr(strands.AlgebraTable, "product_rows", mutant)
     failed = _failed(verify.run_suites(pmc, 2, "full"))
