@@ -464,9 +464,10 @@ def test_a_meeting_pair_crosses_twice_at_every_middle_choice_or_at_none():
 
 
 def test_factor_records_are_ints_the_collector_drops():
-    """The builder holds a record per factor for a whole middle idempotent;
-    records of ints and int tuples leave the cyclic collector's lists at
-    its first pass, so they do not make it walk the product table."""
+    """The builder keeps the factors' signatures as the keys of its
+    groups and plans through a whole build; records of ints and int
+    tuples leave the cyclic collector's lists at its first pass, so they
+    do not make it walk the product table."""
     records = [rec for _, _, rec in _factors(standard_matching(2), 3, "full")]
     gc.collect()
     for rec in records:
